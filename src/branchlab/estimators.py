@@ -187,22 +187,6 @@ def _median_from_hist(hist: np.ndarray, total: int) -> float:
 # vectorized batch simulation
 
 
-def _vector_step(dist: OffspringDistribution, sizes: np.ndarray,
-                 gen: np.random.Generator) -> np.ndarray:
-    """Next-generation sizes for a whole batch in one vectorized draw."""
-    if dist.has_closure:
-        return dist.closure_sums(sizes, gen)
-    total = int(sizes.sum())
-    out = np.zeros(sizes.shape, dtype=np.int64)
-    if total == 0:
-        return out
-    draws = dist.inverse_cdf(gen.random(total))
-    pos = sizes > 0
-    starts = np.concatenate(([0], np.cumsum(sizes[pos])))[:-1]
-    out[pos] = np.add.reduceat(draws, starts)
-    return out
-
-
 def _tau_hist_batch(batch: int, *, seed: int, layout, dist, K: int, slot: int,
                     cap: int) -> tuple[np.ndarray, int]:
     """Histogram of extinction times for one trajectory batch."""
@@ -212,7 +196,7 @@ def _tau_hist_batch(batch: int, *, seed: int, layout, dist, K: int, slot: int,
     sizes = np.full(count, K, dtype=np.int64)
     taus = np.zeros(count, dtype=np.int64)
     for n in range(1, cap + 1):
-        sizes = _vector_step(dist, sizes, gen)
+        sizes = dist.closure_sums(sizes, gen)
         taus[(sizes == 0) & (taus == 0)] = n
         if not sizes.any():
             break
@@ -254,7 +238,7 @@ def _values_batch(batch: int, *, seed: int, layout, dist, K: int, u1: float,
     gen = src.handle(batch, 0).generator
     rows = [np.full(count, K, dtype=np.int64)]
     for _ in range(cap):
-        rows.append(_vector_step(dist, rows[-1], gen))
+        rows.append(dist.closure_sums(rows[-1], gen))
         if not rows[-1].any():
             break
     M = np.vstack(rows)
@@ -280,7 +264,7 @@ def _theta_batch(batch: int, *, seed: int, layout, dist, K: int,
     out = np.empty((count, len(indices)), dtype=np.int64)
     pos = 0
     for n in range(1, indices[-1] + 1):
-        sizes = _vector_step(dist, sizes, gen)
+        sizes = dist.closure_sums(sizes, gen)
         if floor:
             sizes = np.maximum(sizes, floor)
         if n == indices[pos]:
@@ -427,6 +411,20 @@ def invariance_target(K: int, power: int, u1: float, eps: float) -> float:
 # experiment: extinction-time scaling
 
 
+def trend_entry(label: str, devs: Sequence[float], scale: float,
+                slack: float | None) -> StatEntry:
+    """Largest step-to-step increase of ``devs``, gated ``<= slack`` if given.
+
+    Each deviation is a difference of two numbers of size ``scale``, so
+    deviations equal in exact arithmetic can differ by a few ulps of
+    ``scale`` in floats; the gate absorbs eight of them on top of ``slack``.
+    """
+    inc = max(b - a for a, b in zip(devs, devs[1:]))
+    if slack is None:
+        return entry_info(label, inc)
+    return entry_le(label, inc, slack + 8 * np.finfo(float).eps * scale)
+
+
 def extinction_scaling(
     K_list: Sequence[int],
     dist: OffspringDistribution,
@@ -522,14 +520,10 @@ def extinction_scaling(
         devs["kEm"].append(abs(kem - 1.0))
 
     if len(K_list) > 1:
+        scales = {"median": c, "mean": c, "kEm": 1.0}
         for name in ("median", "mean", "kEm"):
-            d = devs[name]
-            inc = max(d[i + 1] - d[i] for i in range(len(d) - 1))
-            label = f"trend.{name}_dev_max_increase"
-            if name in trend_gates:
-                entries.append(entry_le(label, inc, trend_slack))
-            else:
-                entries.append(entry_info(label, inc))
+            entries.append(trend_entry(f"trend.{name}_dev_max_increase", devs[name], scales[name],
+                                       trend_slack if name in trend_gates else None))
 
     cfg = {"K_list": K_list, "paths": paths, "seed": seed, "batches": batches,
            "tau_sampler": "lifetime" if use_lifetime else "trajectory",

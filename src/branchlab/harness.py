@@ -48,7 +48,9 @@ from .offspring import (
     SupercriticalWithoutOverride,
     make_distribution,
 )
-from .process import default_horizon, simulate_coupled, simulate_path, trajectory_header, write_trajectories
+# simulate_coupled is not called here; perfbench/spans.py traces it through this namespace.
+from .process import (coupled_floors, coupled_record, coupled_step, default_horizon, simulate_coupled,
+                      simulate_path, trajectory_header, write_trajectories)
 from .randomness import RandomnessSource
 from .stopping import LimitOracle, boundary_warnings, limit_constant
 
@@ -274,6 +276,14 @@ def validate(config: Mapping) -> list[Diagnostic]:
     elif kind != "gaussian-cov":
         if not _is_int(cfg["K"]) or cfg["K"] < 1:
             error(f"{kind} needs a positive integer K")
+        elif kind in ("simulate", "coupled") and mean is not None:
+            # Progeny sums are drawn as int64 counts; K * m^horizon keeps a
+            # 2^10 margin below where numpy's samplers overflow or refuse.
+            horizon = cfg["horizon"] if _is_int(cfg["horizon"]) else 0
+            growth = math.log(cfg["K"]) + horizon * math.log(max(mean, 1.0))
+            if growth > 53 * math.log(2):
+                error(f"K * m^horizon = 10^{growth / math.log(10):.1f} exceeds 2^53: "
+                      "the population would overflow; lower K or the horizon")
 
     # conditioning times ------------------------------------------------
     u1, u2 = cfg["u1"], cfg["u2"]
@@ -421,36 +431,48 @@ def _simulate_batch(batch: int, *, layout, seed: int, dist, K: int, horizon: int
     return hist, censored, _records_text(records) if dump else None
 
 
-def _coupled_batch(batch: int, *, layout, seed: int, dist, K: int, levels, horizon: int | None, dump: bool):
+def _coupled_batch(batch: int, *, layout, seed: int, dist, K: int, levels, horizon: int, dump: bool):
+    """Run one batch of coupled paths on the gap-closure engine.
+
+    Keeps the current (paths, 1+L) state, the four gate-violation counts
+    over every path, generation and level, and the base extinction
+    times; the full trajectories only when they are dumped. Generation 0
+    is the common start K, where every gate holds by construction.
+    """
     start, count = layout[batch]
-    src = RandomnessSource(seed)
-    hist = np.zeros(1, dtype=np.int64)
-    censored = 0
-    sandwich = shift_bad = indicator_bad = monotone_bad = 0
-    records = []
-    for path in range(start, start + count):
-        rec = simulate_coupled(K, dist, levels, src, path, horizon=horizon)
-        if rec.extinct:
-            hist = _grow_to(hist, rec.extinction_time)
-            hist[rec.extinction_time] += 1
-        else:
-            censored += 1
-        base = np.asarray(rec.base_sizes)
-        previous = None
-        for a in rec.levels:
-            upper = np.asarray(rec.truncated[a])
-            shifted = np.asarray(rec.shifted[a])
-            sandwich += int(np.count_nonzero((shifted > base) | (base > upper)))
-            shift_bad += int(np.count_nonzero(shifted + rec.floors[a] != upper))
-            flags = np.asarray(rec.indicators[a])
-            indicator_bad += int(np.count_nonzero(flags != (shifted[1:] > 0)))
-            if previous is not None:
-                monotone_bad += int(np.count_nonzero(upper < previous))
-            previous = upper
+    gen = RandomnessSource(seed).handle(batch, 0).generator
+    floors = coupled_floors(levels, K)
+    sizes = np.full((count, len(floors)), K, dtype=np.int64)
+    taus = np.zeros(count, dtype=np.int64)
+    bad = np.zeros(4, dtype=np.int64)
+    rows, flags = [sizes], []
+    for n in range(1, horizon + 1):
+        sizes, flag = coupled_step(sizes, floors, dist, gen)
+        taus[(sizes[:, 0] == 0) & (taus == 0)] = n
+        bad += _violations(sizes, flag, floors)
         if dump:
-            records.append(rec)
-    text = _records_text(records) if dump else None
-    return hist, censored, sandwich, shift_bad, indicator_bad, monotone_bad, text
+            rows.append(sizes)
+            flags.append(flag)
+    text = None
+    if dump:
+        rows, flags = np.stack(rows, axis=1), np.stack(flags, axis=1)
+        text = _records_text([coupled_record(K, levels, rows[i], flags[i], start + i)
+                              for i in range(count)])
+    hist = np.bincount(taus[taus > 0], minlength=1)
+    return hist, int(np.count_nonzero(taus == 0)), *bad.tolist(), text
+
+
+def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """Sandwich, shift-identity, indicator and level-monotonicity violations
+    of one generation of a coupled batch."""
+    base, upper = sizes[:, :1], sizes[:, 1:]
+    shifted = upper - floors[1:]
+    return np.array([
+        np.count_nonzero((shifted > base) | (base > upper)),
+        np.count_nonzero(shifted + floors[1:] != upper),
+        np.count_nonzero(flags != (shifted > 0)),
+        np.count_nonzero(np.diff(upper, axis=1) < 0),
+    ])
 
 
 def _merge_hists(hists: list[np.ndarray]) -> np.ndarray:

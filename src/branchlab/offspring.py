@@ -3,12 +3,12 @@
 Every distribution exposes the same sampling surfaces:
 
 * ``inverse_cdf`` maps uniforms to offspring counts (one uniform per
-  individual), which is what coupled simulations use so that processes
-  sharing indexed randomness see identical draws;
+  individual);
 * ``sample`` / ``sample_sum`` draw a single offspring or a progeny sum,
-  the latter through an exact law for the sum: a named closed form for
-  bernoulli, binomial, poisson and geometric, and multinomial type
-  counts dotted with the support for explicit tables.
+  and ``closure_sums`` an array of progeny sums, the sums through an
+  exact law: a named closed form for bernoulli, binomial, poisson and
+  geometric, and multinomial type counts dotted with the support for
+  explicit tables.
 
 Distributions are described by plain dicts, e.g. ``{"kind": "poisson",
 "lambda": 0.7}`` or ``{"kind": "pmf", "table": {"0": 0.6, "1": 0.4}}``,
@@ -39,7 +39,7 @@ class SupercriticalWithoutOverride(ValueError):
 
 
 class OffspringDistribution:
-    """A nonnegative-integer offspring law with optional sum closure.
+    """A nonnegative-integer offspring law with exact sum laws.
 
     Instances are value objects; build them with :func:`make_distribution`.
     ``mean`` and ``variance`` are exact. Table-based kinds carry their
@@ -77,11 +77,6 @@ class OffspringDistribution:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
-    @property
-    def has_closure(self) -> bool:
-        """Whether a progeny sum can be drawn in one step (all kinds can)."""
-        return True
-
     def descriptor(self) -> dict[str, Any]:
         """JSON-serializable description that round-trips through
         :func:`make_distribution`."""
@@ -114,30 +109,14 @@ class OffspringDistribution:
         gen = _as_generator(draw)
         return int(self.inverse_cdf(gen.random(1))[0])
 
-    def sample_sum(self, count: int, draw, *, closure: bool = True) -> int:
-        """Draw the sum of ``count`` independent offspring.
-
-        With ``closure=True`` (default) the exact law of the sum is
-        sampled in one step; with ``closure=False`` the ``count``
-        individual draws are made and summed. Both paths sample the
-        same distribution.
-        """
+    def sample_sum(self, count: int, draw) -> int:
+        """Draw the sum of ``count`` independent offspring in one step,
+        from the exact law of the sum."""
         if count < 0:
             raise InvalidParameter(f"count must be >= 0, got {count}")
         if count == 0:
             return 0
         gen = _as_generator(draw)
-        if closure and self.has_closure:
-            return self._closure_draw(count, gen)
-        total = 0
-        remaining = count
-        while remaining > 0:
-            block = min(remaining, 1 << 20)
-            total += int(self.inverse_cdf(gen.random(block)).sum())
-            remaining -= block
-        return total
-
-    def _closure_draw(self, count: int, gen: np.random.Generator) -> int:
         k = self.kind
         if k == "bernoulli":
             return int(gen.binomial(count, self.params["p"]))

@@ -1,16 +1,17 @@
-"""Galton-Watson trajectories and truncated/shifted companions on shared draws.
+"""Galton-Watson trajectories and truncated/shifted companions on shared sums.
 
 The base process follows X_{n+1} = sum_{j=1}^{X_n} xi_{n,j} started from
 X_0 = K. For a truncation level a in [0, 1) the companion process is
 floored at b = floor(a*K) each step, X_{n+1}^(a) = max{b, progeny sum},
-and its shifted version is Y_n^(a) = X_n^(a) - b. Coupling is literal:
-every process reads the same addressed draw xi_{n,j}, so the pathwise
-sandwich Y_n^(a) <= X_n <= X_n^(a) and the pre-decoupling agreement
-between levels are checkable sample by sample, not just in law.
-
-Single-path simulation uses the closure stream by default (one sum draw
-per generation); coupled simulation always uses per-individual pools,
-since the coupling is defined through individual draws.
+and its shifted version is Y_n^(a) = X_n^(a) - b. All processes are
+driven by one progeny prefix sum S(s) = sum_{j<=s} xi_{n,j} per
+generation, read at their current sizes. Only those 1+L values are ever
+drawn: the gaps between the sorted sizes are independent progeny sums
+(shared block sums, not individual draws), which gives the exact joint
+law of S at those points. Because offspring counts are nonnegative, S is
+nondecreasing, so the pathwise sandwich Y_n^(a) <= X_n <= X_n^(a) and the
+pre-decoupling agreement between levels are checkable sample by sample,
+not just in law.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ import numpy as np
 
 from .offspring import OffspringDistribution
 from .randomness import RandomnessSource
-
-
-class PreconditionViolated(ValueError):
-    """A truncated step started below its floor."""
 
 
 def floor_level(a: float, K: int) -> int:
@@ -82,7 +79,7 @@ class PathRecord:
 
 @dataclass
 class CoupledPaths:
-    """Base and truncated/shifted processes driven by one draw pool.
+    """Base and truncated/shifted processes driven by shared progeny sums.
 
     All sequences share the grid n = 0..horizon. ``indicators[a][n]``
     tells whether the level-a progeny sum at generation n exceeded the
@@ -108,42 +105,6 @@ class CoupledPaths:
         return len(self.base_sizes) - 1
 
 
-def step(
-    current: int,
-    dist: OffspringDistribution,
-    src: RandomnessSource,
-    path: int,
-    n: int,
-) -> int:
-    """One generation of the base recursion from individual draws."""
-    if current < 0:
-        raise ValueError(f"population size must be >= 0, got {current}")
-    if current == 0:
-        return 0
-    return int(src.offspring_pool(path, n, current, dist).sum())
-
-
-def step_truncated(
-    current: int,
-    a: float,
-    K: int,
-    dist: OffspringDistribution,
-    src: RandomnessSource,
-    path: int,
-    n: int,
-) -> int:
-    """One generation of the floored recursion on the same draws as step()."""
-    floor = floor_level(a, K)
-    if current < floor:
-        raise PreconditionViolated(
-            f"truncated process at {current} is below its floor {floor}"
-        )
-    if current == 0:
-        return 0
-    progeny = int(src.offspring_pool(path, n, current, dist).sum())
-    return max(floor, progeny)
-
-
 def simulate_path(
     K: int,
     dist: OffspringDistribution,
@@ -151,14 +112,11 @@ def simulate_path(
     path: int,
     *,
     horizon: int | None = None,
-    use_closure: bool = True,
 ) -> PathRecord:
     """Run the base process until extinction or the generation cap.
 
-    With ``use_closure`` (default) each generation costs one progeny-sum
-    draw from the path's closure stream. With ``use_closure=False`` the
-    per-individual pools are read instead, which reproduces exactly the
-    base path of :func:`simulate_coupled` for the same (seed, path).
+    Each generation costs one progeny-sum draw from the path's closure
+    stream.
     """
     if K < 0:
         raise ValueError(f"initial size must be >= 0, got {K}")
@@ -171,17 +129,65 @@ def simulate_path(
 
     sizes = [K]
     current = K
-    closure = use_closure and dist.has_closure
-    gen = src.closure_generator(path) if closure else None
+    gen = src.closure_generator(path)
     for n in range(horizon):
-        if closure:
-            current = dist.sample_sum(current, gen)
-        else:
-            current = step(current, dist, src, path, n)
+        current = dist.sample_sum(current, gen)
         sizes.append(current)
         if current == 0:
             return PathRecord(K, sizes, True, n + 1, False, path)
     return PathRecord(K, sizes, False, None, True, path)
+
+
+def coupled_step(
+    sizes: np.ndarray,
+    floors: np.ndarray,
+    dist: OffspringDistribution,
+    gen: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One generation of X and every X^(a) for a batch of coupled paths.
+
+    ``sizes`` is a (paths, 1+L) matrix of current sizes [X, X^(a_1), ...,
+    X^(a_L)] and ``floors`` the matching [0, b_1, ..., b_L]. Each row is
+    sorted; the gaps between consecutive sizes (the first gap being the
+    smallest size) are drawn as independent progeny sums in one
+    ``closure_sums`` call, and their running sums, scattered back to the
+    columns, are the progeny prefix sums S(.) at the current sizes. Returns
+    the next sizes max(floor, S) and the (paths, L) indicators
+    1{S(X^(a)) > b_a}.
+    """
+    order = np.argsort(sizes, axis=1)
+    gaps = np.diff(np.sort(sizes, axis=1), axis=1, prepend=0)
+    progeny = np.empty_like(sizes)
+    progeny[np.arange(len(sizes))[:, None], order] = np.cumsum(dist.closure_sums(gaps, gen), axis=1)
+    return np.maximum(progeny, floors), progeny[:, 1:] > floors[1:]
+
+
+def coupled_floors(levels: Sequence[float], K: int) -> np.ndarray:
+    """[0, b_1, ..., b_L]: the floor of each column of a coupled batch."""
+    return np.array([0] + [floor_level(a, K) for a in levels], dtype=np.int64)
+
+
+def coupled_record(
+    K: int, levels: Sequence[float], sizes: np.ndarray, flags: np.ndarray, path: int
+) -> CoupledPaths:
+    """One coupled path from its (horizon+1, 1+L) sizes and (horizon, L) indicators."""
+    floors = {a: floor_level(a, K) for a in levels}
+    base = sizes[:, 0]
+    zeros = np.flatnonzero(base == 0)
+    extinction_time = int(zeros[0]) if zeros.size else None
+    return CoupledPaths(
+        initial_size=K,
+        levels=list(levels),
+        floors=floors,
+        base_sizes=base.tolist(),
+        truncated={a: sizes[:, i + 1].tolist() for i, a in enumerate(levels)},
+        shifted={a: (sizes[:, i + 1] - floors[a]).tolist() for i, a in enumerate(levels)},
+        indicators={a: flags[:, i].astype(int).tolist() for i, a in enumerate(levels)},
+        extinct=extinction_time is not None,
+        extinction_time=extinction_time,
+        horizon_exceeded=extinction_time is None,
+        path=path,
+    )
 
 
 def simulate_coupled(
@@ -192,64 +198,30 @@ def simulate_coupled(
     path: int,
     horizon: int | None = None,
 ) -> CoupledPaths:
-    """Drive the base process and every truncation level on one pool.
+    """Drive the base process and every truncation level on shared sums.
 
-    Per generation a single block of individual draws is read and its
-    prefix sums feed all processes: the base next size is S(X_n), the
-    level-a next size is max{floor_a, S(X_n^(a))}, and the indicator is
-    1{S(X_n^(a)) > floor_a}. The level 0 process coincides with the base
-    path identically, so an empty or {0} level list degenerates to a
-    plain trajectory on pool draws.
+    Runs :func:`coupled_step` on a one-path batch fed by the path's
+    closure stream: the base next size is S(X_n), the level-a next size is
+    max{floor_a, S(X_n^(a))}, and the indicator is 1{S(X_n^(a)) > floor_a}.
+    The level 0 process coincides with the base path identically.
     """
     if K < 0:
         raise ValueError(f"initial size must be >= 0, got {K}")
     levels = sorted(set(float(a) for a in levels))
-    floors = {a: floor_level(a, K) for a in levels}
+    floors = coupled_floors(levels, K)
     if horizon is None:
         horizon = default_horizon(max(K, 1), dist.mean)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    base = K
-    current = {a: K for a in levels}
-    base_sizes = [K]
-    truncated = {a: [K] for a in levels}
-    shifted = {a: [K - floors[a]] for a in levels}
-    indicators: dict[float, list[int]] = {a: [] for a in levels}
-    extinction_time: int | None = 0 if K == 0 else None
-
-    for n in range(horizon):
-        need = max([base] + [current[a] for a in levels]) if levels else base
-        if need > 0:
-            draws = src.offspring_pool(path, n, need, dist)
-            prefix = np.concatenate(([0], np.cumsum(draws)))
-        else:
-            prefix = np.zeros(1, dtype=np.int64)
-        base = int(prefix[base])
-        base_sizes.append(base)
-        if base == 0 and extinction_time is None:
-            extinction_time = n + 1
-        for a in levels:
-            progeny = int(prefix[current[a]])
-            floor = floors[a]
-            indicators[a].append(1 if progeny > floor else 0)
-            current[a] = max(floor, progeny)
-            truncated[a].append(current[a])
-            shifted[a].append(current[a] - floor)
-
-    return CoupledPaths(
-        initial_size=K,
-        levels=levels,
-        floors=floors,
-        base_sizes=base_sizes,
-        truncated=truncated,
-        shifted=shifted,
-        indicators=indicators,
-        extinct=extinction_time is not None,
-        extinction_time=extinction_time,
-        horizon_exceeded=extinction_time is None,
-        path=path,
-    )
+    gen = src.closure_generator(path)
+    sizes = np.full((1, len(floors)), K, dtype=np.int64)
+    rows, flags = [sizes], []
+    for _ in range(horizon):
+        sizes, flag = coupled_step(sizes, floors, dist, gen)
+        rows.append(sizes)
+        flags.append(flag)
+    return coupled_record(K, levels, np.vstack(rows), np.vstack(flags), path)
 
 
 def trajectory_header(levels: Sequence[float]) -> str:

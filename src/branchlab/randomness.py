@@ -7,23 +7,26 @@ word for the generation index and one for a stream tag, so every
 outputs. Consequences:
 
 * the j-th uniform of a generation block is a pure function of
-  ``(seed, path, generation, j)`` — two simulations that read the same
-  indexed draw get the identical value, which makes couplings literal;
+  ``(seed, path, generation, j)``, whatever else was read before it;
 * blocks are prefix-stable: asking for 5 uniforms returns the first 5
   of the 9 you would get asking for 9;
 * paths are embarrassingly parallel, since nothing is shared or
   consumed across path indices.
 
-Per-individual pools live on the ``INDIVIDUAL`` stream. Closure sampling
-(one progeny-sum draw per generation) uses the separate free-running
-``CLOSURE`` stream so it can never collide with pool addressing.
+Addressed uniform blocks live on the ``UNIFORMS`` stream; the bernoulli
+lifetime sampler inverts one per path. Simulations draw progeny sums,
+never individual offspring: a single path (plain or coupled) consumes its
+free-running ``CLOSURE`` stream in generation order, and batch loops
+consume a ``HANDLE`` stream rooted at (batch, slot). The coupled
+processes share block sums drawn from these streams, not addressed
+individual draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-TAG_INDIVIDUAL = 0
+TAG_UNIFORMS = 0
 TAG_CLOSURE = 1
 TAG_HANDLE = 2
 
@@ -31,7 +34,7 @@ _U64 = 1 << 64
 
 
 class RandomnessSource:
-    """Factory for addressed uniforms, pools, and sequential generators.
+    """Factory for addressed uniforms and sequential generators.
 
     A source is cheap to construct and safe to share within one process;
     worker processes should each build their own from the same seed.
@@ -47,7 +50,6 @@ class RandomnessSource:
         self._closure_bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         self._closure_gen = np.random.Generator(self._closure_bitgen)
         self._closure_state = self._closure_bitgen.state
-        self._closure_path: int | None = None
 
     def _position(self, path: int, generation: int, tag: int) -> np.random.Generator:
         if not 0 <= path < _U64:
@@ -65,11 +67,7 @@ class RandomnessSource:
 
     def uniforms(self, path: int, generation: int, count: int) -> np.ndarray:
         """The first ``count`` uniforms of the (path, generation) block."""
-        return self._position(path, generation, TAG_INDIVIDUAL).random(count)
-
-    def offspring_pool(self, path: int, generation: int, count: int, dist) -> np.ndarray:
-        """Individual offspring draws xi_{generation,1..count} for a path."""
-        return dist.inverse_cdf(self.uniforms(path, generation, count))
+        return self._position(path, generation, TAG_UNIFORMS).random(count)
 
     def closure_generator(self, path: int) -> np.random.Generator:
         """Sequential generator for a path's closure stream.
@@ -88,7 +86,6 @@ class RandomnessSource:
         st["has_uint32"] = 0
         st["uinteger"] = 0
         self._closure_bitgen.state = st
-        self._closure_path = path
         return self._closure_gen
 
     def handle(self, path: int = 0, generation: int = 0) -> DrawHandle:

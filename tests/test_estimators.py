@@ -26,6 +26,7 @@ from branchlab.estimators import (
     extinction_scaling,
     invariance_check,
     invariance_target,
+    trend_entry,
 )
 from branchlab.exact import enumerate_bernoulli_paths, tau_quantile
 from branchlab.offspring import make_distribution
@@ -278,6 +279,30 @@ def test_kem_deviation_shrinks_under_common_random_numbers(seed):
     assert report.entry("trend.kEm_dev_max_increase").estimate < 0.0
     # ungated trends are still reported
     assert report.entry("trend.median_dev_max_increase").verdict == "info"
+
+
+def test_median_trend_passes_on_float_ties():
+    """binomial(2, 0.4): medians 30, 40, 50 at K = 1e3, 1e4, 1e5 sit on
+    deviations equal in exact arithmetic but 8.9e-16 apart in floats."""
+    dist = make_distribution({"kind": "binomial", "n": 2, "p": 0.4})
+    K_list = [100, 1000, 10_000, 100_000]
+    report = extinction_scaling(K_list, dist, 40_000, 1, tau_sampler="trajectory",
+                                trend_gates=("median",), trend_slack=0.0)
+    medians = [report.entry(f"K={K}.median_tau_over_logK").estimate * math.log(K)
+               for K in K_list[1:]]
+    assert np.allclose(medians, [30, 40, 50])
+    trend = report.entry("trend.median_dev_max_increase")
+    assert 0 < trend.estimate < 1e-15
+    assert trend.verdict == "pass"
+
+
+def test_trend_gate_fails_real_increase():
+    c = -1.0 / math.log(0.8)
+    dev = abs(30 / math.log(1e3) - c)
+    assert trend_entry("t", [dev, dev + 1e-9], c, 0.0).verdict == "fail"
+    assert trend_entry("t", [dev, dev + 1e-9], c, 2e-9).verdict == "pass"
+    assert trend_entry("t", [dev, dev - 1e-9], c, 0.0).verdict == "pass"
+    assert trend_entry("t", [dev, dev + 1e-9], c, None).verdict == "info"
 
 
 def test_batch_se_shrinks_with_replication():

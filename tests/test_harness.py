@@ -301,3 +301,19 @@ def test_cli_experiment_mismatch(tmp_path, capsys):
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["simulate", "coupled"])
+def test_cli_rejects_population_overflow(tmp_path, capsys, kind):
+    """binomial(4, 0.9) from K = 1000 for 60 generations passes 2^53."""
+    payload = {"offspring": {"kind": "binomial", "n": 4, "p": 0.9}, "seed": 1,
+               "K": 1000, "horizon": 60, "allow_supercritical": True,
+               "out": str(tmp_path / "runs")}
+    if kind == "coupled":
+        payload["levels"] = [0.2]
+    assert main([kind, "--config", write_config(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds 2^53" in captured.err
+    assert not (tmp_path / "runs").exists()
+    assert errors({**payload, "experiment": kind, "horizon": 20}) == []

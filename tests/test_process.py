@@ -8,18 +8,22 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from test_offspring import SUBCRITICAL_SPECS, _chisquare_gof
+
+from branchlab.exact import extinction_cdf
+from branchlab.harness import _coupled_batch
 from branchlab.offspring import make_distribution
 from branchlab.process import (
-    CoupledPaths,
     PathRecord,
-    PreconditionViolated,
+    coupled_floors,
+    coupled_step,
     default_horizon,
     floor_level,
     simulate_coupled,
     simulate_path,
-    step,
-    step_truncated,
     write_trajectories,
 )
 from branchlab.randomness import RandomnessSource
@@ -27,19 +31,49 @@ from branchlab.randomness import RandomnessSource
 BERN = make_distribution({"kind": "bernoulli", "p": 0.5})
 POIS = make_distribution({"kind": "poisson", "lambda": 0.7})
 ZERO = make_distribution({"kind": "pmf", "table": {"0": 1.0}})
+FAMILIES = [make_distribution(spec) for spec in SUBCRITICAL_SPECS]
+
+
+def _sum_law_pmf(dist, size: int, upper: int) -> tuple[np.ndarray, float]:
+    """Exact pmf on 0..upper of the sum of ``size`` offspring, and the mass above."""
+    ks = np.arange(upper + 1)
+    p = dist.params.get("p")
+    if dist.kind == "bernoulli":
+        law = st.binom(size, p)
+    elif dist.kind == "binomial":
+        law = st.binom(size * dist.params["n"], p)
+    elif dist.kind == "poisson":
+        law = st.poisson(size * dist.params["lambda"])
+    elif dist.kind == "geometric":
+        law = st.nbinom(size, 1.0 - p)
+    else:
+        one = np.zeros(max(dist.params["table"]) + 1)
+        for k, w in dist.params["table"].items():
+            one[k] = w
+        pmf = np.array([1.0])
+        for _ in range(size):
+            pmf = np.convolve(pmf, one)
+        pmf = np.append(pmf, np.zeros(max(0, upper + 1 - len(pmf))))
+        return pmf[: upper + 1], float(pmf[upper + 1:].sum())
+    return law.pmf(ks), float(law.sf(upper))
 
 
 def test_step_of_zero_is_zero():
-    src = RandomnessSource(1)
-    assert step(0, BERN, src, 0, 0) == 0
-    assert step(100, ZERO, src, 0, 0) == 0
+    gen = RandomnessSource(1).handle().generator
+    floors = np.zeros(3, dtype=np.int64)
+    sizes, flags = coupled_step(np.zeros((4, 3), dtype=np.int64), floors, BERN, gen)
+    assert not sizes.any() and not flags.any()
+    sizes, _ = coupled_step(np.full((4, 3), 100, dtype=np.int64), floors, ZERO, gen)
+    assert not sizes.any()
 
 
 def test_step_binomial_gof():
     """bernoulli(p) offspring: one step from K is exactly binomial(K, p)."""
-    src = RandomnessSource(17)
+    gen = RandomnessSource(17).handle().generator
     K, n_rep = 50, 10_000
-    draws = np.array([step(K, BERN, src, path, 0) for path in range(n_rep)])
+    floors = coupled_floors([0.2, 0.6], K)
+    sizes, _ = coupled_step(np.full((n_rep, 3), K, dtype=np.int64), floors, BERN, gen)
+    draws = sizes[:, 0]
     pmf = st.binom.pmf(np.arange(K + 1), K, 0.5)
     keep = pmf * n_rep >= 10
     observed = np.bincount(draws, minlength=K + 1)
@@ -48,19 +82,94 @@ def test_step_binomial_gof():
     assert st.chisquare(obs, exp).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("dist", FAMILIES[1:], ids=lambda d: d.kind)
+def test_step_follows_closure_law(dist):
+    """Every column of one engine step is the exact sum law of its own size.
+
+    Rows hold the sizes 9, 16, 25 in shuffled column orders, so a gap
+    scattered back to the wrong column shows as a wrong marginal.
+    """
+    rng = np.random.default_rng(5)
+    gen = RandomnessSource(18).handle().generator
+    base = np.array([9, 16, 25])
+    n_rep = 20_000
+    perms = np.argsort(rng.random((n_rep, 3)), axis=1)
+    sizes, _ = coupled_step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
+    for col, size in enumerate(base):
+        draws = sizes[perms == col]
+        upper = int(size * dist.mean + 12 * math.sqrt(size * dist.variance)) + 10
+        pmf, tail = _sum_law_pmf(dist, int(size), upper)
+        stat, pvalue = _chisquare_gof(draws, pmf, tail)
+        assert pvalue > 1e-3, f"size {size}: chi2={stat:.1f}, p={pvalue:.2e}"
+
+
+@pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.kind)
+def test_joint_law_of_prefix_sums(dist):
+    """For s0 < s1: Cov(S(s0), S(s1)) = s0 sigma^2, and S(s1) - S(s0) is
+    uncorrelated with S(s0); z-tests on one engine step with shuffled
+    column orders."""
+    rng = np.random.default_rng(6)
+    gen = RandomnessSource(19).handle().generator
+    base = np.array([8, 14, 30])
+    n_rep = 40_000
+    perms = np.argsort(rng.random((n_rep, 3)), axis=1)
+    sizes, _ = coupled_step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
+    S = np.empty_like(sizes)
+    np.put_along_axis(S, perms, sizes, axis=1)  # columns back in base order
+
+    def z_cov(x, y, target):
+        prod = (x - x.mean()) * (y - y.mean())
+        return (prod.mean() - target) / (prod.std() / math.sqrt(len(prod)))
+
+    for i, s0 in enumerate(base):
+        mean = S[:, i].mean()
+        se = math.sqrt(s0 * dist.variance / n_rep)
+        assert abs(mean - s0 * dist.mean) < 4 * se, f"E S({s0})"
+        for j in range(i + 1, len(base)):
+            z = z_cov(S[:, i], S[:, j], s0 * dist.variance)
+            assert abs(z) < 4, f"Cov(S({s0}), S({base[j]})): z = {z:.2f}"
+            z = z_cov(S[:, i], S[:, j] - S[:, i], 0.0)
+            assert abs(z) < 4, f"Cov(S({s0}), increment to {base[j]}): z = {z:.2f}"
+
+
+@pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.kind)
+def test_coupled_base_extinction_law(dist):
+    """The coupled base path's extinction times follow exact.extinction_cdf."""
+    K, paths = 12, 20_000
+    horizon = default_horizon(K, dist.mean)
+    hist, censored, *_ = _coupled_batch(
+        0, layout=[(0, paths)], seed=31, dist=dist, K=K, levels=[0.25, 0.5],
+        horizon=horizon, dump=False,
+    )
+    assert censored == 0
+    empirical = np.cumsum(hist) / paths
+    exact = extinction_cdf(dist, K, len(hist) - 1)
+    se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / paths)
+    z = np.abs(empirical - exact) / se
+    assert z.max() < 4, f"worst |z| = {z.max():.2f} at n = {int(z.argmax())}"
+
+
 def test_step_truncated_floor_and_precondition():
-    src = RandomnessSource(2)
-    assert step_truncated(100, 0.25, 100, ZERO, src, 0, 0) == 25
-    with pytest.raises(PreconditionViolated):
-        step_truncated(24, 0.25, 100, BERN, src, 0, 0)
+    """Truncated columns are floored at b = floor(a K) and never start a
+    step below it; their indicator reads whether the sum beat the floor."""
+    gen = RandomnessSource(2).handle().generator
+    floors = coupled_floors([0.25, 0.5], 100)
+    sizes, flags = coupled_step(np.full((3, 3), 100, dtype=np.int64), floors, ZERO, gen)
+    assert (sizes == [0, 25, 50]).all() and not flags.any()
+    sizes = np.full((500, 3), 100, dtype=np.int64)
+    for _ in range(8):
+        sizes, flags = coupled_step(sizes, floors, BERN, gen)
+        assert (sizes >= floors).all()
+        assert (flags == (sizes[:, 1:] > floors[1:])).all()
 
 
 def test_step_truncated_at_level_zero_equals_step():
-    src = RandomnessSource(3)
-    for path in range(20):
-        assert step_truncated(40, 0.0, 40, POIS, src, path, 2) == step(
-            40, POIS, src, path, 2
-        )
+    gen = RandomnessSource(3).handle().generator
+    sizes = np.full((200, 3), 40, dtype=np.int64)
+    floors = coupled_floors([0.0, 0.3], 40)
+    for _ in range(6):
+        sizes, _ = coupled_step(sizes, floors, POIS, gen)
+        assert (sizes[:, 1] == sizes[:, 0]).all()
 
 
 @pytest.mark.parametrize("a, K, expected", [
@@ -117,23 +226,14 @@ def test_mean_law():
     assert abs(finals.mean() - target) < 4 * sd / math.sqrt(paths)
 
 
-def test_closure_and_pool_modes_share_law():
-    src = RandomnessSource(31)
-    taus_c = [simulate_path(64, BERN, src, p).extinction_time for p in range(3000)]
-    taus_p = [simulate_path(64, BERN, src, p + 3000, use_closure=False).extinction_time
-              for p in range(3000)]
-    assert st.ks_2samp(taus_c, taus_p).pvalue > 1e-3
-
-
-def test_pool_mode_reproduces_coupled_base():
-    src = RandomnessSource(71)
-    for path in range(25):
-        rec = simulate_path(40, POIS, src, path, horizon=30, use_closure=False)
-        coup = simulate_coupled(40, POIS, [0.2, 0.6], src, path, horizon=30)
-        k = len(rec.sizes)
-        assert rec.sizes == coup.base_sizes[:k]
-        assert all(x == 0 for x in coup.base_sizes[k:])
-        assert rec.extinction_time == coup.extinction_time
+def test_simulate_path_and_coupled_base_share_law():
+    taus_p = [simulate_path(64, BERN, RandomnessSource(31), p).extinction_time
+              for p in range(2000)]
+    taus_c = [simulate_coupled(64, BERN, [0.2, 0.5], RandomnessSource(32), p,
+                               horizon=30).extinction_time
+              for p in range(2000)]
+    assert None not in taus_c
+    assert st.ks_2samp(taus_p, taus_c).pvalue > 1e-3
 
 
 def test_horizon_exceeded_reported_not_raised():
@@ -198,23 +298,70 @@ def test_levels_coincide_before_decoupling():
             assert coup.truncated[a1][n] == coup.truncated[a2][n] == coup.base_sizes[n]
 
 
-def test_indicator_matches_printed_form_and_shift_positivity():
-    """I_n = 1{sum_{j<=Y_n} xi'_{n,j} > sum_{j<=floor}(1 - xi_{n,j})} with
-    xi'_{n,j} = xi_{n,j+floor}; also I_n = 1 iff Y_{n+1} > 0."""
+def test_indicator_matches_shift_positivity():
+    """I_n = 1{S(X_n^(a)) > floor}, which holds iff Y_{n+1} > 0."""
     src = RandomnessSource(206)
     a = 0.3
     for path in range(60):
         coup = simulate_coupled(40, BERN, [a], src, path, horizon=15)
-        floor = coup.floors[a]
         for n in range(coup.horizon):
-            need = coup.truncated[a][n]
-            xi = src.offspring_pool(path, n, max(need, floor), BERN)
-            y = coup.shifted[a][n]
-            lhs = xi[floor:floor + y].sum()
-            rhs = (1 - xi[:floor]).sum()
-            expected = 1 if lhs > rhs else 0
-            assert coup.indicators[a][n] == expected
             assert (coup.shifted[a][n + 1] > 0) == (coup.indicators[a][n] == 1)
+
+
+_LEVEL = hs.floats(0.0, 0.95, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    family=hs.sampled_from(FAMILIES),
+    K=hs.integers(1, 300),
+    levels=hs.lists(_LEVEL, max_size=3),
+    horizon=hs.integers(1, 30),
+    path=hs.integers(0, 2**32),
+)
+def test_coupled_identities_hold_pathwise(family, K, levels, horizon, path):
+    """Sandwich, shift identity, level monotonicity, agreement with the base
+    until X first dips to a level's floor, and level 0 equal to the base.
+
+    The lower half of the sandwich, Y^(a) <= X, needs offspring <= 1: the
+    b individuals the truncated process has on top may have more than b
+    children otherwise. The upper half holds for every law.
+    """
+    coup = simulate_coupled(K, family, [0.0, *levels], RandomnessSource(7), path, horizon)
+    base = coup.base_sizes
+    lines = family.kind == "bernoulli"
+    assert coup.truncated[0.0] == coup.shifted[0.0] == base
+    previous = None
+    for a in coup.levels:
+        floor, upper, shifted = coup.floors[a], coup.truncated[a], coup.shifted[a]
+        hit = next((n for n, x in enumerate(base) if x <= floor), len(base))
+        assert upper[:hit] == base[:hit]
+        for n in range(horizon + 1):
+            assert base[n] <= upper[n] and (shifted[n] <= base[n] or not lines)
+            assert shifted[n] + floor == upper[n] and upper[n] >= floor
+            assert previous is None or previous[n] <= upper[n]
+        assert coup.indicators[a] == [int(y > 0) for y in shifted[1:]]
+        previous = upper
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    family=hs.sampled_from(FAMILIES),
+    K=hs.integers(1, 300),
+    levels=hs.lists(_LEVEL, min_size=1, max_size=3, unique=True).map(sorted),
+    horizon=hs.integers(1, 30),
+    count=hs.integers(1, 40),
+)
+def test_coupled_batch_counts_no_violations(family, K, levels, horizon, count):
+    hist, censored, *bad, text = _coupled_batch(
+        0, layout=[(0, count)], seed=3, dist=family, K=K, levels=levels,
+        horizon=horizon, dump=True,
+    )
+    sandwich, *others = bad
+    assert others == [0, 0, 0]
+    assert sandwich == 0 or family.kind != "bernoulli"
+    assert int(hist.sum()) + censored == count
+    assert len(text.splitlines()) == count * (horizon + 1)
 
 
 def test_level_zero_degenerates_to_base():

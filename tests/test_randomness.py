@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from branchlab.offspring import make_distribution
 from branchlab.randomness import RandomnessSource
 
 
@@ -50,13 +49,6 @@ def test_uniformity_of_pooled_blocks():
     # adjacent blocks should be uncorrelated
     r = np.corrcoef(u[:-1], u[1:])[0, 1]
     assert abs(r) < 5 / np.sqrt(len(u))
-
-
-def test_offspring_pool_is_inverse_cdf_of_uniform_block():
-    src = RandomnessSource(5)
-    dist = make_distribution({"kind": "poisson", "lambda": 0.7})
-    pool = src.offspring_pool(2, 4, 50, dist)
-    np.testing.assert_array_equal(pool, dist.inverse_cdf(src.uniforms(2, 4, 50)))
 
 
 def test_closure_stream_deterministic_and_order_free():
