@@ -4,9 +4,8 @@ Every experiment is a deterministic function of (config, seed): paths are
 partitioned into contiguous equal batches, each batch simulates on its own
 addressed stream (so the worker count cannot change any draw), per-batch
 summaries merge in batch order, and standard errors come from the spread
-of batch means. Batch simulation is vectorized across the paths of a
-batch on a handle stream keyed by (batch, slot); couplings that need
-per-individual draws live in the process module instead.
+of batch means. Batch simulation runs the process module's batch engine
+across the paths of a batch on a handle stream keyed by (batch, slot).
 
 Statistical verdicts are derived only from (estimate, stderr, target,
 tolerance), and every tolerance is recorded on the entry itself.
@@ -27,7 +26,7 @@ from .exact import mean_m_tau as exact_mean_m_tau
 from .exact import tau_quantile
 from .gaussian_limit import ThetaCovariance, is_positive_semidefinite, theta_covariance, theta_variance
 from .offspring import OffspringDistribution
-from .process import default_horizon, floor_level
+from .process import default_horizon, floor_level, plain_sizes
 from .randomness import RandomnessSource
 from .stopping import LimitOracle, limit_constant
 
@@ -120,6 +119,13 @@ def entry_le(name, estimate, bound, *, target=None, stderr=None) -> StatEntry:
                      f"estimate <= {bound:g}")
 
 
+def _ratio_entry(name, estimate, stderr, band) -> StatEntry:
+    """A ratio gated to lie in ``band`` when one is given, else reported against 1."""
+    if band is not None:
+        return entry_band(name, estimate, band[0], band[1], stderr=stderr)
+    return entry_info(name, estimate, stderr=stderr, target=1.0)
+
+
 def entry_ge(name, estimate, bound, *, target=None, stderr=None) -> StatEntry:
     ok = estimate >= bound
     return StatEntry(name, float(estimate), stderr, target,
@@ -191,17 +197,11 @@ def _tau_hist_batch(batch: int, *, seed: int, layout, dist, K: int, slot: int,
                     cap: int) -> tuple[np.ndarray, int]:
     """Histogram of extinction times for one trajectory batch."""
     _, count = layout[batch]
-    src = RandomnessSource(seed)
-    gen = src.handle(batch, slot).generator
-    sizes = np.full(count, K, dtype=np.int64)
+    gen = RandomnessSource(seed).handle(batch, slot).generator
     taus = np.zeros(count, dtype=np.int64)
-    for n in range(1, cap + 1):
-        sizes = dist.closure_sums(sizes, gen)
+    for n, sizes in enumerate(plain_sizes(K, count, dist, gen, cap), 1):
         taus[(sizes == 0) & (taus == 0)] = n
-        if not sizes.any():
-            break
-    censored = int((sizes > 0).sum())
-    return np.bincount(taus[taus > 0]), censored
+    return np.bincount(taus[taus > 0]), int(np.count_nonzero(taus == 0))
 
 
 def _lifetime_hist_batch(batch: int, *, seed: int, layout, K: int,
@@ -234,14 +234,8 @@ def _values_batch(batch: int, *, seed: int, layout, dist, K: int, u1: float,
     Censored paths get tau = -1 and are skipped downstream.
     """
     _, count = layout[batch]
-    src = RandomnessSource(seed)
-    gen = src.handle(batch, 0).generator
-    rows = [np.full(count, K, dtype=np.int64)]
-    for _ in range(cap):
-        rows.append(dist.closure_sums(rows[-1], gen))
-        if not rows[-1].any():
-            break
-    M = np.vstack(rows)
+    gen = RandomnessSource(seed).handle(batch, 0).generator
+    M = np.vstack([np.full(count, K, dtype=np.int64), *plain_sizes(K, count, dist, gen, cap)])
     cols = np.arange(count)
     extinct = M[-1] == 0
     taus = np.where(extinct, (M == 0).argmax(axis=0), -1)
@@ -255,22 +249,16 @@ def _values_batch(batch: int, *, seed: int, layout, dist, K: int, u1: float,
 
 def _theta_batch(batch: int, *, seed: int, layout, dist, K: int,
                  indices: tuple[int, ...], a: float) -> np.ndarray:
-    """Population sizes at the requested generations, one row per path."""
+    """Population sizes at the requested generations, one row per path.
+
+    Generations after the whole batch died out stay 0.
+    """
     _, count = layout[batch]
-    src = RandomnessSource(seed)
-    gen = src.handle(batch, 0).generator
-    floor = floor_level(a, K) if a > 0 else 0
-    sizes = np.full(count, K, dtype=np.int64)
-    out = np.empty((count, len(indices)), dtype=np.int64)
-    pos = 0
-    for n in range(1, indices[-1] + 1):
-        sizes = dist.closure_sums(sizes, gen)
-        if floor:
-            sizes = np.maximum(sizes, floor)
-        if n == indices[pos]:
-            out[:, pos] = sizes
-            pos += 1
-    return out
+    gen = RandomnessSource(seed).handle(batch, 0).generator
+    M = np.zeros((indices[-1], count), dtype=np.int64)
+    for n, sizes in enumerate(plain_sizes(K, count, dist, gen, indices[-1], floor_level(a, K))):
+        M[n] = sizes
+    return M[np.array(indices) - 1].T
 
 
 def _collect_values(dist, K, u1, u2, paths, seed, batches, workers,
@@ -680,12 +668,6 @@ def _conditional_moment_core(tau, x1, x2, weights, batch_ids, batches, *,
     s1 = np.floor(u1 * tau).astype(np.int64)
     s2 = np.floor(u2 * tau).astype(np.int64)
     entries: list[StatEntry] = []
-
-    def band_entry(name, est, se):
-        if ratio_band is not None:
-            return entry_band(name, est, ratio_band[0], ratio_band[1], stderr=se)
-        return entry_info(name, est, stderr=se, target=1.0)
-
     for label, xp, xc, sp, sc in (("forward", x1, x2, s1, s2),
                                   ("reverse", x2, x1, s2, s1)):
         factors = m ** (power * (sp - sc).astype(float))
@@ -707,9 +689,9 @@ def _conditional_moment_core(tau, x1, x2, weights, batch_ids, batches, *,
                                       groups[t_star]["mass"] / total_mass))
         est, se = _mean_of_scores(scores, tau == t_star, batch_ids, batches,
                                   weights)
-        entries.append(band_entry(f"{label}.dominant_ratio", est, se))
+        entries.append(_ratio_entry(f"{label}.dominant_ratio", est, se, ratio_band))
         est, se = _mean_of_scores(scores, extinct, batch_ids, batches, weights)
-        entries.append(band_entry(f"{label}.aggregate_ratio", est, se))
+        entries.append(_ratio_entry(f"{label}.aggregate_ratio", est, se, ratio_band))
         # Sensitivity view: the same aggregate normalized by the pooled
         # across-path factor instead of each group's own, per the open
         # choice in how the asymptote's expectation is read.
@@ -867,15 +849,10 @@ def conditional_on_tau_check(
         entries.append(entry_info(f"group[t={t}].ratio", est, stderr=se,
                                   target=1.0))
 
-    def band_entry(name, est, se):
-        if ratio_band is not None:
-            return entry_band(name, est, ratio_band[0], ratio_band[1], stderr=se)
-        return entry_info(name, est, stderr=se, target=1.0)
-
     est, se = _mean_of_scores(scores, tau == t_star, ids, batches, None)
-    entries.append(band_entry("dominant_ratio", est, se))
+    entries.append(_ratio_entry("dominant_ratio", est, se, ratio_band))
     est, se = _mean_of_scores(scores, np.isin(tau, eligible), ids, batches, None)
-    entries.append(band_entry("aggregate_ratio", est, se))
+    entries.append(_ratio_entry("aggregate_ratio", est, se, ratio_band))
 
     entries.append(entry_info("wald.n", fixed_n))
     target = K * m**fixed_n

@@ -48,9 +48,11 @@ from .offspring import (
     SupercriticalWithoutOverride,
     make_distribution,
 )
-# simulate_coupled is not called here; perfbench/spans.py traces it through this namespace.
-from .process import (coupled_floors, coupled_record, coupled_step, default_horizon, simulate_coupled,
-                      simulate_path, trajectory_header, write_trajectories)
+# simulate_coupled and simulate_path are not called here; perfbench/spans.py traces them
+# through this namespace.
+from .process import (coupled_floors, coupled_record, coupled_step, default_horizon, plain_sizes,
+                      plain_trajectory_rows, simulate_coupled, simulate_path, trajectory_header,
+                      write_trajectories)
 from .randomness import RandomnessSource
 from .stopping import LimitOracle, boundary_warnings, limit_constant
 
@@ -397,14 +399,6 @@ def validate(config: Mapping) -> list[Diagnostic]:
 # batch workers for the two pathwise kinds (module level so they pickle)
 
 
-def _grow_to(hist: np.ndarray, index: int) -> np.ndarray:
-    if index < hist.size:
-        return hist
-    grown = np.zeros(index + 1, dtype=np.int64)
-    grown[: hist.size] = hist
-    return grown
-
-
 def _records_text(records: list) -> str:
     """Trajectory CSV rows for one batch, header stripped for merging."""
     buf = io.StringIO()
@@ -414,21 +408,22 @@ def _records_text(records: list) -> str:
 
 
 def _simulate_batch(batch: int, *, layout, seed: int, dist, K: int, horizon: int, dump: bool):
+    """Run one batch of plain paths on the batch engine.
+
+    Keeps the extinction times, and the (generations, paths) size matrix
+    only when the trajectories are dumped.
+    """
     start, count = layout[batch]
-    src = RandomnessSource(seed)
-    hist = np.zeros(1, dtype=np.int64)
-    censored = 0
-    records = []
-    for path in range(start, start + count):
-        rec = simulate_path(K, dist, src, path, horizon=horizon)
-        if rec.extinct:
-            hist = _grow_to(hist, rec.extinction_time)
-            hist[rec.extinction_time] += 1
-        else:
-            censored += 1
+    gen = RandomnessSource(seed).handle(batch, 0).generator
+    taus = np.zeros(count, dtype=np.int64)
+    rows = [np.full(count, K, dtype=np.int64)]
+    for n, sizes in enumerate(plain_sizes(K, count, dist, gen, horizon), 1):
+        taus[(sizes == 0) & (taus == 0)] = n
         if dump:
-            records.append(rec)
-    return hist, censored, _records_text(records) if dump else None
+            rows.append(sizes)
+    hist = np.bincount(taus[taus > 0], minlength=1)
+    text = plain_trajectory_rows(np.vstack(rows), start) if dump else None
+    return hist, int(np.count_nonzero(taus == 0)), text
 
 
 def _coupled_batch(batch: int, *, layout, seed: int, dist, K: int, levels, horizon: int, dump: bool):
@@ -449,7 +444,7 @@ def _coupled_batch(batch: int, *, layout, seed: int, dist, K: int, levels, horiz
     for n in range(1, horizon + 1):
         sizes, flag = coupled_step(sizes, floors, dist, gen)
         taus[(sizes[:, 0] == 0) & (taus == 0)] = n
-        bad += _violations(sizes, flag, floors)
+        bad += _violations(sizes, flag, floors, dist.single_child)
         if dump:
             rows.append(sizes)
             flags.append(flag)
@@ -462,13 +457,19 @@ def _coupled_batch(batch: int, *, layout, seed: int, dist, K: int, levels, horiz
     return hist, int(np.count_nonzero(taus == 0)), *bad.tolist(), text
 
 
-def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray) -> np.ndarray:
+def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
+                single_child: bool) -> np.ndarray:
     """Sandwich, shift-identity, indicator and level-monotonicity violations
-    of one generation of a coupled batch."""
+    of one generation of a coupled batch.
+
+    The sandwich gates X <= X^(a) for every law, and Y^(a) <= X only when no
+    individual has more than one child: otherwise the b_a individuals that
+    X^(a) has on top of X may have more than b_a children.
+    """
     base, upper = sizes[:, :1], sizes[:, 1:]
     shifted = upper - floors[1:]
     return np.array([
-        np.count_nonzero((shifted > base) | (base > upper)),
+        np.count_nonzero(((shifted > base) & single_child) | (base > upper)),
         np.count_nonzero(shifted + floors[1:] != upper),
         np.count_nonzero(flags != (shifted > 0)),
         np.count_nonzero(np.diff(upper, axis=1) < 0),
@@ -499,16 +500,26 @@ def _tau_entries(hist: np.ndarray, extinct: int, K: int, mean: float) -> list:
 # per-kind runners
 
 
-def _run_simulate(cfg: dict, dist: OffspringDistribution):
+#: The gate counts a coupled batch returns after its histogram and censored count.
+COUPLED_GATES = ("sandwich_violations", "shift_identity_violations",
+                 "indicator_violations", "level_monotonicity_violations")
+
+
+def _run_pathwise(kind: str, cfg: dict, dist: OffspringDistribution, batch_fn, gates=(), **extra):
+    """Run a simulate or coupled config batch by batch.
+
+    ``batch_fn`` returns the batch's extinction-time histogram, its censored
+    count, one count per entry of ``gates``, and its trajectory rows (or
+    None); ``extra`` holds the kind's own batch arguments.
+    """
     K, paths, batches = int(cfg["K"]), int(cfg["paths"]), int(cfg["batches"])
-    horizon = cfg["horizon"] if cfg["horizon"] is not None else default_horizon(
+    horizon = int(cfg["horizon"] if cfg["horizon"] is not None else default_horizon(
         K, dist.mean, int(cfg["cap_multiplier"])
-    )
+    ))
     dump = bool(cfg["write_trajectories"])
-    layout = batch_layout(paths, batches)
     fn = partial(
-        _simulate_batch, layout=layout, seed=int(cfg["seed"]), dist=dist,
-        K=K, horizon=int(horizon), dump=dump,
+        batch_fn, layout=batch_layout(paths, batches), seed=int(cfg["seed"]), dist=dist,
+        K=K, horizon=horizon, dump=dump, **extra,
     )
     parts = _run_batches(fn, batches, int(cfg["workers"]))
     hist = _merge_hists([p[0] for p in parts])
@@ -518,51 +529,17 @@ def _run_simulate(cfg: dict, dist: OffspringDistribution):
         entry_info("extinct_paths", paths - censored),
         entry_info("censored_paths", censored),
     ]
+    entries += [entry_le(name, sum(p[2 + i] for p in parts), 0) for i, name in enumerate(gates)]
     entries += _tau_entries(hist, paths - censored, K, dist.mean)
     report = ExperimentReport(
-        "simulate",
-        {"K": K, "horizon": int(horizon), "offspring": dist.descriptor()},
+        kind,
+        {"K": K, **extra, "horizon": horizon, "offspring": dist.descriptor()},
         entries,
         batches=batches,
         total_paths=paths,
     )
-    text = trajectory_header([]) + "\n" + "".join(p[2] for p in parts) if dump else None
-    return report, text
-
-
-def _run_coupled(cfg: dict, dist: OffspringDistribution):
-    K, paths, batches = int(cfg["K"]), int(cfg["paths"]), int(cfg["batches"])
-    levels = sorted(set(float(a) for a in cfg["levels"]))
-    horizon = cfg["horizon"] if cfg["horizon"] is not None else default_horizon(
-        K, dist.mean, int(cfg["cap_multiplier"])
-    )
-    dump = bool(cfg["write_trajectories"])
-    layout = batch_layout(paths, batches)
-    fn = partial(
-        _coupled_batch, layout=layout, seed=int(cfg["seed"]), dist=dist,
-        K=K, levels=levels, horizon=int(horizon), dump=dump,
-    )
-    parts = _run_batches(fn, batches, int(cfg["workers"]))
-    hist = _merge_hists([p[0] for p in parts])
-    censored = sum(p[1] for p in parts)
-    entries = [
-        entry_info("paths", paths),
-        entry_info("extinct_paths", paths - censored),
-        entry_info("censored_paths", censored),
-        entry_le("sandwich_violations", sum(p[2] for p in parts), 0),
-        entry_le("shift_identity_violations", sum(p[3] for p in parts), 0),
-        entry_le("indicator_violations", sum(p[4] for p in parts), 0),
-        entry_le("level_monotonicity_violations", sum(p[5] for p in parts), 0),
-    ]
-    entries += _tau_entries(hist, paths - censored, K, dist.mean)
-    report = ExperimentReport(
-        "coupled",
-        {"K": K, "levels": levels, "horizon": int(horizon), "offspring": dist.descriptor()},
-        entries,
-        batches=batches,
-        total_paths=paths,
-    )
-    text = trajectory_header(levels) + "\n" + "".join(p[6] for p in parts) if dump else None
+    header = trajectory_header(extra.get("levels", []))
+    text = header + "\n" + "".join(p[-1] for p in parts) if dump else None
     return report, text
 
 
@@ -780,9 +757,10 @@ def run(config: Mapping, *, stderr: IO[str] | None = None) -> RunResult:
     traj_text = None
     matrix = None
     if kind == "simulate":
-        report, traj_text = _run_simulate(cfg, dist)
+        report, traj_text = _run_pathwise(kind, cfg, dist, _simulate_batch)
     elif kind == "coupled":
-        report, traj_text = _run_coupled(cfg, dist)
+        levels = sorted(set(float(a) for a in cfg["levels"]))
+        report, traj_text = _run_pathwise(kind, cfg, dist, _coupled_batch, COUPLED_GATES, levels=levels)
     elif kind == "gaussian-cov":
         report, matrix = _run_gaussian_cov(cfg, dist)
     else:

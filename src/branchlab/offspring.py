@@ -77,6 +77,13 @@ class OffspringDistribution:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
+    @property
+    def single_child(self) -> bool:
+        """Whether no individual has more than one child: support in {0, 1}."""
+        if self._support is None:  # geometric
+            return self.params["p"] == 0.0
+        return int(self._support.max()) <= 1
+
     def descriptor(self) -> dict[str, Any]:
         """JSON-serializable description that round-trips through
         :func:`make_distribution`."""
@@ -114,23 +121,7 @@ class OffspringDistribution:
         from the exact law of the sum."""
         if count < 0:
             raise InvalidParameter(f"count must be >= 0, got {count}")
-        if count == 0:
-            return 0
-        gen = _as_generator(draw)
-        k = self.kind
-        if k == "bernoulli":
-            return int(gen.binomial(count, self.params["p"]))
-        if k == "binomial":
-            return int(gen.binomial(count * self.params["n"], self.params["p"]))
-        if k == "poisson":
-            return int(gen.poisson(count * self.params["lambda"]))
-        if k == "geometric":
-            p = self.params["p"]
-            if p == 0.0:
-                return 0
-            return int(gen.negative_binomial(count, 1.0 - p))
-        counts = gen.multinomial(count, self._table_pvals())
-        return int(counts @ self._support)
+        return int(self.closure_sums(np.array([count]), _as_generator(draw))[0])
 
     def closure_sums(self, counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         """Vectorized progeny sums for an array of sizes.

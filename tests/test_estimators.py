@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from branchlab.estimators import (
     AD_SIGNIFICANCE_LEVELS,
@@ -28,6 +30,7 @@ from branchlab.estimators import (
     invariance_target,
     trend_entry,
 )
+from branchlab.estimators import _median_from_hist
 from branchlab.exact import enumerate_bernoulli_paths, tau_quantile
 from branchlab.offspring import make_distribution
 
@@ -46,6 +49,28 @@ def test_batch_layout_blocks():
         batch_layout(10, 20)
     with pytest.raises(ValueError):
         batch_layout(0, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(total=hs.integers(1, 10_000), data=hs.data())
+def test_batch_layout_properties(total, data):
+    """Contiguous blocks covering 0..total whose counts differ by at most 1."""
+    batches = data.draw(hs.integers(1, min(total, 200)))
+    layout = batch_layout(total, batches)
+    starts = [s for s, _ in layout]
+    counts = [c for _, c in layout]
+    assert len(layout) == batches
+    assert starts == [0] + list(np.cumsum(counts)[:-1])
+    assert sum(counts) == total
+    assert max(counts) - min(counts) <= 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hist=hs.lists(hs.integers(0, 30), min_size=1, max_size=40).filter(any))
+def test_median_from_hist_matches_numpy(hist):
+    hist = np.array(hist, dtype=np.int64)
+    sample = np.repeat(np.arange(hist.size), hist)
+    assert _median_from_hist(hist, int(hist.sum())) == np.median(sample)
 
 
 def test_entry_helper_verdicts():

@@ -202,6 +202,16 @@ def test_coupled_gates_and_worker_identity(tmp_path):
         assert (first.run_dir / fname).read_bytes() == (again.run_dir / fname).read_bytes()
 
 
+def test_coupled_gates_pass_for_multi_child_law(tmp_path):
+    """binomial(3, 0.25) can give one individual three children, so Y^(a) <= X
+    is not gated; X <= X^(a) and the other gates still are."""
+    cfg = {"experiment": "coupled", "offspring": {"kind": "binomial", "n": 3, "p": 0.25},
+           "seed": 1, "K": 12, "levels": [0.25, 0.5], "paths": 200, "out": str(tmp_path)}
+    res = run(cfg, stderr=io.StringIO())
+    assert res.report.passed
+    assert res.report.entry("sandwich_violations").estimate == 0
+
+
 def test_report_json_shape(tmp_path):
     cfg = {"experiment": "extinction-scaling", "offspring": BERN, "seed": 5,
            "K_list": [30, 60], "paths": 600, "batches": 30, "out": str(tmp_path),

@@ -192,6 +192,20 @@ def test_descriptor_roundtrip(spec):
     assert rebuilt.mean == dist.mean and rebuilt.variance == dist.variance
 
 
+@pytest.mark.parametrize("spec, expected", [
+    ({"kind": "bernoulli", "p": 0.6}, True),
+    ({"kind": "binomial", "n": 1, "p": 0.3}, True),
+    ({"kind": "binomial", "n": 3, "p": 0.25}, False),
+    ({"kind": "pmf", "table": {"0": 0.4, "1": 0.6}}, True),
+    ({"kind": "pmf", "table": {"0": 0.5, "1": 0.3, "2": 0.2}}, False),
+    ({"kind": "poisson", "lambda": 0.8}, False),
+    ({"kind": "geometric", "p": 0.45}, False),
+    ({"kind": "geometric", "p": 0.0}, True),
+])
+def test_single_child(spec, expected):
+    assert make_distribution(spec).single_child is expected
+
+
 def test_sample_sum_count_edge_cases():
     dist = make_distribution({"kind": "poisson", "lambda": 0.5})
     rng = np.random.default_rng(0)

@@ -13,8 +13,9 @@ from hypothesis import strategies as hs
 
 from test_offspring import SUBCRITICAL_SPECS, _chisquare_gof
 
+from branchlab.estimators import _tau_hist_batch
 from branchlab.exact import extinction_cdf
-from branchlab.harness import _coupled_batch
+from branchlab.harness import _coupled_batch, _simulate_batch
 from branchlab.offspring import make_distribution
 from branchlab.process import (
     PathRecord,
@@ -22,6 +23,8 @@ from branchlab.process import (
     coupled_step,
     default_horizon,
     floor_level,
+    plain_sizes,
+    plain_trajectory_rows,
     simulate_coupled,
     simulate_path,
     write_trajectories,
@@ -147,6 +150,58 @@ def test_coupled_base_extinction_law(dist):
     se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / paths)
     z = np.abs(empirical - exact) / se
     assert z.max() < 4, f"worst |z| = {z.max():.2f} at n = {int(z.argmax())}"
+
+
+@pytest.mark.parametrize("runner", ["tau_hist", "simulate"])
+@pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.kind)
+def test_plain_engine_extinction_law(dist, runner):
+    """Extinction times of the plain batch engine, as the extinction-scaling
+    and simulate kinds run it, follow exact.extinction_cdf."""
+    K, paths = 12, 20_000
+    horizon = default_horizon(K, dist.mean)
+    if runner == "tau_hist":
+        hist, censored = _tau_hist_batch(0, seed=32, layout=[(0, paths)], dist=dist, K=K,
+                                         slot=0, cap=horizon)
+    else:
+        hist, censored, _ = _simulate_batch(0, layout=[(0, paths)], seed=33, dist=dist, K=K,
+                                            horizon=horizon, dump=False)
+    assert censored == 0
+    empirical = np.cumsum(hist) / paths
+    exact = extinction_cdf(dist, K, len(hist) - 1)
+    # The normal z holds where both tails expect >= 10 paths; beyond that
+    # one straggler alone would read |z| > 4.
+    sel = np.minimum(exact, 1 - exact) * paths >= 10
+    z = np.abs(empirical - exact)[sel] / np.sqrt(exact * (1 - exact) / paths)[sel]
+    assert sel.sum() >= 5 and z.max() < 4, f"worst |z| = {z.max():.2f}"
+
+
+def test_plain_sizes_stop_rule_and_floor():
+    """The engine stops after the first all-zero generation; a floor keeps
+    every size at or above it until the horizon."""
+    gen = RandomnessSource(4).handle().generator
+    rows = list(plain_sizes(3, 50, ZERO, gen, 10))
+    assert len(rows) == 1 and not rows[0].any()
+    rows = list(plain_sizes(40, 50, BERN, gen, 30))
+    assert not rows[-1].any() and all(r.any() for r in rows[:-1])
+    rows = list(plain_sizes(40, 50, BERN, gen, 30, floor=6))
+    assert len(rows) == 30 and all((r >= 6).all() for r in rows)
+
+
+@pytest.mark.parametrize("dist", [BERN, FAMILIES[-1]], ids=lambda d: d.kind)
+def test_batch_rows_match_write_trajectories(dist):
+    """The batch formatter writes the same bytes as write_trajectories for
+    paths run on their closure streams, some extinct at different times and
+    some censored at the horizon."""
+    horizon, first = 7, 3
+    src = RandomnessSource(12)
+    recs = [simulate_path(20, dist, src, p, horizon=horizon) for p in range(first, first + 30)]
+    assert {rec.extinct for rec in recs} == {True, False}
+    sizes = np.zeros((horizon + 1, len(recs)), dtype=np.int64)
+    for i, rec in enumerate(recs):
+        sizes[:len(rec.sizes), i] = rec.sizes
+    buf = io.StringIO()
+    write_trajectories(recs, buf)
+    assert "path,n,X\n" + plain_trajectory_rows(sizes, first) == buf.getvalue()
 
 
 def test_step_truncated_floor_and_precondition():
@@ -329,7 +384,7 @@ def test_coupled_identities_hold_pathwise(family, K, levels, horizon, path):
     """
     coup = simulate_coupled(K, family, [0.0, *levels], RandomnessSource(7), path, horizon)
     base = coup.base_sizes
-    lines = family.kind == "bernoulli"
+    lines = family.single_child
     assert coup.truncated[0.0] == coup.shifted[0.0] == base
     previous = None
     for a in coup.levels:
@@ -359,7 +414,7 @@ def test_coupled_batch_counts_no_violations(family, K, levels, horizon, count):
     )
     sandwich, *others = bad
     assert others == [0, 0, 0]
-    assert sandwich == 0 or family.kind != "bernoulli"
+    assert sandwich == 0
     assert int(hist.sum()) + censored == count
     assert len(text.splitlines()) == count * (horizon + 1)
 
