@@ -6,9 +6,13 @@ Every distribution exposes the same sampling surfaces:
   individual);
 * ``sample`` / ``sample_sum`` draw a single offspring or a progeny sum,
   and ``closure_sums`` an array of progeny sums, the sums through an
-  exact law: a named closed form for bernoulli, binomial, poisson and
-  geometric, and multinomial type counts dotted with the support for
-  explicit tables.
+  exact law. A sum of 1..C individuals inverts one uniform through a
+  guide table over the tabulated c-fold convolution of the pmf, built
+  once per law and process, when a call holds enough such sums to repay
+  the table's fixed cost; other sums use a named closed form for
+  bernoulli, binomial, poisson and geometric, and multinomial type counts
+  dotted with the support for explicit tables. A sum of 0 individuals is
+  0 and draws nothing.
 
 Distributions are described by plain dicts, e.g. ``{"kind": "poisson",
 "lambda": 0.7}`` or ``{"kind": "pmf", "table": {"0": 0.6, "1": 0.4}}``,
@@ -17,6 +21,7 @@ so configs can round-trip through JSON.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Mapping
 
@@ -24,6 +29,15 @@ import numpy as np
 
 _PMF_TOL = 1e-9
 _KINDS = ("bernoulli", "binomial", "poisson", "geometric", "pmf")
+#: Tables hold the sum laws of 1.._SUM_TABLE_MAX_COUNT individuals, in at
+#: most _SUM_TABLE_CELLS cells over all rows; a wide-support pmf gets fewer rows.
+_SUM_TABLE_MAX_COUNT = 128
+_SUM_TABLE_CELLS = 1 << 16
+#: A call with fewer sizes in the table's range uses the named samplers:
+#: below this many, the table's fixed cost per call outweighs its saving.
+_SUM_TABLE_MIN_DRAWS = 256
+#: Tail mass below the resolution of a 53-bit uniform.
+_TAIL_MASS = 2.0**-53
 
 
 class InvalidParameter(ValueError):
@@ -72,6 +86,12 @@ class OffspringDistribution:
         if not isinstance(other, OffspringDistribution):
             return NotImplemented
         return self.kind == other.kind and self.params == other.params
+
+    def __hash__(self) -> int:
+        return hash((self.kind, frozenset(
+            (k, frozenset(v.items()) if isinstance(v, dict) else v)
+            for k, v in self.params.items()
+        )))
 
     @property
     def std(self) -> float:
@@ -124,12 +144,31 @@ class OffspringDistribution:
         return int(self.closure_sums(np.array([count]), _as_generator(draw))[0])
 
     def closure_sums(self, counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        """Vectorized progeny sums for an array of sizes.
+        """Vectorized progeny sums for an array of sizes, of any shape.
 
-        Zero sizes yield zero offspring without consuming randomness for
-        the degenerate entries where numpy would reject the parameter.
+        Sizes of 0 give 0 and draw nothing, so the draws of the other
+        entries do not depend on how many zeros sit between them. When at
+        least ``_SUM_TABLE_MIN_DRAWS`` sizes lie in 1..C, C the row count
+        of the law's sum table, each of them draws one uniform from the
+        table (all of them first, in array order) and the larger sizes then
+        draw from the family's named sampler; otherwise every size does.
         """
         counts = np.asarray(counts, dtype=np.int64)
+        table = _sum_table(self) if counts.size >= _SUM_TABLE_MIN_DRAWS else None
+        if table is not None:
+            small = (counts > 0) & (counts <= table.max_count)
+            if np.count_nonzero(small) >= _SUM_TABLE_MIN_DRAWS:
+                out = np.zeros(counts.shape, dtype=np.int64)
+                out[small] = table.draw(counts[small], gen)
+                large = counts > table.max_count
+                if large.any():
+                    out[large] = self._named_sums(counts[large], gen)
+                return out
+        return self._named_sums(counts, gen)
+
+    def _named_sums(self, counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        # Progeny sums through the family's named sampler; numpy draws
+        # nothing for a size of 0 in binomial, poisson and multinomial.
         k = self.kind
         if k == "bernoulli":
             return gen.binomial(counts, self.params["p"]).astype(np.int64)
@@ -148,6 +187,18 @@ class OffspringDistribution:
             return out
         draws = gen.multinomial(counts, self._table_pvals())
         return (draws @ self._support).astype(np.int64)
+
+    def _dense_pmf(self, cells: int) -> np.ndarray | None:
+        """The offspring pmf on 0, 1, ..., max support, or None if that
+        takes more than ``cells`` cells; geometric is cut where its tail
+        mass p^n drops below 2^-53."""
+        if self._support is None:
+            p = self.params["p"]
+            n = 1 if p == 0.0 else math.floor(math.log(_TAIL_MASS) / math.log(p)) + 1
+            return (1.0 - p) * p ** np.arange(n) if n <= cells else None
+        if self._support.max() >= cells:
+            return None
+        return np.bincount(self._support, weights=self._table_pvals())
 
     def _table_pvals(self) -> np.ndarray:
         # Multinomial probabilities aligned with the stored support; the
@@ -196,6 +247,89 @@ class OffspringDistribution:
             return float(sum(w for k_, w in table.items() if k_ > 0))
         return float(sum(-w * math.expm1(k_ * math.log1p(-s))
                          for k_, w in table.items() if k_ > 0))
+
+
+class _SumTable:
+    """The laws of the progeny sums of 1..max_count individuals, each row
+    inverted from one uniform through a guide table (Chen & Asau 1974).
+
+    Row c is the c-fold convolution of the offspring pmf, its upper tail
+    cut where the mass beyond falls below 2^-53 and its zero-mass cells
+    left out. The rows lie end to end in ``values`` (sum values) and
+    ``cdf`` (cumulative weights, 1.0 exactly at each row's end). Row c
+    with n cells gets g = 4n guide slots, plus one, from
+    ``guide_start[c]``; slot j holds the first cell whose key
+    floor(cdf * g) is not below j. For a uniform u with key j, the first
+    cell whose cumulative weight exceeds u (the ``inverse_cdf``
+    convention) therefore lies between the cells of slots j and j + 1;
+    these hold a quarter of a cell on average, but a tail whose cells
+    carry little mass can put many cells in one slot.
+    """
+
+    def __init__(self, rows: list[np.ndarray]):
+        self.max_count = len(rows)
+        dense = np.zeros((len(rows), max(len(row) for row in rows)))
+        for c, row in enumerate(rows):
+            dense[c, : len(row)] = row
+        cum = np.cumsum(dense, axis=1)
+        owner, self.values = np.nonzero(dense)
+        self.cdf = cum[owner, self.values] / cum[owner, -1]
+        size = 4 * np.bincount(owner, minlength=len(rows))
+        slots = np.cumsum(size + 1)
+        # Slot keys of different rows do not overlap, so one running count
+        # of the cells below each slot fills every guide; the slot after
+        # the last row bounds that row's last slot.
+        key = (self.cdf * size[owner]).astype(np.int64) + (slots - size - 1)[owner]
+        at = np.bincount(key, minlength=slots[-1] + 1)
+        self.guide = np.cumsum(at) - at
+        # Indexed by the number of individuals c; index 0 is unused.
+        self.guide_start = np.append(0, slots - size - 1)
+        self.guide_size = np.append(0.0, size)
+
+    def draw(self, counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """One progeny sum per size in ``counts`` (1-D, in 1..max_count)."""
+        u = gen.random(len(counts))
+        slot = self.guide_start[counts] + (u * self.guide_size[counts]).astype(np.int64)
+        cell, last = self.guide[slot], self.guide[slot + 1]
+        # One comparison settles the sums whose slot holds at most one cell;
+        # the others bisect their [lo, hi] bracket.
+        step = self.cdf[cell] <= u
+        cell += step
+        todo = np.flatnonzero(step & (cell < last))
+        if todo.size:
+            lo, hi, v = cell[todo], last[todo], u[todo]
+            for _ in range(int((hi - lo).max()).bit_length()):
+                mid = (lo + hi) >> 1
+                right = self.cdf[mid] <= v
+                lo = np.where(right, mid + 1, lo)
+                hi = np.where(right, hi, mid)
+            cell[todo] = lo
+        return self.values[cell]
+
+
+def _cut_tail(row: np.ndarray) -> np.ndarray:
+    """``row`` up to the first cell beyond which less than 2^-53 of mass lies."""
+    tail = np.cumsum(row[::-1])[::-1]
+    return row[: max(1, int(np.count_nonzero(tail >= _TAIL_MASS)))]
+
+
+@functools.lru_cache(maxsize=16)
+def _sum_table(dist: OffspringDistribution) -> _SumTable | None:
+    """The law's sum table, built once per process; None when not even the
+    one-individual row fits the cell budget.
+
+    Rows are added while the dense length of the next row (before its
+    zero-mass cells are left out) keeps the total within the budget.
+    """
+    pmf = dist._dense_pmf(_SUM_TABLE_CELLS)
+    if pmf is None:
+        return None
+    pmf = _cut_tail(pmf)
+    rows, cells = [pmf], len(pmf)
+    while len(rows) < _SUM_TABLE_MAX_COUNT and cells + len(rows[-1]) + len(pmf) - 1 <= _SUM_TABLE_CELLS:
+        rows.append(_cut_tail(np.convolve(rows[-1], pmf)))
+        cells += len(rows[-1])
+    return _SumTable(rows)
 
 
 def _as_generator(draw) -> np.random.Generator:

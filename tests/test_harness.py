@@ -313,6 +313,16 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_cli_simulate_runs_law_without_sum_table(tmp_path, capsys):
+    """A pmf with support up to 10^5 gets no sum table (not even one row
+    fits the cell budget); its sums come from the multinomial sampler."""
+    law = {"kind": "pmf", "table": {"0": 1 - 5e-6, "100000": 5e-6}}
+    cfg = write_config(tmp_path, {"offspring": law, "seed": 3, "K": 1000, "paths": 400,
+                                  "batches": 4, "out": str(tmp_path / "runs")})
+    assert main(["simulate", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+
 @pytest.mark.parametrize("kind", ["simulate", "coupled"])
 def test_cli_rejects_population_overflow(tmp_path, capsys, kind):
     """binomial(4, 0.9) from K = 1000 for 60 generations passes 2^53."""

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
 from branchlab.offspring import (
+    _SUM_TABLE_CELLS,
+    _SUM_TABLE_MAX_COUNT,
     InvalidParameter,
     NonNormalizedPMF,
     SupercriticalWithoutOverride,
+    _sum_table,
     make_distribution,
 )
 
@@ -23,6 +27,10 @@ SUBCRITICAL_SPECS = [
     {"kind": "geometric", "p": 0.45},
     {"kind": "pmf", "table": {"0": 0.5, "1": 0.3, "2": 0.2}},
 ]
+#: A pmf whose support is wide enough to lower the number of tabulated sizes.
+WIDE_PMF = {"kind": "pmf", "table": {"0": 0.99, "50": 0.01}}
+TABLE_SPECS = SUBCRITICAL_SPECS + [WIDE_PMF]
+TABLE_IDS = [s["kind"] for s in SUBCRITICAL_SPECS] + ["pmf-wide"]
 
 
 def _oracle_pmf(spec, k):
@@ -106,6 +114,147 @@ def _chisquare_gof(draws, pmf, tail):
     else:
         assert rest_obs == 0, f"{rest_obs} draws outside the law's support"
     return st.chisquare(obs, exp)
+
+
+def _sum_law_pmf(dist, size: int, upper: int) -> tuple[np.ndarray, float]:
+    """Exact pmf on 0..upper of the sum of ``size`` offspring, and the mass above."""
+    ks = np.arange(upper + 1)
+    p = dist.params.get("p")
+    if dist.kind == "bernoulli":
+        law = st.binom(size, p)
+    elif dist.kind == "binomial":
+        law = st.binom(size * dist.params["n"], p)
+    elif dist.kind == "poisson":
+        law = st.poisson(size * dist.params["lambda"])
+    elif dist.kind == "geometric":
+        law = st.nbinom(size, 1.0 - p)
+    else:
+        one = np.zeros(max(dist.params["table"]) + 1)
+        for k, w in dist.params["table"].items():
+            one[k] = w
+        pmf = np.array([1.0])
+        for _ in range(size):
+            pmf = np.convolve(pmf, one)
+        pmf = np.append(pmf, np.zeros(max(0, upper + 1 - len(pmf))))
+        return pmf[: upper + 1], float(pmf[upper + 1:].sum())
+    return law.pmf(ks), float(law.sf(upper))
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["1", "C-1", "C", "C+1"])
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
+def test_closure_sums_follow_sum_law_across_table_limit(spec, offset):
+    """Sums of 1, C-1 and C individuals (the table path) and of C+1 (the
+    named sampler) follow the exact law of the sum; C is the law's number
+    of tabulated sizes."""
+    dist = make_distribution(spec)
+    limit = _sum_table(dist).max_count
+    size = 1 if offset is None else limit + offset
+    draws = dist.closure_sums(np.full(60_000, size), np.random.default_rng(41))
+    upper = int(size * dist.mean + 12 * math.sqrt(size * dist.variance)) + 10
+    pmf, tail = _sum_law_pmf(dist, size, upper)
+    stat, pvalue = _chisquare_gof(draws, pmf, tail)
+    assert pvalue > 1e-3, f"size {size}: chi2={stat:.1f}, p={pvalue:.2e}"
+
+
+def test_closure_sums_keep_the_input_shape():
+    """A (paths, 1+L) matrix of sizes, as the coupled engine passes it,
+    comes back as a matrix of sums of the same shape, on the table path
+    and on the named sampler alike."""
+    dist = make_distribution({"kind": "binomial", "n": 3, "p": 0.25})
+    rng = np.random.default_rng(3)
+    for paths in (4, 400):
+        sizes = rng.integers(0, 260, (paths, 3))
+        sums = dist.closure_sums(sizes, rng)
+        assert sums.shape == sizes.shape and sums.dtype == np.int64
+        assert not sums[sizes == 0].any()
+        assert (sums <= 3 * sizes).all()
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random`` returns given uniforms."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+
+    def random(self, n: int) -> np.ndarray:
+        assert n == len(self.u)
+        return self.u
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
+def test_sum_table_draw_inverts_each_row(spec):
+    """The guide-table draw returns, for every size c and uniform u, the
+    first cell of row c whose cumulative weight exceeds u, as a plain
+    search of the row finds it: on random uniforms, and on every
+    cumulative weight of a row and the float just below it."""
+    table = _sum_table(make_distribution(spec))
+    edges = np.append(table.guide[table.guide_start[1:]], len(table.cdf))
+    rng = np.random.default_rng(4)
+    counts = rng.integers(1, table.max_count + 1, 50_000)
+    u = rng.random(len(counts))
+    for c in (1, table.max_count // 2, table.max_count):
+        cdf = table.cdf[edges[c - 1]:edges[c]]
+        near = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0]])
+        counts = np.append(counts, np.full(np.count_nonzero(near < 1.0), c))
+        u = np.append(u, near[near < 1.0])
+    expected = np.empty_like(counts)
+    for c in np.unique(counts):
+        at = counts == c
+        cdf = table.cdf[edges[c - 1]:edges[c]]
+        expected[at] = table.values[edges[c - 1] + np.searchsorted(cdf, u[at], side="right")]
+    assert (table.draw(counts, _FixedUniforms(u)) == expected).all()
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
+def test_zero_sizes_draw_nothing(spec):
+    """Sizes of 0 consume no randomness: an all-zero input leaves the
+    generator as it was, and zeros inserted between sizes leave the draws
+    of the other sizes unchanged, for a call too small for the table and
+    one that uses it."""
+    dist = make_distribution(spec)
+    gen = np.random.default_rng(8)
+    state = gen.bit_generator.state
+    for paths in (5, 1000):
+        assert not dist.closure_sums(np.zeros((paths, 3), dtype=np.int64), gen).any()
+    assert gen.bit_generator.state == state
+    for n in (8, 2000):
+        sizes = np.random.default_rng(n).integers(1, 300, n)
+        padded = np.zeros(3 * n, dtype=np.int64)
+        padded[1::3] = sizes
+        plain = dist.closure_sums(sizes, np.random.default_rng(9))
+        spaced = dist.closure_sums(padded, np.random.default_rng(9))
+        assert (spaced[1::3] == plain).all()
+        assert not spaced[padded == 0].any()
+
+
+def test_sum_table_stays_within_its_cell_budget():
+    """Every law's table fits the cell budget; a wide support gets fewer
+    tabulated sizes, and a support too wide for one row gets none."""
+    for spec in SUBCRITICAL_SPECS:
+        table = _sum_table(make_distribution(spec))
+        assert table.max_count == _SUM_TABLE_MAX_COUNT
+        assert len(table.cdf) <= _SUM_TABLE_CELLS
+    for top in (50, 1000):
+        table = _sum_table(make_distribution({"kind": "pmf", "table": {0: 1 - 0.5 / top, top: 0.5 / top}}))
+        assert 1 < table.max_count < _SUM_TABLE_MAX_COUNT
+        assert len(table.cdf) <= _SUM_TABLE_CELLS
+    for top in (100_000, 10**12):
+        huge = make_distribution({"kind": "pmf", "table": {0: 1 - 0.5 / top, top: 0.5 / top}})
+        assert _sum_table(huge) is None
+        sums = huge.closure_sums(np.array([0, 1, 3, 1000]), np.random.default_rng(2))
+        assert sums[0] == 0 and (sums % top == 0).all()
+
+
+def test_geometric_sum_table_builds_fast():
+    """geometric has unbounded support; its rows are cut where the tail
+    mass drops below 2^-53, so the table builds in a few milliseconds."""
+    dist = make_distribution({"kind": "geometric", "p": 0.45})
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        _sum_table.__wrapped__(dist)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.010, f"best build {min(times) * 1e3:.1f} ms"
 
 
 @pytest.mark.parametrize(

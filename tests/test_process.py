@@ -11,7 +11,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from test_offspring import SUBCRITICAL_SPECS, _chisquare_gof
+from test_offspring import SUBCRITICAL_SPECS, _chisquare_gof, _sum_law_pmf
 
 from branchlab.estimators import _tau_hist_batch
 from branchlab.exact import extinction_cdf
@@ -35,30 +35,6 @@ BERN = make_distribution({"kind": "bernoulli", "p": 0.5})
 POIS = make_distribution({"kind": "poisson", "lambda": 0.7})
 ZERO = make_distribution({"kind": "pmf", "table": {"0": 1.0}})
 FAMILIES = [make_distribution(spec) for spec in SUBCRITICAL_SPECS]
-
-
-def _sum_law_pmf(dist, size: int, upper: int) -> tuple[np.ndarray, float]:
-    """Exact pmf on 0..upper of the sum of ``size`` offspring, and the mass above."""
-    ks = np.arange(upper + 1)
-    p = dist.params.get("p")
-    if dist.kind == "bernoulli":
-        law = st.binom(size, p)
-    elif dist.kind == "binomial":
-        law = st.binom(size * dist.params["n"], p)
-    elif dist.kind == "poisson":
-        law = st.poisson(size * dist.params["lambda"])
-    elif dist.kind == "geometric":
-        law = st.nbinom(size, 1.0 - p)
-    else:
-        one = np.zeros(max(dist.params["table"]) + 1)
-        for k, w in dist.params["table"].items():
-            one[k] = w
-        pmf = np.array([1.0])
-        for _ in range(size):
-            pmf = np.convolve(pmf, one)
-        pmf = np.append(pmf, np.zeros(max(0, upper + 1 - len(pmf))))
-        return pmf[: upper + 1], float(pmf[upper + 1:].sum())
-    return law.pmf(ks), float(law.sf(upper))
 
 
 def test_step_of_zero_is_zero():
@@ -135,6 +111,21 @@ def test_joint_law_of_prefix_sums(dist):
             assert abs(z) < 4, f"Cov(S({s0}), increment to {base[j]}): z = {z:.2f}"
 
 
+def _assert_extinction_cdf(hist: np.ndarray, dist, K: int, paths: int) -> None:
+    """z-gate the empirical extinction-time CDF of ``paths`` paths (``hist``
+    counts extinctions by generation) against exact.extinction_cdf.
+
+    The normal z holds where both tails expect >= 10 paths; beyond that one
+    straggler alone would read |z| > 4. At least 5 generations are gated.
+    """
+    empirical = np.cumsum(hist) / paths
+    exact = extinction_cdf(dist, K, len(hist) - 1)
+    sel = np.minimum(exact, 1 - exact) * paths >= 10
+    z = np.abs(empirical - exact)[sel] / np.sqrt(exact * (1 - exact) / paths)[sel]
+    assert sel.sum() >= 5, f"only {sel.sum()} generations expect >= 10 paths in both tails"
+    assert z.max() < 4, f"worst |z| = {z.max():.2f} at n = {int(np.flatnonzero(sel)[z.argmax()])}"
+
+
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.kind)
 def test_coupled_base_extinction_law(dist):
     """The coupled base path's extinction times follow exact.extinction_cdf."""
@@ -145,11 +136,7 @@ def test_coupled_base_extinction_law(dist):
         horizon=horizon, dump=False,
     )
     assert censored == 0
-    empirical = np.cumsum(hist) / paths
-    exact = extinction_cdf(dist, K, len(hist) - 1)
-    se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / paths)
-    z = np.abs(empirical - exact) / se
-    assert z.max() < 4, f"worst |z| = {z.max():.2f} at n = {int(z.argmax())}"
+    _assert_extinction_cdf(hist, dist, K, paths)
 
 
 @pytest.mark.parametrize("runner", ["tau_hist", "simulate"])
@@ -166,13 +153,7 @@ def test_plain_engine_extinction_law(dist, runner):
         hist, censored, _ = _simulate_batch(0, layout=[(0, paths)], seed=33, dist=dist, K=K,
                                             horizon=horizon, dump=False)
     assert censored == 0
-    empirical = np.cumsum(hist) / paths
-    exact = extinction_cdf(dist, K, len(hist) - 1)
-    # The normal z holds where both tails expect >= 10 paths; beyond that
-    # one straggler alone would read |z| > 4.
-    sel = np.minimum(exact, 1 - exact) * paths >= 10
-    z = np.abs(empirical - exact)[sel] / np.sqrt(exact * (1 - exact) / paths)[sel]
-    assert sel.sum() >= 5 and z.max() < 4, f"worst |z| = {z.max():.2f}"
+    _assert_extinction_cdf(hist, dist, K, paths)
 
 
 def test_plain_sizes_stop_rule_and_floor():
