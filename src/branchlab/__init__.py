@@ -30,6 +30,7 @@ from __future__ import annotations
 __version__ = "0.4.0"
 
 from .estimators import (
+    DegenerateSample,
     EmptyConditioningSet,
     ExperimentReport,
     InsufficientBinMass,
@@ -73,6 +74,7 @@ from .stopping import LimitOracle, NeverHit, NotExtinct, boundary_warnings, limi
 __all__ = [
     "ConfigError",
     "CoupledPaths",
+    "DegenerateSample",
     "Diagnostic",
     "DrawHandle",
     "EmptyConditioningSet",

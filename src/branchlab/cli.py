@@ -3,8 +3,8 @@
 Standard output carries machine-readable results only (the report
 JSON, or the covariance matrix for gaussian-cov); progress, warnings,
 and errors go to standard error. Exit status is 0 when every gated
-statistic passed, 1 when any failed, and 2 for unusable configs or
-unwritable output.
+statistic passed, 1 when any failed, and 2 for unusable configs,
+unwritable output, or simulated data a run cannot estimate from.
 """
 
 from __future__ import annotations
@@ -13,7 +13,12 @@ import argparse
 import json
 import sys
 
-from .harness import EXPERIMENTS, ConfigError, IoError, load_config, render_json, run
+from .estimators import DegenerateSample, EmptyConditioningSet, InsufficientBinMass
+from .gaussian_limit import OutOfValidityRange
+from .harness import CONFIG_KEYS, EXPERIMENTS, ConfigError, IoError, load_config, render_json, run
+
+#: The config keys that a command-line flag overrides.
+FLAG_KEYS = tuple(key for key, row in CONFIG_KEYS.items() if row.flag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,24 +30,15 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in EXPERIMENTS:
         cmd = sub.add_parser(kind, help=f"run the {kind} experiment")
         cmd.add_argument("--config", required=True, help="JSON config file")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--paths", type=int, default=None, help="override the path count")
-        cmd.add_argument("--out", default=None, help="override the output directory")
-        cmd.add_argument("--workers", type=int, default=None, help="override the worker count")
-        cmd.add_argument(
-            "--plot-data", dest="plot_data", action="store_const", const=True, default=None,
-            help="also write two-column plot series (x = K or eps, y = ratio)",
-        )
+        for key in FLAG_KEYS:
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                             **CONFIG_KEYS[key].flag)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        key: value
-        for key in ("seed", "paths", "out", "workers", "plot_data")
-        if (value := getattr(args, key)) is not None
-    }
+    overrides = {k: v for k, v in vars(args).items() if k in FLAG_KEYS and v is not None}
     try:
         config = load_config(args.config)
         declared = config.get("experiment")
@@ -53,7 +49,8 @@ def main(argv=None) -> int:
         config.update(overrides)
         config["experiment"] = args.experiment
         result = run(config)
-    except (ConfigError, IoError) as exc:
+    except (ConfigError, IoError, DegenerateSample, EmptyConditioningSet,
+            InsufficientBinMass, OutOfValidityRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if result.matrix is not None:

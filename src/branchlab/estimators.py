@@ -39,6 +39,10 @@ class EmptyConditioningSet(ValueError):
     """A requested conditioning window contains no simulated path."""
 
 
+class DegenerateSample(ValueError):
+    """A batch holds no usable path, or a statistic is the same in every batch."""
+
+
 # ---------------------------------------------------------------------------
 # report structure
 
@@ -426,7 +430,7 @@ def extinction_scaling(
     median_rel_tol: float | None = None,
     trend_gates: Sequence[str] = ("mean", "kEm"),
     trend_slack: float = 0.0,
-    oracle_se_k: float = 4.0,
+    se_k: float = 4.0,
     exact_oracle: bool = True,
 ) -> ExperimentReport:
     """Extinction-time scaling and the K E[m^tau] limit across a K grid.
@@ -475,6 +479,9 @@ def extinction_scaling(
         powers = m**ns
 
         per_batch = hists.sum(axis=1)
+        if not per_batch.all():
+            raise DegenerateSample(f"K={K}: batch {int(np.argmin(per_batch))} has no path "
+                                   "extinct within the horizon; raise cap_multiplier")
         med = _median_from_hist(hist, total) / logK
         med_b = np.array([_median_from_hist(hists[b], int(per_batch[b]))
                           for b in range(batches)]) / logK
@@ -502,7 +509,7 @@ def extinction_scaling(
         if exact_oracle:
             exact = K * exact_mean_m_tau(dist, K)
             entries.append(entry_se(f"{pre}.K_mean_m_tau_vs_exact", kem,
-                                    se_kem, exact, oracle_se_k))
+                                    se_kem, exact, se_k))
         devs["median"].append(abs(med - c))
         devs["mean"].append(abs(mean - c))
         devs["kEm"].append(abs(kem - 1.0))
@@ -588,16 +595,20 @@ def clt_covariance_check(
               for mode in ("paper", "martingale")}
     entries: list[StatEntry] = [entry_info("paths", paths)]
 
-    def batch_se(col_fn):
+    def batch_se(label, col_fn):
         vals = np.array([col_fn(theta[ids == b]) for b in range(batches)])
-        return float(vals.std(ddof=1) / math.sqrt(batches))
+        se = float(vals.std(ddof=1) / math.sqrt(batches))
+        if se == 0.0:
+            raise DegenerateSample(f"every batch gives {label} = {vals[0]:g}, so its standard "
+                                   "error is 0; raise K or lower the indices")
+        return se
 
     for p, j in enumerate(indices):
         mean = float(theta[:, p].mean())
-        se = batch_se(lambda tb, p=p: tb[:, p].mean())
+        se = batch_se(f"theta[{j}].mean", lambda tb, p=p: tb[:, p].mean())
         entries.append(entry_se(f"theta[{j}].mean", mean, se, 0.0, se_k))
         var = float(theta[:, p].var(ddof=1))
-        se = batch_se(lambda tb, p=p: tb[:, p].var(ddof=1))
+        se = batch_se(f"theta[{j}].var", lambda tb, p=p: tb[:, p].var(ddof=1))
         target = theta_variance(models["martingale"], j)
         entries.append(entry_se(f"theta[{j}].var", var, se, target, se_k))
 
@@ -607,8 +618,8 @@ def clt_covariance_check(
         for q in range(p + 1, len(indices)):
             j, k = indices[p], indices[q]
             cov = float(np.cov(theta[:, p], theta[:, q], ddof=1)[0, 1])
-            se = batch_se(
-                lambda tb, p=p, q=q: np.cov(tb[:, p], tb[:, q], ddof=1)[0, 1])
+            se = batch_se(f"cov[{j},{k}]",
+                          lambda tb, p=p, q=q: np.cov(tb[:, p], tb[:, q], ddof=1)[0, 1])
             t_paper = theta_covariance(models["paper"], j, k - j)
             t_mart = theta_covariance(models["martingale"], j, k - j)
             z_paper = abs(cov - t_paper) / se
@@ -862,7 +873,8 @@ def conditional_on_tau_check(
     recombined = sum(
         float(xn[extinct][tau[extinct] == t].mean()) * cnt / extinct.sum()
         for t, cnt in zip(tau_vals, counts))
-    resid = abs(recombined - mean_xn) / abs(mean_xn)
+    # Relative to the mean, or absolute where every X_n is 0.
+    resid = abs(recombined - mean_xn) / (abs(mean_xn) or 1.0)
     entries.append(entry_le("wald.marginalization_rel_residual", resid, 1e-9))
 
     cfg = {"u1": u1, "l": power, "K": K, "paths": paths, "seed": seed,

@@ -26,30 +26,15 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from . import __version__
-from .estimators import (
-    AD_SIGNIFICANCE_LEVELS,
-    ExperimentReport,
-    batch_layout,
-    clt_covariance_check,
-    conditional_moment_check,
-    conditional_on_tau_check,
-    entry_info,
-    entry_le,
-    extinction_scaling,
-    invariance_check,
-)
+from . import __version__, estimators
+from .estimators import AD_SIGNIFICANCE_LEVELS, ExperimentReport, batch_layout, entry_info, entry_le
 from .estimators import _median_from_hist, _run_batches
+# extinction_scaling, conditional_moment_check, simulate_coupled and simulate_path are
+# not called through this namespace; perfbench/spans.py traces them through it.
+from .estimators import conditional_moment_check, extinction_scaling
 from .gaussian_limit import MODES, ThetaCovariance, covariance_matrix, is_positive_semidefinite
-from .offspring import (
-    InvalidParameter,
-    NonNormalizedPMF,
-    OffspringDistribution,
-    SupercriticalWithoutOverride,
-    make_distribution,
-)
-# simulate_coupled and simulate_path are not called here; perfbench/spans.py traces them
-# through this namespace.
+from .offspring import (InvalidParameter, NonNormalizedPMF, OffspringDistribution,
+                        SupercriticalWithoutOverride, make_distribution)
 from .process import (coupled_floors, coupled_record, coupled_step, default_horizon, plain_sizes,
                       plain_trajectory_rows, simulate_coupled, simulate_path, trajectory_header,
                       write_trajectories)
@@ -69,58 +54,166 @@ EXPERIMENTS = (
     "gaussian-cov",
 )
 
-#: Kinds whose gates rest on batch standard errors; these need >= 30 batches.
-MC_KINDS = frozenset(
-    {"extinction-scaling", "clt-check", "conditional-moments", "conditional-on-tau", "invariance"}
-)
+#: The estimator behind each Monte Carlo kind, looked up in ``estimators``
+#: at call time. Their gates rest on batch standard errors, so these kinds
+#: need >= 30 batches.
+ESTIMATORS = {
+    "extinction-scaling": "extinction_scaling",
+    "clt-check": "clt_covariance_check",
+    "conditional-moments": "conditional_moment_check",
+    "conditional-on-tau": "conditional_on_tau_check",
+    "invariance": "invariance_check",
+}
+_CONDITIONAL = ("conditional-moments", "conditional-on-tau", "invariance")
+_PATHWISE = ("simulate", "coupled")
 
-#: Keys that steer where/how results are written but not what they are.
-#: They are excluded from the config hash and from the report's config
-#: echo so a rerun at a different worker count or output directory
-#: reproduces report.json byte for byte.
-VOLATILE_KEYS = frozenset({"out", "workers", "plot_data"})
 
-DEFAULT_CONFIG: dict = {
-    "experiment": None,
-    "offspring": None,
-    "seed": None,
-    "K": None,
-    "K_list": None,
-    "paths": 10_000,
-    "batches": 40,
-    "workers": 1,
-    "out": "runs",
-    "plot_data": False,
-    "write_trajectories": True,
-    "horizon": None,
-    "cap_multiplier": 10,
-    "levels": None,
-    "a": 0.0,
-    "indices": None,
-    "mode": "paper",
-    "u1": None,
-    "u2": None,
-    "l": 1,
-    "eps_grid": None,
-    "window_rel": 0.02,
-    "rel_tol": 0.10,
-    "ratio_band": None,
-    "min_bin_count": 50,
-    "bin_mode": "quantile",
-    "min_group_count": 200,
-    "tau_sampler": "auto",
-    "median_rel_tol": None,
-    "trend_gates": ["mean", "kEm"],
-    "trend_slack": 0.0,
-    "exact_oracle": True,
-    "se_k": 4.0,
-    "min_mode_separation": 5.0,
-    "ad_significance": 0.01,
-    "ad_min_scale": 100.0,
-    "allow_supercritical": False,
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_num(value) -> bool:
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+def _positive_int(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _number(test):
+    return lambda value: _is_num(value) and test(value)
+
+
+def _seq(test):
+    return lambda value: isinstance(value, (list, tuple)) and test(value)
+
+
+def _one_of(*choices):
+    # Equal and of the same type: True is not the moment order 1.
+    return lambda value: any(value == c and type(value) is type(c) for c in choices)
+
+
+_POSITIVE_INT = ((_positive_int, "{key} must be a positive integer"),)
+_POSITIVE = ((_number(lambda v: v > 0), "{key} must be positive"),)
+_NONNEGATIVE = ((_number(lambda v: v >= 0), "{key} must be nonnegative"),)
+_BOOL = ((lambda v: isinstance(v, bool), "{key} must be true or false"),)
+
+
+@dataclass(frozen=True)
+class Key:
+    """Everything the program knows about one config key.
+
+    ``checks`` pairs a test of a set value with its error text, which may
+    name ``{key}``, ``{kind}`` and ``{value}``. A key with default None may
+    stay unset, except for the kinds in ``required``, which report
+    ``missing`` (else the first check's text). The estimators of the kinds
+    in ``kinds`` get the value as keyword ``param`` (else the key). Volatile
+    keys steer where and how results are written, not what they are, so
+    the config hash and report.json leave them out. ``flag`` holds the
+    argparse options of the key's CLI override.
+    """
+
+    default: object = None
+    checks: tuple = ()
+    required: tuple = ()
+    missing: str = ""
+    kinds: tuple = ()
+    param: str = ""
+    volatile: bool = False
+    flag: Mapping | None = None
+
+
+_MC = tuple(ESTIMATORS)
+_SCALING = ("extinction-scaling",)
+_CLT = ("clt-check",)
+_BINNED = ("conditional-moments", "conditional-on-tau")
+
+#: One row per config key; the rows' order is the order of the CLI override flags.
+CONFIG_KEYS: dict[str, Key] = {
+    "experiment": Key(),
+    "offspring": Key(
+        checks=((lambda v: isinstance(v, Mapping),
+                 "offspring must be a mapping with a 'kind' key"),),
+        required=EXPERIMENTS, missing="an offspring descriptor is required"),
+    "seed": Key(
+        checks=((lambda v: _is_int(v) and v >= 0, "seed must be a nonnegative integer"),),
+        required=EXPERIMENTS, missing="seed is required: runs never read entropy from the machine",
+        kinds=_MC, flag={"type": int, "help": "override the config seed"}),
+    "K": Key(checks=((_positive_int, "{kind} needs a positive integer K"),),
+             required=(*_PATHWISE, *_CLT, *_CONDITIONAL), kinds=(*_CLT, *_CONDITIONAL)),
+    "K_list": Key(
+        checks=((_seq(len), "extinction-scaling needs a nonempty K_list"),
+                (_seq(lambda ks: all(_is_int(k) and k >= 10 for k in ks)),
+                 "every K in K_list must be an integer >= 10")),
+        required=_SCALING, kinds=_SCALING),
+    "paths": Key(10_000, _POSITIVE_INT, kinds=_MC,
+                 flag={"type": int, "help": "override the path count"}),
+    "batches": Key(40, _POSITIVE_INT, kinds=_MC),
+    "out": Key("runs", ((lambda v: isinstance(v, str), "out must be a directory path"),),
+               volatile=True, flag={"help": "override the output directory"}),
+    "workers": Key(1, _POSITIVE_INT, kinds=_MC, volatile=True,
+                   flag={"type": int, "help": "override the worker count"}),
+    "plot_data": Key(False, _BOOL, volatile=True, flag={
+        "action": "store_const", "const": True,
+        "help": "also write two-column plot series (x = K or eps, y = ratio)"}),
+    "write_trajectories": Key(True, _BOOL),
+    "horizon": Key(checks=((_positive_int, "horizon must be a positive integer when given"),)),
+    "cap_multiplier": Key(10, _POSITIVE_INT, kinds=(*_SCALING, *_CONDITIONAL)),
+    "levels": Key(
+        checks=((_seq(len), "coupled needs a nonempty list of truncation levels"),
+                (_seq(lambda ls: all(_is_num(a) and 0.0 <= a < 1.0 for a in ls)),
+                 "levels must lie in [0, 1)")),
+        required=("coupled",)),
+    "a": Key(0.0, ((_number(lambda a: 0.0 <= a < 1.0), "a must lie in [0, 1)"),), kinds=_CLT),
+    "indices": Key(
+        checks=((_seq(lambda ix: len(ix) > 0 and all(_is_int(i) and i >= 1 for i in ix)
+                      and list(ix) == sorted(set(ix))),
+                 "indices must be strictly increasing positive integers"),),
+        required=(*_CLT, "gaussian-cov"), kinds=_CLT),
+    "mode": Key("paper", ((_one_of(*MODES), f"mode must be one of {MODES}, got {{value!r}}"),)),
+    "u1": Key(checks=((_number(lambda u: 0.0 < u < 1.0), "u1 must lie strictly inside (0, 1)"),),
+              required=_CONDITIONAL, missing="{kind} needs u1", kinds=_CONDITIONAL),
+    "u2": Key(checks=((_number(lambda u: 0.0 < u < 1.0), "u2 must lie strictly inside (0, 1)"),),
+              required=("conditional-moments",), missing="{kind} needs u2",
+              kinds=("conditional-moments", "invariance")),
+    "l": Key(1, ((_one_of(1, 2, 3), "l must be an integer moment order in {{1, 2, 3}}"),),
+             kinds=_CONDITIONAL, param="power"),
+    "eps_grid": Key(
+        checks=((_seq(len), "invariance needs a nonempty eps_grid"),
+                (_seq(lambda es: all(_is_num(e) and abs(e) <= 0.2 for e in es)),
+                 "every eps must be a number in [-0.2, 0.2]"),
+                (_seq(lambda es: len(set(es)) == len(es)), "eps_grid values must be distinct")),
+        required=("invariance",), kinds=("invariance",)),
+    "window_rel": Key(0.02, _POSITIVE, kinds=("invariance",)),
+    "rel_tol": Key(0.10, _POSITIVE, kinds=("invariance",)),
+    "ratio_band": Key(
+        checks=((_seq(lambda b: len(b) == 2 and all(_is_num(x) for x in b) and b[0] < b[1]),
+                 "ratio_band must be a pair lo < hi"),),
+        kinds=_BINNED),
+    "min_bin_count": Key(50, _POSITIVE_INT, kinds=("conditional-moments",)),
+    "bin_mode": Key("quantile", ((_one_of("quantile", "distinct"),
+                                  "bin_mode must be quantile or distinct"),),
+                    kinds=("conditional-moments",)),
+    "min_group_count": Key(200, _POSITIVE_INT, kinds=_BINNED),
+    "tau_sampler": Key("auto", ((_one_of("auto", "trajectory", "lifetime"),
+                                 "{key} must be auto, trajectory, or lifetime"),), kinds=_SCALING),
+    "median_rel_tol": Key(checks=((_number(lambda v: v > 0), "{key} must be positive when given"),),
+                          kinds=_SCALING),
+    "trend_gates": Key(["mean", "kEm"],
+                       ((_seq(lambda gs: all(_one_of("median", "mean", "kEm")(g) for g in gs)),
+                         "trend_gates must be a subset of {{median, mean, kEm}}"),),
+                       kinds=_SCALING),
+    "trend_slack": Key(0.0, _NONNEGATIVE, kinds=_SCALING),
+    "exact_oracle": Key(True, _BOOL, kinds=_SCALING),
+    "se_k": Key(4.0, _POSITIVE, kinds=(*_SCALING, *_CLT, "conditional-on-tau")),
+    "min_mode_separation": Key(5.0, _NONNEGATIVE, kinds=_CLT),
+    "ad_significance": Key(0.01, kinds=_CLT, checks=((
+        _one_of(*AD_SIGNIFICANCE_LEVELS), f"{{key}} must be one of {AD_SIGNIFICANCE_LEVELS}"),)),
+    "ad_min_scale": Key(100.0, _NONNEGATIVE, kinds=_CLT),
+    "allow_supercritical": Key(False, _BOOL),
 }
 
-KNOWN_KEYS = frozenset(DEFAULT_CONFIG)
+_VOLATILE = frozenset(key for key, row in CONFIG_KEYS.items() if row.volatile)
 
 
 class ConfigError(ValueError):
@@ -163,34 +256,38 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return data
 
 
+def _finite(text: str) -> float:
+    """A JSON number; NaN, Infinity and overflowing literals are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def effective_config(config: Mapping) -> dict:
     """Defaults overlaid with the given keys (unknown keys kept for validate)."""
-    merged = dict(DEFAULT_CONFIG)
+    merged = {key: row.default for key, row in CONFIG_KEYS.items()}
     merged.update(config)
     return merged
 
 
+def _stable_config(config: Mapping) -> dict:
+    """The effective config without its volatile keys."""
+    return {k: v for k, v in effective_config(config).items() if k not in _VOLATILE}
+
+
 def config_hash(config: Mapping) -> str:
     """12 hex chars identifying everything that shapes the results."""
-    hashed = {k: v for k, v in effective_config(config).items() if k not in VOLATILE_KEYS}
-    blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(_stable_config(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_num(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate(config: Mapping) -> list[Diagnostic]:
@@ -198,201 +295,128 @@ def validate(config: Mapping) -> list[Diagnostic]:
 
     Errors mark configs run() must refuse; warnings flag legal but
     fragile setups such as a truncation level sitting on a power of
-    the offspring mean.
+    the offspring mean. Every set key is checked against its row of
+    ``CONFIG_KEYS``; the rules that tie keys together then see only the
+    keys that passed, the others read as unset.
     """
-    diags: list[Diagnostic] = []
-
-    def error(message: str) -> None:
-        diags.append(Diagnostic("error", message))
-
-    def warning(message: str) -> None:
-        diags.append(Diagnostic("warning", message))
-
-    for key in sorted(set(config) - KNOWN_KEYS):
-        error(f"unknown config key {key!r}")
+    diags = [Diagnostic("error", f"unknown config key {key!r}")
+             for key in sorted(set(config) - set(CONFIG_KEYS))]
     cfg = effective_config(config)
-
     kind = cfg["experiment"]
     if kind not in EXPERIMENTS:
-        if kind is None:
-            error("an experiment kind is required")
+        message = (f"unknown experiment {kind!r}; expected one of {', '.join(EXPERIMENTS)}"
+                   if kind is not None else "an experiment kind is required")
+        return diags + [Diagnostic("error", message)]
+
+    for key, row in CONFIG_KEYS.items():
+        value = cfg[key]
+        if value is None and row.default is None:
+            failed = (row.missing or row.checks[0][1]) if kind in row.required else None
         else:
-            error(f"unknown experiment {kind!r}; expected one of {', '.join(EXPERIMENTS)}")
-        return diags
+            failed = next((text for test, text in row.checks if not test(value)), None)
+        if failed is not None:
+            diags.append(Diagnostic("error", failed.format(key=key, kind=kind, value=value)))
+            cfg[key] = None
 
-    if cfg["seed"] is None:
-        error("seed is required: runs never read entropy from the machine")
-    elif not _is_int(cfg["seed"]) or cfg["seed"] < 0:
-        error("seed must be a nonnegative integer")
-
-    # offspring law -----------------------------------------------------
-    dist: OffspringDistribution | None = None
-    spec = cfg["offspring"]
-    if spec is None:
-        error("an offspring descriptor is required")
-    elif not isinstance(spec, Mapping):
-        error("offspring must be a mapping with a 'kind' key")
-    else:
+    dist = None
+    if cfg["offspring"] is not None:
         try:
-            dist = make_distribution(spec, allow_supercritical=bool(cfg["allow_supercritical"]))
+            dist = make_distribution(cfg["offspring"],
+                                     allow_supercritical=cfg["allow_supercritical"] is True)
         except (InvalidParameter, NonNormalizedPMF, SupercriticalWithoutOverride) as exc:
-            error(f"offspring: {exc}")
-    mean = dist.mean if dist is not None else None
-    if mean is not None:
-        if mean >= 1.0:
-            if kind not in ("simulate", "coupled"):
-                error(f"offspring mean {mean} >= 1: {kind} needs a strictly subcritical law")
-            elif cfg["horizon"] is None:
-                error("a supercritical simulation needs an explicit horizon")
-            else:
-                warning(f"offspring mean {mean} >= 1; extinction is no longer certain")
-        elif mean == 0.0 and kind not in ("simulate", "coupled"):
-            error(f"{kind} needs offspring mean in (0, 1), got 0")
-
-    # execution shape ---------------------------------------------------
-    if not _is_int(cfg["workers"]) or cfg["workers"] < 1:
-        error("workers must be a positive integer")
-    if kind != "gaussian-cov":
-        paths_ok = _is_int(cfg["paths"]) and cfg["paths"] >= 1
-        batches_ok = _is_int(cfg["batches"]) and cfg["batches"] >= 1
-        if not paths_ok:
-            error("paths must be a positive integer")
-        if not batches_ok:
-            error("batches must be a positive integer")
-        elif paths_ok and cfg["paths"] % cfg["batches"]:
-            error("paths must be divisible by batches")
-        if batches_ok and kind in MC_KINDS and cfg["batches"] < 30:
-            error("batches must be >= 30 so batch standard errors are trustworthy")
-    if cfg["horizon"] is not None and (not _is_int(cfg["horizon"]) or cfg["horizon"] < 1):
-        error("horizon must be a positive integer when given")
-    if not _is_int(cfg["cap_multiplier"]) or cfg["cap_multiplier"] < 1:
-        error("cap_multiplier must be a positive integer")
-
-    # population sizes --------------------------------------------------
-    if kind == "extinction-scaling":
-        ks = cfg["K_list"]
-        if not isinstance(ks, (list, tuple)) or not ks:
-            error("extinction-scaling needs a nonempty K_list")
-        elif not all(_is_int(k) and k >= 10 for k in ks):
-            error("every K in K_list must be an integer >= 10")
-    elif kind != "gaussian-cov":
-        if not _is_int(cfg["K"]) or cfg["K"] < 1:
-            error(f"{kind} needs a positive integer K")
-        elif kind in ("simulate", "coupled") and mean is not None:
-            # Progeny sums are drawn as int64 counts; K * m^horizon keeps a
-            # 2^10 margin below where numpy's samplers overflow or refuse.
-            horizon = cfg["horizon"] if _is_int(cfg["horizon"]) else 0
-            growth = math.log(cfg["K"]) + horizon * math.log(max(mean, 1.0))
-            if growth > 53 * math.log(2):
-                error(f"K * m^horizon = 10^{growth / math.log(10):.1f} exceeds 2^53: "
-                      "the population would overflow; lower K or the horizon")
-
-    # conditioning times ------------------------------------------------
-    u1, u2 = cfg["u1"], cfg["u2"]
-    for name, u in (("u1", u1), ("u2", u2)):
-        if u is not None and not (_is_num(u) and 0.0 < float(u) < 1.0):
-            error(f"{name} must lie strictly inside (0, 1)")
-    if u1 is not None and u2 is not None and _is_num(u1) and _is_num(u2) and not u1 < u2:
-        error("u1 < u2 required")
-    if kind in ("conditional-moments", "conditional-on-tau", "invariance") and u1 is None:
-        error(f"{kind} needs u1")
-    if kind == "conditional-moments" and u2 is None:
-        error("conditional-moments needs u2")
-    if kind == "invariance" and u2 is None and _is_num(u1) and not u1 < 0.6:
-        error("u1 < u2 required")  # u2 defaults to 0.6 for invariance
-    if kind in ("conditional-moments", "conditional-on-tau", "invariance"):
-        if not _is_int(cfg["l"]) or not 1 <= cfg["l"] <= 3:
-            error("l must be an integer moment order in {1, 2, 3}")
-
-    # truncation levels -------------------------------------------------
-    levels: list[float] = []
-
-    def check_level(name: str, value) -> None:
-        if not _is_num(value) or not 0.0 <= float(value) < 1.0:
-            error(f"{name} must lie in [0, 1)")
-        else:
-            levels.append(float(value))
-
-    if kind in ("clt-check", "gaussian-cov"):
-        check_level("a", cfg["a"])
-    if kind == "coupled":
-        given = cfg["levels"]
-        if not isinstance(given, (list, tuple)) or not given:
-            error("coupled needs a nonempty list of truncation levels")
-        else:
-            for item in given:
-                check_level("levels", item)
-            if len(set(levels)) < len(levels):
-                warning("duplicate truncation levels collapse to one")
-    if kind == "simulate" and cfg["levels"]:
-        warning("levels are ignored by simulate; use the coupled kind to track truncations")
-    if mean is not None and 0.0 < mean < 1.0:
-        for text in boundary_warnings(mean, [a for a in levels if a > 0.0]):
-            warning(text)
-
-    # kind-specific knobs -------------------------------------------------
-    if kind in ("clt-check", "gaussian-cov"):
-        idx = cfg["indices"]
-        if (
-            not isinstance(idx, (list, tuple))
-            or not idx
-            or not all(_is_int(i) and i >= 1 for i in idx)
-            or list(idx) != sorted(set(idx))
-        ):
-            error("indices must be strictly increasing positive integers")
-    if kind == "gaussian-cov" and cfg["mode"] not in MODES:
-        error(f"mode must be one of {MODES}, got {cfg['mode']!r}")
-    if kind == "extinction-scaling":
-        if cfg["tau_sampler"] not in ("auto", "trajectory", "lifetime"):
-            error("tau_sampler must be auto, trajectory, or lifetime")
-        elif cfg["tau_sampler"] == "lifetime" and dist is not None and dist.kind != "bernoulli":
-            error("the lifetime sampler applies to bernoulli offspring only")
-        gates = cfg["trend_gates"]
-        if not isinstance(gates, (list, tuple)) or not set(gates) <= {"median", "mean", "kEm"}:
-            error("trend_gates must be a subset of {median, mean, kEm}")
-        if cfg["median_rel_tol"] is not None and not (_is_num(cfg["median_rel_tol"]) and cfg["median_rel_tol"] > 0):
-            error("median_rel_tol must be positive when given")
-        if not _is_num(cfg["trend_slack"]) or cfg["trend_slack"] < 0:
-            error("trend_slack must be nonnegative")
-    if kind == "invariance":
-        grid = cfg["eps_grid"]
-        if not isinstance(grid, (list, tuple)) or not grid:
-            error("invariance needs a nonempty eps_grid")
-        else:
-            values = [float(e) for e in grid if _is_num(e)]
-            if len(values) < len(grid) or any(not abs(e) <= 0.2 for e in values):
-                error("every eps must be a number in [-0.2, 0.2]")
-            elif len(set(values)) < len(values):
-                error("eps_grid values must be distinct")
-        if not _is_num(cfg["window_rel"]) or cfg["window_rel"] <= 0:
-            error("window_rel must be positive")
-        if not _is_num(cfg["rel_tol"]) or cfg["rel_tol"] <= 0:
-            error("rel_tol must be positive")
-    if kind in ("conditional-moments", "conditional-on-tau"):
-        band = cfg["ratio_band"]
-        if band is not None and (
-            not isinstance(band, (list, tuple))
-            or len(band) != 2
-            or not all(_is_num(b) for b in band)
-            or not band[0] < band[1]
-        ):
-            error("ratio_band must be a pair lo < hi")
-        if not _is_int(cfg["min_group_count"]) or cfg["min_group_count"] < 1:
-            error("min_group_count must be a positive integer")
-    if kind == "conditional-moments":
-        if cfg["bin_mode"] not in ("quantile", "distinct"):
-            error("bin_mode must be quantile or distinct")
-        if not _is_int(cfg["min_bin_count"]) or cfg["min_bin_count"] < 1:
-            error("min_bin_count must be a positive integer")
-    if kind == "clt-check":
-        if not _is_num(cfg["se_k"]) or cfg["se_k"] <= 0:
-            error("se_k must be positive")
-        if not _is_num(cfg["min_mode_separation"]) or cfg["min_mode_separation"] < 0:
-            error("min_mode_separation must be nonnegative")
-        if not _is_num(cfg["ad_significance"]) or cfg["ad_significance"] not in AD_SIGNIFICANCE_LEVELS:
-            error(f"ad_significance must be one of {AD_SIGNIFICANCE_LEVELS}")
-
+            diags.append(Diagnostic("error", f"offspring: {exc}"))
+    for rule in _CROSS_KEY_RULES:
+        diags += rule(kind, cfg, dist)
     return diags
+
+
+def _error(message: str) -> list[Diagnostic]:
+    return [Diagnostic("error", message)]
+
+
+def _mean_rules(kind: str, cfg: dict, dist) -> list[Diagnostic]:
+    """Only the pathwise kinds take a law with mean >= 1 (given a horizon) or mean 0."""
+    if dist is None:
+        return []
+    if dist.mean >= 1.0:
+        if kind not in _PATHWISE:
+            return _error(f"offspring mean {dist.mean} >= 1: "
+                          f"{kind} needs a strictly subcritical law")
+        if cfg["horizon"] is None:
+            return _error("a supercritical simulation needs an explicit horizon")
+        return [Diagnostic("warning",
+                           f"offspring mean {dist.mean} >= 1; extinction is no longer certain")]
+    if dist.mean == 0.0 and kind not in _PATHWISE:
+        return _error(f"{kind} needs offspring mean in (0, 1), got 0")
+    return []
+
+
+def _batch_rules(kind: str, cfg: dict, dist) -> list[Diagnostic]:
+    """Batches split the paths evenly; batch standard errors need enough of both."""
+    paths, batches = cfg["paths"], cfg["batches"]
+    if kind == "gaussian-cov" or batches is None:
+        return []
+    diags = []
+    if kind in ESTIMATORS and batches < 30:
+        diags += _error("batches must be >= 30 so batch standard errors are trustworthy")
+    if paths is not None and paths % batches:
+        diags += _error("paths must be divisible by batches")
+    elif paths is not None and kind == "clt-check" and paths < 2 * batches:
+        diags += _error("clt-check needs at least 2 paths per batch for its within-batch variances")
+    return diags
+
+
+def _u_order(kind: str, cfg: dict, dist) -> list[Diagnostic]:
+    """u1 < u2, where invariance_check's own default u2 = 0.6 stands in when u2 is unset."""
+    u1 = cfg["u1"]
+    u2 = 0.6 if cfg["u2"] is None and kind == "invariance" else cfg["u2"]
+    return _error("u1 < u2 required") if u1 is not None and u2 is not None and not u1 < u2 else []
+
+
+def _population_sizes(kind: str, cfg: dict, dist) -> list[Diagnostic]:
+    """Every simulated K (the K of every kind but gaussian-cov, and each entry
+    of K_list) keeps K * m^horizon below 2^53: progeny sums are drawn as int64
+    counts, and that leaves a 2^10 margin below where numpy's samplers
+    overflow or refuse. Invariance scales its windows and targets with log K."""
+    K = max(cfg["K_list"] or [0]) if kind == "extinction-scaling" else cfg["K"]
+    if kind == "gaussian-cov" or dist is None or not K:
+        return []
+    if kind == "invariance" and K < 2:
+        return _error("invariance needs K >= 2: its windows and targets scale with log K")
+    growth = math.log(K) + (cfg["horizon"] or 0) * math.log(max(dist.mean, 1.0))
+    if growth <= 53 * math.log(2):
+        return []
+    return _error(f"K * m^horizon = 10^{growth / math.log(10):.1f} exceeds 2^53: "
+                  "the population would overflow; lower K or the horizon")
+
+
+def _lifetime_sampler(kind: str, cfg: dict, dist) -> list[Diagnostic]:
+    lifetime = kind == "extinction-scaling" and cfg["tau_sampler"] == "lifetime"
+    if lifetime and dist is not None and dist.kind != "bernoulli":
+        return _error("the lifetime sampler applies to bernoulli offspring only")
+    return []
+
+
+def _level_warnings(kind: str, cfg: dict, dist) -> list[Diagnostic]:
+    """Duplicate truncation levels, levels given to simulate, and levels on a
+    power of the mean, where the truncated chain is unstable."""
+    texts, levels = [], []
+    if kind == "coupled" and cfg["levels"] is not None:
+        levels = list(cfg["levels"])
+        if len(set(levels)) < len(levels):
+            texts.append("duplicate truncation levels collapse to one")
+    elif kind in ("clt-check", "gaussian-cov") and cfg["a"] is not None:
+        levels = [cfg["a"]]
+    elif kind == "simulate" and cfg["levels"]:
+        texts.append("levels are ignored by simulate; use the coupled kind to track truncations")
+    if dist is not None and 0.0 < dist.mean < 1.0:
+        texts += boundary_warnings(dist.mean, [a for a in levels if a > 0.0])
+    return [Diagnostic("warning", text) for text in texts]
+
+
+#: The rules that tie keys together, run after every key passed its own row.
+_CROSS_KEY_RULES = (_mean_rules, _batch_rules, _u_order, _population_sizes, _lifetime_sampler,
+                    _level_warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -512,16 +536,14 @@ def _run_pathwise(kind: str, cfg: dict, dist: OffspringDistribution, batch_fn, g
     count, one count per entry of ``gates``, and its trajectory rows (or
     None); ``extra`` holds the kind's own batch arguments.
     """
-    K, paths, batches = int(cfg["K"]), int(cfg["paths"]), int(cfg["batches"])
-    horizon = int(cfg["horizon"] if cfg["horizon"] is not None else default_horizon(
-        K, dist.mean, int(cfg["cap_multiplier"])
-    ))
-    dump = bool(cfg["write_trajectories"])
+    K, paths, batches = cfg["K"], cfg["paths"], cfg["batches"]
+    horizon = cfg["horizon"] or default_horizon(K, dist.mean, cfg["cap_multiplier"])
+    dump = cfg["write_trajectories"]
     fn = partial(
-        batch_fn, layout=batch_layout(paths, batches), seed=int(cfg["seed"]), dist=dist,
+        batch_fn, layout=batch_layout(paths, batches), seed=cfg["seed"], dist=dist,
         K=K, horizon=horizon, dump=dump, **extra,
     )
-    parts = _run_batches(fn, batches, int(cfg["workers"]))
+    parts = _run_batches(fn, batches, cfg["workers"])
     hist = _merge_hists([p[0] for p in parts])
     censored = sum(p[1] for p in parts)
     entries = [
@@ -544,8 +566,8 @@ def _run_pathwise(kind: str, cfg: dict, dist: OffspringDistribution, batch_fn, g
 
 
 def _run_gaussian_cov(cfg: dict, dist: OffspringDistribution):
-    model = ThetaCovariance(dist.mean, mode=str(cfg["mode"]), a=float(cfg["a"]))
-    indices = [int(i) for i in cfg["indices"]]
+    model = ThetaCovariance(dist.mean, mode=cfg["mode"], a=cfg["a"])
+    indices = cfg["indices"]
     matrix = covariance_matrix(model, indices)
     entries = []
     for p, i in enumerate(indices):
@@ -564,55 +586,15 @@ def _run_gaussian_cov(cfg: dict, dist: OffspringDistribution):
 
 
 def _dispatch_estimator(kind: str, cfg: dict, dist: OffspringDistribution) -> ExperimentReport:
-    paths, seed = int(cfg["paths"]), int(cfg["seed"])
-    batches, workers = int(cfg["batches"]), int(cfg["workers"])
-    if kind == "extinction-scaling":
-        return extinction_scaling(
-            [int(k) for k in cfg["K_list"]], dist, paths, seed,
-            batches=batches, workers=workers,
-            tau_sampler=str(cfg["tau_sampler"]),
-            cap_multiplier=int(cfg["cap_multiplier"]),
-            median_rel_tol=cfg["median_rel_tol"],
-            trend_gates=tuple(cfg["trend_gates"]),
-            trend_slack=float(cfg["trend_slack"]),
-            oracle_se_k=float(cfg["se_k"]),
-            exact_oracle=bool(cfg["exact_oracle"]),
-        )
-    if kind == "clt-check":
-        return clt_covariance_check(
-            int(cfg["K"]), dist, [int(i) for i in cfg["indices"]], paths, seed,
-            batches=batches, workers=workers, a=float(cfg["a"]),
-            se_k=float(cfg["se_k"]),
-            min_mode_separation=float(cfg["min_mode_separation"]),
-            ad_significance=float(cfg["ad_significance"]),
-            ad_min_scale=float(cfg["ad_min_scale"]),
-        )
-    band = tuple(cfg["ratio_band"]) if cfg["ratio_band"] is not None else None
-    if kind == "conditional-moments":
-        return conditional_moment_check(
-            float(cfg["u1"]), float(cfg["u2"]), int(cfg["l"]), int(cfg["K"]),
-            dist, paths, seed,
-            batches=batches, workers=workers,
-            min_bin_count=int(cfg["min_bin_count"]), bin_mode=str(cfg["bin_mode"]),
-            min_group_count=int(cfg["min_group_count"]), ratio_band=band,
-            cap_multiplier=int(cfg["cap_multiplier"]),
-        )
-    if kind == "conditional-on-tau":
-        return conditional_on_tau_check(
-            float(cfg["u1"]), int(cfg["l"]), int(cfg["K"]), dist, paths, seed,
-            batches=batches, workers=workers,
-            min_group_count=int(cfg["min_group_count"]), ratio_band=band,
-            cap_multiplier=int(cfg["cap_multiplier"]), se_k=float(cfg["se_k"]),
-        )
-    if kind == "invariance":
-        u2 = float(cfg["u2"]) if cfg["u2"] is not None else 0.6
-        return invariance_check(
-            float(cfg["u1"]), int(cfg["l"]), [float(e) for e in cfg["eps_grid"]],
-            int(cfg["K"]), dist, paths, seed,
-            u2=u2, window_rel=float(cfg["window_rel"]), rel_tol=float(cfg["rel_tol"]),
-            batches=batches, workers=workers, cap_multiplier=int(cfg["cap_multiplier"]),
-        )
-    raise ConfigError(f"unknown experiment {kind!r}")
+    """Call the kind's estimator with each key whose row names the kind.
+
+    Unset keys are not passed, so the estimator's own default applies (this
+    is how invariance gets u2 = 0.6). The estimator is looked up by name on
+    every call, so a wrapper set on the ``estimators`` module sees it.
+    """
+    kwargs = {row.param or key: cfg[key] for key, row in CONFIG_KEYS.items()
+              if kind in row.kinds and cfg[key] is not None}
+    return getattr(estimators, ESTIMATORS[kind])(dist=dist, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +603,6 @@ def _dispatch_estimator(kind: str, cfg: dict, dist: OffspringDistribution) -> Ex
 
 def report_payload(report: ExperimentReport, config: Mapping) -> dict:
     """The JSON document for report.json; free of volatile keys."""
-    echo = {k: v for k, v in effective_config(config).items() if k not in VOLATILE_KEYS}
     entries = [
         {
             "name": e.name,
@@ -637,7 +618,7 @@ def report_payload(report: ExperimentReport, config: Mapping) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "experiment": report.experiment,
-        "config": echo,
+        "config": _stable_config(config),
         "batches": report.batches,
         "total_paths": report.total_paths,
         "entries": entries,
@@ -751,7 +732,7 @@ def run(config: Mapping, *, stderr: IO[str] | None = None) -> RunResult:
         print(str(diag), file=err_stream)
 
     kind = cfg["experiment"]
-    dist = make_distribution(cfg["offspring"], allow_supercritical=bool(cfg["allow_supercritical"]))
+    dist = make_distribution(cfg["offspring"], allow_supercritical=cfg["allow_supercritical"])
     print(f"running {kind}", file=err_stream)
     started = time.perf_counter()
     traj_text = None
@@ -759,6 +740,7 @@ def run(config: Mapping, *, stderr: IO[str] | None = None) -> RunResult:
     if kind == "simulate":
         report, traj_text = _run_pathwise(kind, cfg, dist, _simulate_batch)
     elif kind == "coupled":
+        # float() because the levels name trajectory columns: 0 and 0.0 must print alike.
         levels = sorted(set(float(a) for a in cfg["levels"]))
         report, traj_text = _run_pathwise(kind, cfg, dist, _coupled_batch, COUPLED_GATES, levels=levels)
     elif kind == "gaussian-cov":
@@ -768,7 +750,7 @@ def run(config: Mapping, *, stderr: IO[str] | None = None) -> RunResult:
     report.wall_time = time.perf_counter() - started
 
     payload = report_payload(report, cfg)
-    run_dir = Path(str(cfg["out"])) / f"{kind}-{config_hash(cfg)}"
+    run_dir = Path(cfg["out"]) / f"{kind}-{config_hash(cfg)}"
     _persist(run_dir, cfg, report, payload, traj_text, matrix)
     print(f"wrote {run_dir}", file=err_stream)
     return RunResult(report=report, run_dir=run_dir, payload=payload, matrix=matrix)

@@ -392,14 +392,14 @@ def make_distribution(
     allow = bool(allow_supercritical or spec.get("allow_supercritical", False))
 
     if kind == "bernoulli":
-        p = float(_require(spec, "p"))
+        p = _require(spec, "p", float)
         if not 0.0 <= p <= 1.0:
             raise InvalidParameter(f"bernoulli p must be in [0, 1], got {p}")
         support, cdf = _discrete_table([0, 1], [1.0 - p, p])
         dist = OffspringDistribution(kind, {"p": p}, p, p * (1.0 - p), support, cdf)
     elif kind == "binomial":
         n = _require(spec, "n")
-        p = float(_require(spec, "p"))
+        p = _require(spec, "p", float)
         if not (isinstance(n, int) and n >= 1):
             raise InvalidParameter(f"binomial n must be a positive integer, got {n!r}")
         if not 0.0 <= p <= 1.0:
@@ -414,13 +414,13 @@ def make_distribution(
             kind, {"n": n, "p": p}, n * p, n * p * (1.0 - p), support, cdf
         )
     elif kind == "poisson":
-        lam = float(_require(spec, "lambda"))
-        if lam < 0.0:
+        lam = _require(spec, "lambda", float)
+        if not lam >= 0.0:
             raise InvalidParameter(f"poisson lambda must be >= 0, got {lam}")
         support, cdf = _poisson_table(lam)
         dist = OffspringDistribution(kind, {"lambda": lam}, lam, lam, support, cdf)
     elif kind == "geometric":
-        p = float(_require(spec, "p"))
+        p = _require(spec, "p", float)
         if not 0.0 <= p < 1.0:
             raise InvalidParameter(f"geometric p must be in [0, 1), got {p}")
         mean = p / (1.0 - p)
@@ -438,9 +438,9 @@ def make_distribution(
         ws = [w for _, w in items]
         if any(k < 0 for k in ks):
             raise InvalidParameter("pmf support must be nonnegative integers")
-        if any(w < 0.0 for w in ws):
+        if not all(w >= 0.0 for w in ws):
             raise InvalidParameter("pmf weights must be nonnegative")
-        if abs(sum(ws) - 1.0) > _PMF_TOL:
+        if not abs(sum(ws) - 1.0) <= _PMF_TOL:
             raise NonNormalizedPMF(f"pmf weights sum to {sum(ws)!r}, expected 1")
         mean = sum(k * w for k, w in items)
         var = sum(k * k * w for k, w in items) - mean * mean
@@ -457,7 +457,10 @@ def make_distribution(
     return dist
 
 
-def _require(spec: Mapping[str, Any], key: str):
+def _require(spec: Mapping[str, Any], key: str, convert=lambda value: value):
     if key not in spec:
         raise InvalidParameter(f"distribution descriptor missing {key!r}")
-    return spec[key]
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"bad {key}: {spec[key]!r}") from None

@@ -417,6 +417,15 @@ def test_conditional_on_tau_check_runs_and_gates():
         report.entry("dominant_ratio").estimate)
 
 
+def test_conditional_on_tau_wald_residual_when_every_x_n_is_zero():
+    """From K = 1 every path extinct by generation 1 has X_1 = 0; the residual
+    is then absolute, not 0/0."""
+    report = conditional_on_tau_check(0.25, 1, 1, BERN, 30, 0, batches=30, cap_multiplier=1,
+                                      min_group_count=1)
+    assert report.entry("wald.mean_Xn").estimate == 0.0
+    assert report.entry("wald.marginalization_rel_residual").estimate == 0.0
+
+
 def test_conditional_validation_errors():
     with pytest.raises(ValueError, match="degenerate"):
         conditional_moment_check(0.5, 0.5, 1, 50, POI, 400, 1, batches=4)

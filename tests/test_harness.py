@@ -5,11 +5,21 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
+from functools import partial
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
 from branchlab.cli import main
+from branchlab.estimators import AD_SIGNIFICANCE_LEVELS
+from branchlab.gaussian_limit import MODES
 from branchlab.harness import (
+    CONFIG_KEYS,
+    ESTIMATORS,
+    EXPERIMENTS,
     ConfigError,
     IoError,
     config_hash,
@@ -65,6 +75,9 @@ def test_validate_missing_seed():
         ({"offspring": POI, "tau_sampler": "lifetime"}, "bernoulli offspring only"),
         ({"trend_gates": ["median", "mode"]}, "trend_gates"),
         ({"junk": 1}, "unknown config key 'junk'"),
+        ({"exact_oracle": "no"}, "exact_oracle must be true or false"),
+        ({"se_k": "x"}, "se_k must be positive"),
+        ({"trend_gates": [["mean"]]}, "trend_gates"),
     ],
 )
 def test_validate_extinction_scaling_errors(overrides, fragment):
@@ -93,6 +106,22 @@ def test_validate_extinction_scaling_errors(overrides, fragment):
         ("simulate", {"K": 10, "horizon": 0}, "horizon must be"),
         ("clt-check", {"K": 100, "indices": [1], "ad_significance": 0.02},
          "ad_significance must be one of (0.15, 0.1, 0.05, 0.025, 0.01)"),
+        ("simulate", {"K": 10, "write_trajectories": "no"},
+         "write_trajectories must be true or false"),
+        ("simulate", {"K": 10, "plot_data": 1}, "plot_data must be true or false"),
+        ("simulate", {"K": 10, "allow_supercritical": "yes"},
+         "allow_supercritical must be true or false"),
+        ("clt-check", {"K": 100, "indices": [1], "ad_min_scale": "x"},
+         "ad_min_scale must be nonnegative"),
+        ("clt-check", {"K": 100, "indices": [1], "ad_min_scale": -1.0},
+         "ad_min_scale must be nonnegative"),
+        ("clt-check", {"K": 100, "indices": [1], "paths": 40}, "at least 2 paths per batch"),
+        ("simulate", {"K": 10, "out": 5}, "out must be a directory path"),
+        ("simulate", {"offspring": {"kind": "bernoulli", "p": "x"}, "K": 10},
+         "offspring: bad p: 'x'"),
+        ("simulate", {"offspring": {"kind": "pmf", "table": {"0": float("nan")}}, "K": 10},
+         "offspring: pmf weights must be nonnegative"),
+        ("invariance", {"K": 1, "u1": 0.3, "eps_grid": [0.0]}, "invariance needs K >= 2"),
     ],
 )
 def test_validate_kind_errors(kind, overrides, fragment):
@@ -136,6 +165,12 @@ def test_load_config_errors(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(arr)
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config file", 1)[1].split("\n### ", 1)[0]
+    assert set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M)) == set(CONFIG_KEYS)
 
 
 def test_config_hash_ignores_volatile_keys():
@@ -323,17 +358,137 @@ def test_cli_simulate_runs_law_without_sum_table(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["passed"]
 
 
-@pytest.mark.parametrize("kind", ["simulate", "coupled"])
+#: Per kind: the keys that make the overflow payload pass 2^53, and the keys
+#: that bring it back in range.
+OVERFLOWS = {
+    "simulate": ({}, {"horizon": 20}),
+    "coupled": ({"levels": [0.2]}, {"horizon": 20}),
+    "extinction-scaling": ({"offspring": POI, "K_list": [100, 10**19], "paths": 300, "batches": 30},
+                           {"K_list": [100, 1000]}),
+    "conditional-on-tau": ({"offspring": POI, "K": 10**19, "u1": 0.3, "paths": 300, "batches": 30},
+                           {"K": 1000}),
+}
+
+
+@pytest.mark.parametrize("kind", list(OVERFLOWS))
 def test_cli_rejects_population_overflow(tmp_path, capsys, kind):
-    """binomial(4, 0.9) from K = 1000 for 60 generations passes 2^53."""
+    """binomial(4, 0.9) from K = 1000 for 60 generations passes 2^53, and so
+    does any K above it, whatever the law."""
     payload = {"offspring": {"kind": "binomial", "n": 4, "p": 0.9}, "seed": 1,
                "K": 1000, "horizon": 60, "allow_supercritical": True,
                "out": str(tmp_path / "runs")}
-    if kind == "coupled":
-        payload["levels"] = [0.2]
+    overflow, in_range = OVERFLOWS[kind]
+    payload.update(overflow)
     assert main([kind, "--config", write_config(tmp_path, payload)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds 2^53" in captured.err
     assert not (tmp_path / "runs").exists()
-    assert errors({**payload, "experiment": kind, "horizon": 20}) == []
+    assert errors({**payload, "experiment": kind, "horizon": 20, **in_range}) == []
+
+
+@pytest.mark.parametrize("kind, payload, fragment", [
+    ("conditional-on-tau", {"offspring": POI, "K": 10, "u1": 0.3, "paths": 60, "batches": 30},
+     "no tau group reached"),
+    ("invariance", {"offspring": POI, "K": 10, "u1": 0.3, "paths": 60, "batches": 30,
+                    "eps_grid": [0.0]}, "no path puts X at floor(u2 tau)"),
+    ("gaussian-cov", {"offspring": BERN, "a": 0.999, "indices": [1]}, "index 1 exceeds ell(a) - 1"),
+    ("extinction-scaling", {"offspring": POI, "K_list": [10], "paths": 30, "batches": 30,
+                            "cap_multiplier": 1}, "K=10: batch 0 has no path extinct"),
+    ("clt-check", {"offspring": BERN, "seed": 0, "K": 2, "indices": [1, 6], "paths": 60,
+                   "batches": 30}, "every batch gives cov[1,6] = 0"),
+])
+def test_cli_refuses_data_it_cannot_estimate(tmp_path, capsys, kind, payload, fragment):
+    """A valid config whose simulated data or limit model holds nothing to
+    estimate exits with code 2 and a message, like an invalid config."""
+    cfg = write_config(tmp_path, {"seed": 1, **payload, "out": str(tmp_path / "runs")})
+    assert main([kind, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {fragment}" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: whatever the config, the CLI exits 0, 1 or 2
+
+
+LAWS = [BERN, POI, {"kind": "binomial", "n": 2, "p": 0.3}, {"kind": "geometric", "p": 0.3},
+        {"kind": "pmf", "table": {"0": 0.5, "1": 0.3, "2": 0.2}}]
+
+
+def _in_range(batches: int) -> dict:
+    """An in-range value for every config key but experiment and out, at small sizes."""
+    floats = partial(hs.floats, allow_subnormal=False)
+    return {
+        "offspring": hs.sampled_from(LAWS),
+        "seed": hs.integers(0, 2**32),
+        "K": hs.integers(1, 64),
+        "K_list": hs.lists(hs.integers(10, 64), min_size=1, max_size=3),
+        "paths": hs.integers(1, 120 // batches).map(lambda per: per * batches),
+        "batches": hs.just(batches),
+        "workers": hs.just(1),
+        "plot_data": hs.booleans(),
+        "write_trajectories": hs.booleans(),
+        "horizon": hs.integers(1, 40),
+        "cap_multiplier": hs.integers(1, 10),
+        "levels": hs.lists(floats(0.0, 0.95), min_size=1, max_size=3),
+        "a": floats(0.0, 0.9),
+        "indices": hs.lists(hs.integers(1, 6), min_size=1, max_size=3, unique=True).map(sorted),
+        "mode": hs.sampled_from(MODES),
+        "u1": floats(0.05, 0.45),
+        "u2": floats(0.5, 0.95),
+        "l": hs.integers(1, 3),
+        "eps_grid": hs.lists(floats(-0.2, 0.2), min_size=1, max_size=3, unique=True),
+        "window_rel": floats(0.01, 0.5),
+        "rel_tol": floats(0.01, 1.0),
+        "ratio_band": hs.tuples(floats(0.1, 0.9), floats(1.1, 3.0)).map(list),
+        "min_bin_count": hs.integers(1, 50),
+        "bin_mode": hs.sampled_from(["quantile", "distinct"]),
+        "min_group_count": hs.integers(1, 50),
+        "tau_sampler": hs.sampled_from(["auto", "trajectory", "lifetime"]),
+        "median_rel_tol": floats(0.01, 1.0),
+        "trend_gates": hs.lists(hs.sampled_from(["median", "mean", "kEm"]), unique=True),
+        "trend_slack": floats(0.0, 1.0),
+        "exact_oracle": hs.booleans(),
+        "se_k": floats(0.5, 8.0),
+        "min_mode_separation": floats(0.0, 10.0),
+        "ad_significance": hs.sampled_from(AD_SIGNIFICANCE_LEVELS),
+        "ad_min_scale": floats(0.0, 200.0),
+        "allow_supercritical": hs.booleans(),
+    }
+
+
+#: Values that are malformed for most keys; run from inside tmp_path, so a
+#: string taken as `out` stays there.
+MALFORMED = ["x", -1, 1.5, [], {}, None, True, float("nan"), [1, "x"]]
+MALFORMED_FOR = {
+    "K": [10**19],
+    "K_list": [[10, 10**19]],
+    "offspring": [{"kind": "bernoulli", "p": "x"}, {"kind": "pmf", "table": {"0": 1.0, "x": 0.0}}],
+}
+
+
+@hs.composite
+def fuzz_configs(draw, kind: str):
+    values = _in_range(30 if kind in ESTIMATORS else draw(hs.integers(1, 6)))
+    assert set(values) | {"experiment", "out"} == set(CONFIG_KEYS)
+    required = [key for key, row in CONFIG_KEYS.items() if kind in row.required]
+    always = {"paths", "batches", *required}
+    config = {key: draw(strategy) for key, strategy in values.items()
+              if key in always or draw(hs.booleans())}
+    bad = draw(hs.one_of(hs.none(), hs.sampled_from(list(CONFIG_KEYS))))
+    if bad is not None:
+        config[bad] = draw(hs.sampled_from(MALFORMED + MALFORMED_FOR.get(bad, [])))
+    return config
+
+
+@pytest.mark.parametrize("kind", EXPERIMENTS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=hs.data())
+def test_cli_exit_codes_under_fuzzed_configs(tmp_path, monkeypatch, kind, data):
+    """Any config either runs (exit 0 or 1) or exits 2 with a message, never a traceback."""
+    config = data.draw(fuzz_configs(kind))
+    monkeypatch.chdir(tmp_path)
+    config.setdefault("out", "runs")
+    assert main([kind, "--config", write_config(tmp_path, config)]) in (0, 1, 2)
