@@ -4,7 +4,8 @@ Standard output carries machine-readable results only (the report
 JSON, or the covariance matrix for gaussian-cov); progress, warnings,
 and errors go to standard error. Exit status is 0 when every gated
 statistic passed, 1 when any failed, and 2 for unusable configs,
-unwritable output, or simulated data a run cannot estimate from.
+unwritable output, simulated data a run cannot estimate from, or a run
+that does not fit in memory.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def main(argv=None) -> int:
         config["experiment"] = args.experiment
         result = run(config)
     except (ConfigError, IoError, DegenerateSample, EmptyConditioningSet,
-            InsufficientBinMass, OutOfValidityRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            InsufficientBinMass, OutOfValidityRange, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if result.matrix is not None:
         print(json.dumps(result.matrix))

@@ -14,6 +14,7 @@ tolerance), and every tolerance is recorded on the entry itself.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -156,11 +157,28 @@ def batch_layout(total: int, batches: int) -> list[tuple[int, int]]:
     return out
 
 
-def _run_batches(fn: Callable[[int], object], batches: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(b) for b in range(batches)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(batches)))
+def _call(job: tuple[Callable[[int], object], int]) -> object:
+    fn, batch = job
+    return fn(batch)
+
+
+def _run_batches(fns: Sequence[Callable[[int], object]], batches: int, workers: int) -> list[list]:
+    """Batches 0..batches-1 of every function, one list of parts per function.
+
+    All the jobs go through one pool, the last function's batches first, so
+    a grid listed by growing K starts its longest batches first. The pool
+    gets at most one process per job and per CPU; with one, the jobs run
+    in this process. Each batch draws from its own addressed stream, so
+    neither the order nor the process count changes a part.
+    """
+    jobs = [(fn, b) for fn in reversed(fns) for b in range(batches)]
+    procs = min(workers, len(jobs), os.cpu_count() or 1)
+    if procs <= 1:
+        parts = [_call(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            parts = list(pool.map(_call, jobs))
+    return [parts[i * batches:(i + 1) * batches] for i in reversed(range(len(fns)))]
 
 
 def _batch_ids(layout: list[tuple[int, int]]) -> np.ndarray:
@@ -203,8 +221,8 @@ def _tau_hist_batch(batch: int, *, seed: int, layout, dist, K: int, slot: int,
     _, count = layout[batch]
     gen = RandomnessSource(seed).handle(batch, slot).generator
     taus = np.zeros(count, dtype=np.int64)
-    for n, sizes in enumerate(plain_sizes(K, count, dist, gen, cap), 1):
-        taus[(sizes == 0) & (taus == 0)] = n
+    for n, (live, sizes) in enumerate(plain_sizes(K, count, dist, gen, cap), 1):
+        taus[live[sizes == 0]] = n
     return np.bincount(taus[taus > 0]), int(np.count_nonzero(taus == 0))
 
 
@@ -239,7 +257,11 @@ def _values_batch(batch: int, *, seed: int, layout, dist, K: int, u1: float,
     """
     _, count = layout[batch]
     gen = RandomnessSource(seed).handle(batch, 0).generator
-    M = np.vstack([np.full(count, K, dtype=np.int64), *plain_sizes(K, count, dist, gen, cap)])
+    rows = [np.full(count, K, dtype=np.int64)]
+    for live, sizes in plain_sizes(K, count, dist, gen, cap):
+        rows.append(np.zeros(count, dtype=np.int64))
+        rows[-1][live] = sizes
+    M = np.vstack(rows)
     cols = np.arange(count)
     extinct = M[-1] == 0
     taus = np.where(extinct, (M == 0).argmax(axis=0), -1)
@@ -260,8 +282,9 @@ def _theta_batch(batch: int, *, seed: int, layout, dist, K: int,
     _, count = layout[batch]
     gen = RandomnessSource(seed).handle(batch, 0).generator
     M = np.zeros((indices[-1], count), dtype=np.int64)
-    for n, sizes in enumerate(plain_sizes(K, count, dist, gen, indices[-1], floor_level(a, K))):
-        M[n] = sizes
+    for n, (live, sizes) in enumerate(plain_sizes(K, count, dist, gen, indices[-1],
+                                                  floor_level(a, K))):
+        M[n, live] = sizes
     return M[np.array(indices) - 1].T
 
 
@@ -271,7 +294,7 @@ def _collect_values(dist, K, u1, u2, paths, seed, batches, workers,
     cap = default_horizon(K, dist.mean, multiplier=cap_multiplier)
     fn = partial(_values_batch, seed=seed, layout=layout, dist=dist, K=K,
                  u1=u1, u2=u2, fixed_n=fixed_n, cap=cap)
-    parts = _run_batches(fn, batches, workers)
+    [parts] = _run_batches([fn], batches, workers)
     tau = np.concatenate([p[0] for p in parts])
     x1 = np.concatenate([p[1] for p in parts])
     x2 = np.concatenate([p[2] for p in parts])
@@ -459,14 +482,11 @@ def extinction_scaling(
     entries: list[StatEntry] = []
     devs: dict[str, list[float]] = {"median": [], "mean": [], "kEm": []}
 
-    for slot, K in enumerate(K_list):
-        if use_lifetime:
-            fn = partial(_lifetime_hist_batch, seed=seed, layout=layout, K=K, m=m)
-        else:
-            cap = default_horizon(K, m, multiplier=cap_multiplier)
-            fn = partial(_tau_hist_batch, seed=seed, layout=layout, dist=dist,
-                         K=K, slot=slot, cap=cap)
-        parts = _run_batches(fn, batches, workers)
+    fns = [partial(_lifetime_hist_batch, seed=seed, layout=layout, K=K, m=m) if use_lifetime
+           else partial(_tau_hist_batch, seed=seed, layout=layout, dist=dist, K=K, slot=slot,
+                        cap=default_horizon(K, m, multiplier=cap_multiplier))
+           for slot, K in enumerate(K_list)]
+    for K, parts in zip(K_list, _run_batches(fns, batches, workers)):
         width = max(len(h) for h, _ in parts)
         hists = np.zeros((batches, width), dtype=np.int64)
         for b, (h, _) in enumerate(parts):
@@ -587,7 +607,8 @@ def clt_covariance_check(
     ids = _batch_ids(layout)
     fn = partial(_theta_batch, seed=seed, layout=layout, dist=dist, K=K,
                  indices=indices, a=a)
-    X = np.vstack(_run_batches(fn, batches, workers))
+    [parts] = _run_batches([fn], batches, workers)
+    X = np.vstack(parts)
     centers = K * dist.mean ** np.array(indices, dtype=float)
     theta = (X - centers) / (dist.std * math.sqrt(K))
 

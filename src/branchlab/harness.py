@@ -351,14 +351,22 @@ def _mean_rules(kind: str, cfg: dict, dist) -> list[Diagnostic]:
     return []
 
 
+#: The most paths one batch may hold.
+_MAX_BATCH = 2**31 - 1
+
+
 def _batch_rules(kind: str, cfg: dict, dist) -> list[Diagnostic]:
-    """Batches split the paths evenly; batch standard errors need enough of both."""
+    """Batches split the paths evenly, into batches of at most ``_MAX_BATCH``
+    paths; batch standard errors need enough of both."""
     paths, batches = cfg["paths"], cfg["batches"]
     if kind == "gaussian-cov" or batches is None:
         return []
     diags = []
     if kind in ESTIMATORS and batches < 30:
         diags += _error("batches must be >= 30 so batch standard errors are trustworthy")
+    if paths is not None and -(-paths // batches) > _MAX_BATCH:
+        diags += _error(f"paths / batches must be at most 2^31 - 1 = {_MAX_BATCH}: "
+                        "a batch simulates all its paths in one array; raise batches")
     if paths is not None and paths % batches:
         diags += _error("paths must be divisible by batches")
     elif paths is not None and kind == "clt-check" and paths < 2 * batches:
@@ -441,10 +449,11 @@ def _simulate_batch(batch: int, *, layout, seed: int, dist, K: int, horizon: int
     gen = RandomnessSource(seed).handle(batch, 0).generator
     taus = np.zeros(count, dtype=np.int64)
     rows = [np.full(count, K, dtype=np.int64)]
-    for n, sizes in enumerate(plain_sizes(K, count, dist, gen, horizon), 1):
-        taus[(sizes == 0) & (taus == 0)] = n
+    for n, (live, sizes) in enumerate(plain_sizes(K, count, dist, gen, horizon), 1):
+        taus[live[sizes == 0]] = n
         if dump:
-            rows.append(sizes)
+            rows.append(np.zeros(count, dtype=np.int64))
+            rows[-1][live] = sizes
     hist = np.bincount(taus[taus > 0], minlength=1)
     text = plain_trajectory_rows(np.vstack(rows), start) if dump else None
     return hist, int(np.count_nonzero(taus == 0)), text
@@ -543,7 +552,7 @@ def _run_pathwise(kind: str, cfg: dict, dist: OffspringDistribution, batch_fn, g
         batch_fn, layout=batch_layout(paths, batches), seed=cfg["seed"], dist=dist,
         K=K, horizon=horizon, dump=dump, **extra,
     )
-    parts = _run_batches(fn, batches, cfg["workers"])
+    [parts] = _run_batches([fn], batches, cfg["workers"])
     hist = _merge_hists([p[0] for p in parts])
     censored = sum(p[1] for p in parts)
     entries = [

@@ -12,8 +12,9 @@ law of S at those points. Because offspring counts are nonnegative, S is
 nondecreasing, so the pathwise sandwich Y_n^(a) <= X_n <= X_n^(a) and the
 pre-decoupling agreement between levels are checkable sample by sample,
 not just in law (the lower half, Y_n^(a) <= X_n, only for offspring in
-{0, 1}). Plain paths run on :func:`plain_sizes`, which steps a whole batch
-with one progeny-sum draw per generation.
+{0, 1}). Plain paths run on :func:`plain_sizes`, which steps the live
+paths of a whole batch with one progeny-sum draw per generation: a path
+is dropped once it reaches 0, so extinct paths cost nothing.
 """
 
 from __future__ import annotations
@@ -114,21 +115,29 @@ def plain_sizes(
     gen: np.random.Generator,
     horizon: int,
     floor: int = 0,
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Step a batch of plain paths from X_0 = K, one generation per yield.
 
-    Yields the (paths,) sizes at generations 1, 2, ..., horizon, each drawn
-    with one ``closure_sums`` call and floored at ``floor``; stops after the
-    first generation in which every path is 0, since zero is absorbing.
+    Yields ``(live, sizes)`` at generations 1, 2, ..., horizon: ``live``
+    holds the batch indices of the paths alive before the step and
+    ``sizes`` their new sizes, drawn with one ``closure_sums`` call and
+    floored at ``floor``. Zero is absorbing, so a path whose size is 0 is
+    dropped after the yield, and the generator stops once none is left.
+    ``closure_sums`` draws nothing for a size of 0, so dropping the dead
+    paths changes no draw of the live ones.
     """
+    live = np.arange(paths)
     sizes = np.full(paths, K, dtype=np.int64)
     for _ in range(horizon):
         sizes = dist.closure_sums(sizes, gen)
         if floor:
             sizes = np.maximum(sizes, floor)
-        yield sizes
-        if not sizes.any():
-            return
+        yield live, sizes
+        alive = np.flatnonzero(sizes)
+        if alive.size < sizes.size:
+            if not alive.size:
+                return
+            live, sizes = live[alive], sizes[alive]
 
 
 def simulate_path(
@@ -154,7 +163,7 @@ def simulate_path(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
     gen = src.closure_generator(path)
-    sizes = [K] + [int(x[0]) for x in plain_sizes(K, 1, dist, gen, horizon)]
+    sizes = [K] + [int(x[0]) for _, x in plain_sizes(K, 1, dist, gen, horizon)]
     extinct = sizes[-1] == 0
     return PathRecord(K, sizes, extinct, len(sizes) - 1 if extinct else None, not extinct, path)
 

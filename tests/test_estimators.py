@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from branchlab.estimators import (
     invariance_target,
     trend_entry,
 )
-from branchlab.estimators import _median_from_hist
+from branchlab.estimators import _median_from_hist, _run_batches, _tau_hist_batch
 from branchlab.exact import enumerate_bernoulli_paths, tau_quantile
 from branchlab.offspring import make_distribution
 
@@ -64,6 +65,65 @@ def test_batch_layout_properties(total, data):
     assert starts == [0] + list(np.cumsum(counts)[:-1])
     assert sum(counts) == total
     assert max(counts) - min(counts) <= 1
+
+
+def _tau_hist_parts(K: int):
+    layout = batch_layout(600, 6)
+    return partial(_tau_hist_batch, seed=3, layout=layout, dist=POI, K=K, slot=0, cap=60)
+
+
+def test_run_batches_gives_each_function_its_parts_at_any_worker_count():
+    """Two functions through one pool give the parts each gives alone, in
+    batch order, at workers 1 and 2."""
+    fns = [_tau_hist_parts(10), _tau_hist_parts(500)]
+    alone = [[fn(b) for b in range(6)] for fn in fns]
+    for workers in (1, 2):
+        runs = _run_batches(fns, 6, workers)
+        assert len(runs) == 2
+        for parts, want in zip(runs, alone):
+            assert len(parts) == 6
+            for (hist, censored), (want_hist, want_censored) in zip(parts, want):
+                assert np.array_equal(hist, want_hist) and censored == want_censored
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, functions, batches, cpus, pool", [
+    (100_000, 2, 20, 64, 40),
+    (100_000, 2, 40, 64, 64),
+    (8, 2, 40, 2, 2),
+    (2, 2, 40, 64, 2),
+    (8, 2, 40, None, None),
+    (8, 1, 1, 64, None),
+    (1, 2, 40, 64, None),
+])
+def test_run_batches_forks_no_more_processes_than_can_work(monkeypatch, workers, functions,
+                                                           batches, cpus, pool):
+    """The pool gets min(workers, jobs, CPUs) processes, and no pool starts
+    when that is 1 (a CPU count of None counts as 1)."""
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(estimators.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    fns = [partial(pow, i + 2) for i in range(functions)]
+    runs = _run_batches(fns, batches, workers)
+    assert _RecordingPool.sizes == ([] if pool is None else [pool])
+    assert runs == [[fn(b) for b in range(batches)] for fn in fns]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

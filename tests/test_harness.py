@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
+from branchlab import estimators
 from branchlab.cli import main
 from branchlab.estimators import AD_SIGNIFICANCE_LEVELS
 from branchlab.gaussian_limit import MODES
@@ -358,33 +359,58 @@ def test_cli_simulate_runs_law_without_sum_table(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["passed"]
 
 
-#: Per kind: the keys that make the overflow payload pass 2^53, and the keys
-#: that bring it back in range.
+#: Per case: the kind, the keys that make the overflow payload pass 2^53 (or
+#: a batch pass 2^31 - 1 paths), the keys that bring it back in range, and a
+#: fragment of the error.
 OVERFLOWS = {
-    "simulate": ({}, {"horizon": 20}),
-    "coupled": ({"levels": [0.2]}, {"horizon": 20}),
-    "extinction-scaling": ({"offspring": POI, "K_list": [100, 10**19], "paths": 300, "batches": 30},
-                           {"K_list": [100, 1000]}),
-    "conditional-on-tau": ({"offspring": POI, "K": 10**19, "u1": 0.3, "paths": 300, "batches": 30},
-                           {"K": 1000}),
+    "simulate": ("simulate", {}, {"horizon": 20}, "exceeds 2^53"),
+    "coupled": ("coupled", {"levels": [0.2]}, {"horizon": 20}, "exceeds 2^53"),
+    "extinction-scaling": ("extinction-scaling", {"offspring": POI, "K_list": [100, 10**19],
+                                                  "paths": 300, "batches": 30},
+                           {"K_list": [100, 1000]}, "exceeds 2^53"),
+    "conditional-on-tau": ("conditional-on-tau", {"offspring": POI, "K": 10**19, "u1": 0.3,
+                                                  "paths": 300, "batches": 30},
+                           {"K": 1000}, "exceeds 2^53"),
+    "simulate-paths": ("simulate", {"offspring": BERN, "K": 10, "paths": 10**19, "batches": 1},
+                       {"paths": 1000}, "paths / batches must be at most 2^31 - 1"),
 }
 
 
-@pytest.mark.parametrize("kind", list(OVERFLOWS))
-def test_cli_rejects_population_overflow(tmp_path, capsys, kind):
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_cli_rejects_population_overflow(tmp_path, capsys, case):
     """binomial(4, 0.9) from K = 1000 for 60 generations passes 2^53, and so
-    does any K above it, whatever the law."""
+    does any K above it, whatever the law; a batch of more than 2^31 - 1
+    paths is refused too."""
     payload = {"offspring": {"kind": "binomial", "n": 4, "p": 0.9}, "seed": 1,
                "K": 1000, "horizon": 60, "allow_supercritical": True,
                "out": str(tmp_path / "runs")}
-    overflow, in_range = OVERFLOWS[kind]
+    kind, overflow, in_range, fragment = OVERFLOWS[case]
     payload.update(overflow)
     assert main([kind, "--config", write_config(tmp_path, payload)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exceeds 2^53" in captured.err
+    assert fragment in captured.err
     assert not (tmp_path / "runs").exists()
     assert errors({**payload, "experiment": kind, "horizon": 20, **in_range}) == []
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 72.0 EiB for an array", "Unable to allocate 72.0 EiB for an array"),
+    ("", "MemoryError"),
+])
+def test_cli_reports_a_run_out_of_memory(tmp_path, capsys, monkeypatch, message, shown):
+    """A run that raises MemoryError exits with code 2 and its message, or
+    the error's name when it has none (as when a list cannot grow)."""
+    def out_of_memory(**kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(estimators, "extinction_scaling", out_of_memory)
+    cfg = write_config(tmp_path, {"offspring": POI, "seed": 1, "K_list": [100], "paths": 300,
+                                  "batches": 30, "out": str(tmp_path / "runs")})
+    assert main(["extinction-scaling", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {shown}\n" in captured.err
 
 
 @pytest.mark.parametrize("kind, payload, fragment", [

@@ -16,7 +16,7 @@ from test_offspring import SUBCRITICAL_SPECS, _chisquare_gof, _sum_law_pmf
 from branchlab.estimators import _tau_hist_batch
 from branchlab.exact import extinction_cdf
 from branchlab.harness import _coupled_batch, _simulate_batch
-from branchlab.offspring import make_distribution
+from branchlab.offspring import OffspringDistribution, make_distribution
 from branchlab.process import (
     PathRecord,
     coupled_floors,
@@ -157,15 +157,77 @@ def test_plain_engine_extinction_law(dist, runner):
 
 
 def test_plain_sizes_stop_rule_and_floor():
-    """The engine stops after the first all-zero generation; a floor keeps
-    every size at or above it until the horizon."""
+    """The engine stops after the first generation in which every path is 0;
+    a floor keeps every path live, at or above the floor, until the horizon."""
     gen = RandomnessSource(4).handle().generator
     rows = list(plain_sizes(3, 50, ZERO, gen, 10))
-    assert len(rows) == 1 and not rows[0].any()
+    assert len(rows) == 1 and not rows[0][1].any()
     rows = list(plain_sizes(40, 50, BERN, gen, 30))
-    assert not rows[-1].any() and all(r.any() for r in rows[:-1])
+    assert not rows[-1][1].any() and all(sizes.any() for _, sizes in rows[:-1])
     rows = list(plain_sizes(40, 50, BERN, gen, 30, floor=6))
-    assert len(rows) == 30 and all((r >= 6).all() for r in rows)
+    assert len(rows) == 30 and all(len(live) == 50 and (sizes >= 6).all() for live, sizes in rows)
+
+
+def _full_width_sizes(K, paths, dist, gen, horizon, floor):
+    """The engine without dropping dead paths: every path, every generation."""
+    sizes, rows = np.full(paths, K, dtype=np.int64), []
+    for _ in range(horizon):
+        sizes = dist.closure_sums(sizes, gen)
+        if floor:
+            sizes = np.maximum(sizes, floor)
+        rows.append(sizes)
+        if not sizes.any():
+            break
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    family=hs.sampled_from(FAMILIES),
+    K=hs.sampled_from([3, 40, 300]),
+    paths=hs.sampled_from([50, 600]),
+    floor=hs.sampled_from([0, 1, 5]),
+    seed=hs.integers(0, 2**32),
+)
+def test_plain_sizes_match_full_width_loop(family, K, paths, floor, seed):
+    """Scattered back to full width, the live-path engine gives the sizes of
+    a loop that steps every path, and leaves the generator at the same
+    draw. K and paths put sizes on both sides of the table limit C and the
+    256-draw rule."""
+    horizon = default_horizon(K, family.mean)
+    ref_gen = RandomnessSource(seed).handle().generator
+    gen = RandomnessSource(seed).handle().generator
+    rows = []
+    for live, sizes in plain_sizes(K, paths, family, gen, horizon, floor):
+        rows.append(np.zeros(paths, dtype=np.int64))
+        rows[-1][live] = sizes
+    ref = _full_width_sizes(K, paths, family, ref_gen, horizon, floor)
+    assert len(rows) == len(ref)
+    assert all((row == want).all() for row, want in zip(rows, ref))
+    assert (gen.random(8) == ref_gen.random(8)).all()
+
+
+@pytest.mark.parametrize("cap", [6, None], ids=["censored", "extinct"])
+@pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.kind)
+def test_plain_engine_draws_only_for_live_paths(monkeypatch, dist, cap):
+    """No size of 0 reaches ``closure_sums``, there is one call per
+    generation, and the entries drawn are the batch's live path-generations:
+    tau for a path extinct at tau, the cap for a censored one."""
+    calls = []
+    closure_sums = OffspringDistribution.closure_sums
+
+    def spy(self, counts, gen):
+        calls.append(np.array(counts))
+        return closure_sums(self, counts, gen)
+
+    monkeypatch.setattr(OffspringDistribution, "closure_sums", spy)
+    cap = cap or default_horizon(40, dist.mean)
+    hist, censored = _tau_hist_batch(0, seed=8, layout=[(0, 500)], dist=dist, K=40, slot=0,
+                                     cap=cap)
+    assert all(sizes.all() for sizes in calls)
+    assert sum(sizes.size for sizes in calls) == hist @ np.arange(hist.size) + censored * cap
+    assert len(calls) == (cap if censored else hist.size - 1)
+    assert (censored > 0) == (cap == 6)
 
 
 @pytest.mark.parametrize("dist", [BERN, FAMILIES[-1]], ids=lambda d: d.kind)
