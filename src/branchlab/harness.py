@@ -353,17 +353,23 @@ def _mean_rules(kind: str, cfg: dict, dist) -> list[Diagnostic]:
 
 #: The most paths one batch may hold.
 _MAX_BATCH = 2**31 - 1
+#: The most batches a run may have.
+_MAX_BATCHES = 2**16
 
 
 def _batch_rules(kind: str, cfg: dict, dist) -> list[Diagnostic]:
-    """Batches split the paths evenly, into batches of at most ``_MAX_BATCH``
-    paths; batch standard errors need enough of both."""
+    """Batches split the paths evenly, into at most ``_MAX_BATCHES`` batches
+    of at most ``_MAX_BATCH`` paths; batch standard errors need enough of
+    both."""
     paths, batches = cfg["paths"], cfg["batches"]
     if kind == "gaussian-cov" or batches is None:
         return []
     diags = []
     if kind in ESTIMATORS and batches < 30:
         diags += _error("batches must be >= 30 so batch standard errors are trustworthy")
+    if batches > _MAX_BATCHES:
+        diags += _error(f"batches must be at most 2^16 = {_MAX_BATCHES}: the run lays out "
+                        "every batch before it simulates one")
     if paths is not None and -(-paths // batches) > _MAX_BATCH:
         diags += _error(f"paths / batches must be at most 2^31 - 1 = {_MAX_BATCH}: "
                         "a batch simulates all its paths in one array; raise batches")

@@ -6,13 +6,13 @@ Every distribution exposes the same sampling surfaces:
   individual);
 * ``sample`` / ``sample_sum`` draw a single offspring or a progeny sum,
   and ``closure_sums`` an array of progeny sums, the sums through an
-  exact law. A sum of 1..C individuals inverts one uniform through a
-  guide table over the tabulated c-fold convolution of the pmf, built
-  once per law and process, when a call holds enough such sums to repay
-  the table's fixed cost; other sums use a named closed form for
-  bernoulli, binomial, poisson and geometric, and multinomial type counts
-  dotted with the support for explicit tables. A sum of 0 individuals is
-  0 and draws nothing.
+  exact law. A sum of 1..C individuals (C up to 1024) inverts one uniform
+  through a guide table over the tabulated c-fold convolution of the pmf,
+  cut on both tails, built once per law and process, when a call holds
+  enough such sums to repay the table's fixed cost; other sums use a named
+  closed form for bernoulli, binomial, poisson and geometric, and
+  multinomial type counts dotted with the support for explicit tables. A
+  sum of 0 individuals is 0 and draws nothing.
 
 Distributions are described by plain dicts, e.g. ``{"kind": "poisson",
 "lambda": 0.7}`` or ``{"kind": "pmf", "table": {"0": 0.6, "1": 0.4}}``,
@@ -30,14 +30,29 @@ import numpy as np
 _PMF_TOL = 1e-9
 _KINDS = ("bernoulli", "binomial", "poisson", "geometric", "pmf")
 #: Tables hold the sum laws of 1.._SUM_TABLE_MAX_COUNT individuals, in at
-#: most _SUM_TABLE_CELLS cells over all rows; a wide-support pmf gets fewer rows.
-_SUM_TABLE_MAX_COUNT = 128
-_SUM_TABLE_CELLS = 1 << 16
+#: most _SUM_TABLE_CELLS cells over all rows (16 bytes each: a float64
+#: cumulative weight and an int64 guide slot, which indexes the weights
+#: without a cast); a wide-support pmf gets fewer rows.
+_SUM_TABLE_MAX_COUNT = 1024
+_SUM_TABLE_CELLS = 1 << 17
+#: The multiply-adds all of a table's convolutions may take: a wide pmf's
+#: rows are long, and this bounds its build time where the cells do not.
+_SUM_TABLE_WORK = 1 << 24
+#: Rows per block of the table's build.
+_SUM_TABLE_BLOCK = 32
+#: The largest matrix product, in multiply-adds, that OpenBLAS keeps on one
+#: thread.
+_BLAS_ONE_THREAD = 1 << 18
 #: A call with fewer sizes in the table's range uses the named samplers:
 #: below this many, the table's fixed cost per call outweighs its saving.
 _SUM_TABLE_MIN_DRAWS = 256
 #: Tail mass below the resolution of a 53-bit uniform.
 _TAIL_MASS = 2.0**-53
+#: Rows are convolved from rows trimmed where this much smaller mass lies
+#: beyond them, and poisson and geometric pmfs are cut there: the mass
+#: dropped then moves no cell of a table row that carries 1e-12 or more by
+#: more than about 1e-13 of itself.
+_BUILD_TAIL_MASS = 2.0**-93
 
 
 class InvalidParameter(ValueError):
@@ -190,12 +205,20 @@ class OffspringDistribution:
 
     def _dense_pmf(self, cells: int) -> np.ndarray | None:
         """The offspring pmf on 0, 1, ..., max support, or None if that
-        takes more than ``cells`` cells; geometric is cut where its tail
-        mass p^n drops below 2^-53."""
-        if self._support is None:
+        takes more than ``cells`` cells; poisson and geometric are cut where
+        their tail mass drops below ``_BUILD_TAIL_MASS``."""
+        if self.kind == "geometric":
             p = self.params["p"]
-            n = 1 if p == 0.0 else math.floor(math.log(_TAIL_MASS) / math.log(p)) + 1
+            n = 1 if p == 0.0 else math.floor(math.log(_BUILD_TAIL_MASS) / math.log(p)) + 1
             return (1.0 - p) * p ** np.arange(n) if n <= cells else None
+        if self.kind == "poisson":
+            # Past k >= 2 lambda the terms at least halve, so the tail beyond
+            # a term is below it; logs keep e^-lambda from underflowing.
+            lam, probs = self.params["lambda"], []
+            while len(probs) <= cells and (len(probs) <= 2 * lam or probs[-1] >= _BUILD_TAIL_MASS):
+                k = len(probs)
+                probs.append(math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) if lam else float(k == 0))
+            return np.array(probs) if len(probs) <= cells else None
         if self._support.max() >= cells:
             return None
         return np.bincount(self._support, weights=self._table_pvals())
@@ -253,38 +276,62 @@ class _SumTable:
     """The laws of the progeny sums of 1..max_count individuals, each row
     inverted from one uniform through a guide table (Chen & Asau 1974).
 
-    Row c is the c-fold convolution of the offspring pmf, its upper tail
-    cut where the mass beyond falls below 2^-53 and its zero-mass cells
-    left out. The rows lie end to end in ``values`` (sum values) and
-    ``cdf`` (cumulative weights, 1.0 exactly at each row's end). Row c
-    with n cells gets g = 4n guide slots, plus one, from
-    ``guide_start[c]``; slot j holds the first cell whose key
-    floor(cdf * g) is not below j. For a uniform u with key j, the first
-    cell whose cumulative weight exceeds u (the ``inverse_cdf``
-    convention) therefore lies between the cells of slots j and j + 1;
-    these hold a quarter of a cell on average, but a tail whose cells
-    carry little mass can put many cells in one slot.
+    Row c is the c-fold convolution of the offspring pmf, cut on both tails
+    where the mass beyond falls below 2^-53 (see :func:`_sum_law_blocks`).
+    Rows are stored a block at a time, each from its lower cut and as wide
+    as the block's widest row: ``cdf`` holds the cumulative weights of the
+    cells, 1.0 exactly at a row's last kept cell and no less past it, and
+    cell k of row c holds the sum value ``offset[c] + k``. Row c with n
+    kept cells gets n guide slots, plus one, from ``guide_start[c]``; slot
+    j holds the first cell whose key floor(cdf * n) is not below j. For a
+    uniform u with key j, the first cell whose cumulative weight
+    exceeds u (the ``inverse_cdf`` convention) therefore lies between the
+    cells of slots j and j + 1; a row cut on both tails has few cells of
+    little mass, so most slots hold at most one cell.
     """
 
-    def __init__(self, rows: list[np.ndarray]):
-        self.max_count = len(rows)
-        dense = np.zeros((len(rows), max(len(row) for row in rows)))
-        for c, row in enumerate(rows):
-            dense[c, : len(row)] = row
-        cum = np.cumsum(dense, axis=1)
-        owner, self.values = np.nonzero(dense)
-        self.cdf = cum[owner, self.values] / cum[owner, -1]
-        size = 4 * np.bincount(owner, minlength=len(rows))
-        slots = np.cumsum(size + 1)
-        # Slot keys of different rows do not overlap, so one running count
-        # of the cells below each slot fills every guide; the slot after
-        # the last row bounds that row's last slot.
-        key = (self.cdf * size[owner]).astype(np.int64) + (slots - size - 1)[owner]
-        at = np.bincount(key, minlength=slots[-1] + 1)
-        self.guide = np.cumsum(at) - at
+    def __init__(self, blocks):
+        # Rows are taken from the blocks _sum_law_blocks yields while their
+        # cells fit the budget. The cells go straight into arrays sized for
+        # the budget: touching fresh pages costs more than the arithmetic,
+        # so temporaries stay per block.
+        self.cdf = np.empty(_SUM_TABLE_CELLS)
+        self.guide = np.empty(_SUM_TABLE_CELLS + _SUM_TABLE_MAX_COUNT, dtype=np.int64)
+        sizes, offsets, cells, slots = [], [], 0, 0
+        for start, _, cum, lo, hi in blocks:
+            n = hi - lo
+            width = np.maximum.accumulate(n)
+            fit = int(np.count_nonzero(cells + np.arange(1, len(n) + 1) * width <= _SUM_TABLE_CELLS))
+            if not fit:
+                break
+            rows, full, width = np.arange(fit), len(n), int(width[fit - 1])
+            lo, hi, n = lo[:fit], hi[:fit], n[:fit]
+            below = np.where(lo > 0, cum[rows, lo - 1], 0.0)
+            # Each row from its lower cut, over the block's widest row;
+            # columns past the block's end repeat its last.
+            cols = np.minimum(lo[:, None] + np.arange(width), cum.shape[1] - 1)
+            out = self.cdf[cells: cells + fit * width].reshape(fit, width)
+            np.subtract(np.take_along_axis(cum[:fit], cols, axis=1), below[:, None], out=out)
+            out /= (cum[rows, hi - 1] - below)[:, None]
+            # Row keys do not overlap, so one running count of the cells
+            # below each slot fills every guide of the block.
+            ends = np.cumsum(n + 1)
+            key = (out * n[:, None]).astype(np.int64) + (ends - n - 1)[:, None]
+            at = np.bincount(key.ravel(), minlength=ends[-1])
+            guide = np.cumsum(at, out=self.guide[slots: slots + ends[-1]])
+            guide -= at - cells
+            sizes.append(n)
+            offsets.append(start + lo - cells - width * rows)
+            cells, slots = cells + fit * width, slots + int(ends[-1])
+            if fit < full:
+                break
+        n = np.concatenate([np.zeros(0, dtype=np.int64), *sizes])
+        self.max_count = len(n)
+        self.cdf, self.guide = self.cdf[:cells], self.guide[:slots]
         # Indexed by the number of individuals c; index 0 is unused.
-        self.guide_start = np.append(0, slots - size - 1)
-        self.guide_size = np.append(0.0, size)
+        self.guide_start = np.append(0, np.cumsum(n + 1) - n - 1)
+        self.guide_size = np.append(0.0, n)
+        self.offset = np.concatenate([[0], *offsets])
 
     def draw(self, counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         """One progeny sum per size in ``counts`` (1-D, in 1..max_count)."""
@@ -304,32 +351,77 @@ class _SumTable:
                 lo = np.where(right, mid + 1, lo)
                 hi = np.where(right, hi, mid)
             cell[todo] = lo
-        return self.values[cell]
+        return self.offset[counts] + cell
 
 
-def _cut_tail(row: np.ndarray) -> np.ndarray:
-    """``row`` up to the first cell beyond which less than 2^-53 of mass lies."""
-    tail = np.cumsum(row[::-1])[::-1]
-    return row[: max(1, int(np.count_nonzero(tail >= _TAIL_MASS)))]
+def _sum_law_blocks(dist: OffspringDistribution):
+    """The laws of the progeny sums of 1, 2, ... individuals, in blocks of
+    rows: a generator of (start, rows, cum, lo, hi), nothing when the pmf
+    is too wide for the cell budget.
+
+    ``rows[i]`` is the law of the next sum on the values start, start + 1,
+    ..., ``cum[i]`` its running total, and its cells ``lo[i]..hi[i]-1`` are
+    those left when each tail is cut where less than 2^-53 of mass lies
+    beyond it. The first block holds the laws of 1..B individuals, B =
+    ``_SUM_TABLE_BLOCK``, convolved one after the other. Each later block
+    holds the next B laws at once, as the block before's last law convolved
+    with each of the first B, in one matrix product; both factors are first
+    cut where less than ``_BUILD_TAIL_MASS`` lies beyond them. Stops after
+    ``_SUM_TABLE_MAX_COUNT`` rows, or before a convolution or a block whose
+    multiply-adds would take the total past ``_SUM_TABLE_WORK``.
+    """
+    pmf = dist._dense_pmf(_SUM_TABLE_CELLS)
+    if pmf is None:
+        return
+    powers, work = [pmf], len(pmf)
+    while len(powers) < _SUM_TABLE_BLOCK and work + len(powers[-1]) * len(pmf) <= _SUM_TABLE_WORK:
+        work += len(powers[-1]) * len(pmf)
+        powers.append(np.convolve(powers[-1], pmf))
+    rows = np.zeros((len(powers), len(powers[-1])))
+    for i, power in enumerate(powers):
+        rows[i, : len(power)] = power
+    start, count, kernel = 0, 0, None
+    while True:
+        rows = rows[: _SUM_TABLE_MAX_COUNT - count]
+        cum = rows.cumsum(axis=1)
+        back = rows[:, ::-1].cumsum(axis=1)[:, ::-1]  # the mass at and above each value
+        yield (start, rows, cum, (cum < _TAIL_MASS).sum(axis=1),
+               rows.shape[1] - (back < _TAIL_MASS).sum(axis=1))
+        count += len(rows)
+        if count == _SUM_TABLE_MAX_COUNT or len(rows) < _SUM_TABLE_BLOCK:
+            return
+        if kernel is None:
+            # The first block's laws on the values 0..K-1, reversed: row
+            # j of the product is then the seed convolved with law j.
+            inside = (cum >= _BUILD_TAIL_MASS) & (back >= _BUILD_TAIL_MASS)
+            top = int(inside.any(axis=0).nonzero()[0][-1])
+            kernel = np.where(inside, rows, 0.0)[:, top::-1].copy()
+        keep = ((cum[-1] >= _BUILD_TAIL_MASS) & (back[-1] >= _BUILD_TAIL_MASS)).nonzero()[0]
+        seed, start = rows[-1, keep[0]: keep[-1] + 1], start + int(keep[0])
+        span = kernel.shape[1]
+        width = len(seed) + span - 1
+        work += len(kernel) * span * width
+        if work > _SUM_TABLE_WORK:
+            return
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((np.zeros(span - 1), seed, np.zeros(span - 1))), span)
+        # Products of at most _BLAS_ONE_THREAD multiply-adds, which OpenBLAS
+        # runs on one thread: a second thread costs more than it saves here,
+        # and far more when another process holds the other core.
+        step = max(1, _BLAS_ONE_THREAD // kernel.size)
+        out = np.empty((width, len(kernel)))
+        for at in range(0, width, step):
+            np.matmul(windows[at: at + step], kernel.T, out=out[at: at + step])
+        rows = np.ascontiguousarray(out.T)
 
 
 @functools.lru_cache(maxsize=16)
 def _sum_table(dist: OffspringDistribution) -> _SumTable | None:
-    """The law's sum table, built once per process; None when not even the
-    one-individual row fits the cell budget.
-
-    Rows are added while the dense length of the next row (before its
-    zero-mass cells are left out) keeps the total within the budget.
+    """The law's sum table, built once per process; None when the pmf's
+    support is too wide for even the one-individual row.
     """
-    pmf = dist._dense_pmf(_SUM_TABLE_CELLS)
-    if pmf is None:
-        return None
-    pmf = _cut_tail(pmf)
-    rows, cells = [pmf], len(pmf)
-    while len(rows) < _SUM_TABLE_MAX_COUNT and cells + len(rows[-1]) + len(pmf) - 1 <= _SUM_TABLE_CELLS:
-        rows.append(_cut_tail(np.convolve(rows[-1], pmf)))
-        cells += len(rows[-1])
-    return _SumTable(rows)
+    table = _SumTable(_sum_law_blocks(dist))
+    return table if table.max_count else None
 
 
 def _as_generator(draw) -> np.random.Generator:

@@ -350,9 +350,9 @@ def test_cli_missing_config_file(tmp_path, capsys):
 
 
 def test_cli_simulate_runs_law_without_sum_table(tmp_path, capsys):
-    """A pmf with support up to 10^5 gets no sum table (not even one row
+    """A pmf with support up to 10^6 gets no sum table (not even one row
     fits the cell budget); its sums come from the multinomial sampler."""
-    law = {"kind": "pmf", "table": {"0": 1 - 5e-6, "100000": 5e-6}}
+    law = {"kind": "pmf", "table": {"0": 1 - 5e-7, "1000000": 5e-7}}
     cfg = write_config(tmp_path, {"offspring": law, "seed": 3, "K": 1000, "paths": 400,
                                   "batches": 4, "out": str(tmp_path / "runs")})
     assert main(["simulate", "--config", cfg]) == 0
@@ -360,8 +360,8 @@ def test_cli_simulate_runs_law_without_sum_table(tmp_path, capsys):
 
 
 #: Per case: the kind, the keys that make the overflow payload pass 2^53 (or
-#: a batch pass 2^31 - 1 paths), the keys that bring it back in range, and a
-#: fragment of the error.
+#: a batch pass 2^31 - 1 paths, or the batches 2^16), the keys that bring it
+#: back in range, and a fragment of the error.
 OVERFLOWS = {
     "simulate": ("simulate", {}, {"horizon": 20}, "exceeds 2^53"),
     "coupled": ("coupled", {"levels": [0.2]}, {"horizon": 20}, "exceeds 2^53"),
@@ -373,6 +373,8 @@ OVERFLOWS = {
                            {"K": 1000}, "exceeds 2^53"),
     "simulate-paths": ("simulate", {"offspring": BERN, "K": 10, "paths": 10**19, "batches": 1},
                        {"paths": 1000}, "paths / batches must be at most 2^31 - 1"),
+    "simulate-batches": ("simulate", {"offspring": BERN, "K": 10, "paths": 10**9, "batches": 10**9},
+                         {"batches": 1000}, "batches must be at most 2^16"),
 }
 
 
@@ -380,7 +382,7 @@ OVERFLOWS = {
 def test_cli_rejects_population_overflow(tmp_path, capsys, case):
     """binomial(4, 0.9) from K = 1000 for 60 generations passes 2^53, and so
     does any K above it, whatever the law; a batch of more than 2^31 - 1
-    paths is refused too."""
+    paths, or more than 2^16 batches, is refused too."""
     payload = {"offspring": {"kind": "binomial", "n": 4, "p": 0.9}, "seed": 1,
                "K": 1000, "horizon": 60, "allow_supercritical": True,
                "out": str(tmp_path / "runs")}

@@ -13,9 +13,11 @@ import scipy.stats as st
 from branchlab.offspring import (
     _SUM_TABLE_CELLS,
     _SUM_TABLE_MAX_COUNT,
+    _TAIL_MASS,
     InvalidParameter,
     NonNormalizedPMF,
     SupercriticalWithoutOverride,
+    _sum_law_blocks,
     _sum_table,
     make_distribution,
 )
@@ -201,7 +203,7 @@ def test_sum_table_draw_inverts_each_row(spec):
     for c in np.unique(counts):
         at = counts == c
         cdf = table.cdf[edges[c - 1]:edges[c]]
-        expected[at] = table.values[edges[c - 1] + np.searchsorted(cdf, u[at], side="right")]
+        expected[at] = table.offset[c] + edges[c - 1] + np.searchsorted(cdf, u[at], side="right")
     assert (table.draw(counts, _FixedUniforms(u)) == expected).all()
 
 
@@ -227,22 +229,100 @@ def test_zero_sizes_draw_nothing(spec):
         assert not spaced[padded == 0].any()
 
 
+#: pmfs on {0, top} whose supports are wide enough to lower the number of
+#: tabulated sizes, and too wide for even one row.
+WIDE_TOPS, TOO_WIDE_TOPS = (50, 1000), (10**6, 10**12)
+
+
+def _two_point(top):
+    return make_distribution({"kind": "pmf", "table": {0: 1 - 0.5 / top, top: 0.5 / top}})
+
+
 def test_sum_table_stays_within_its_cell_budget():
-    """Every law's table fits the cell budget; a wide support gets fewer
-    tabulated sizes, and a support too wide for one row gets none."""
+    """Every law's table fits the cell budget and tabulates at least 128
+    sizes; a wide support gets fewer, and a support too wide for one row
+    gets none."""
     for spec in SUBCRITICAL_SPECS:
         table = _sum_table(make_distribution(spec))
-        assert table.max_count == _SUM_TABLE_MAX_COUNT
+        assert 128 <= table.max_count <= _SUM_TABLE_MAX_COUNT
         assert len(table.cdf) <= _SUM_TABLE_CELLS
-    for top in (50, 1000):
-        table = _sum_table(make_distribution({"kind": "pmf", "table": {0: 1 - 0.5 / top, top: 0.5 / top}}))
-        assert 1 < table.max_count < _SUM_TABLE_MAX_COUNT
+    for top in WIDE_TOPS:
+        table = _sum_table(_two_point(top))
+        assert 1 < table.max_count < 128
         assert len(table.cdf) <= _SUM_TABLE_CELLS
-    for top in (100_000, 10**12):
-        huge = make_distribution({"kind": "pmf", "table": {0: 1 - 0.5 / top, top: 0.5 / top}})
+    for top in TOO_WIDE_TOPS:
+        huge = _two_point(top)
         assert _sum_table(huge) is None
         sums = huge.closure_sums(np.array([0, 1, 3, 1000]), np.random.default_rng(2))
         assert sums[0] == 0 and (sums % top == 0).all()
+
+
+@pytest.mark.parametrize("dist", [make_distribution(s) for s in TABLE_SPECS]
+                         + [_two_point(top) for top in (*WIDE_TOPS, 5000)],
+                         ids=TABLE_IDS + [f"pmf-0-{top}" for top in (*WIDE_TOPS, 5000)])
+def test_sum_tables_build_fast(dist):
+    """Every table builds in under 10 ms, the wide pmfs' too (a pmf on
+    {0, 5000} fits one row): the work bound stops the rows a wide pmf would
+    take long to convolve. The best of five builds leaves out the pauses of
+    a shared machine."""
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        _sum_table.__wrapped__(dist)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.010, f"best build {min(times) * 1e3:.1f} ms"
+
+
+def _sum_law_rows(dist, sizes):
+    """Row c of the law's sum table for each c in ``sizes``, before the
+    table normalizes it: (the sum value of its first cell, its masses)."""
+    rows, count = {}, 0
+    for start, block, _, lo, hi in _sum_law_blocks(dist):
+        for i in range(len(block)):
+            if count + i + 1 in sizes:
+                rows[count + i + 1] = (start + lo[i], block[i, lo[i]:hi[i]])
+        count += len(block)
+    return rows
+
+
+def _exact_sum_law(dist, size, values):
+    """The exact pmf of the sum of ``size`` offspring on ``values``, and the
+    mass below and above them."""
+    p = dist.params.get("p")
+    law = {"bernoulli": lambda: st.binom(size, p),
+           "binomial": lambda: st.binom(size * dist.params.get("n", 1), p),
+           "poisson": lambda: st.poisson(size * dist.params.get("lambda", 0.0)),
+           "geometric": lambda: st.nbinom(size, 1.0 - (p or 0.0))}.get(dist.kind)
+    lo, hi = int(values[0]), int(values[-1])
+    if law is not None:
+        law = law()
+        return law.pmf(values), float(law.cdf(lo - 1)), float(law.sf(hi))
+    one = np.zeros(max(dist.params["table"]) + 1)
+    for k, w in dist.params["table"].items():
+        one[k] = w
+    pmf = np.array([1.0])
+    for _ in range(size):
+        pmf = np.convolve(pmf, one)
+    return pmf[values], float(pmf[:lo].sum()), float(pmf[hi + 1:].sum())
+
+
+@pytest.mark.parametrize("spec", SUBCRITICAL_SPECS, ids=lambda s: s["kind"])
+def test_sum_table_rows_match_exact_laws(spec):
+    """Rows 129, C/2 and C of the sum table are the exact laws of the sum:
+    every cell carrying 1e-12 or more within 1e-12 of itself, less than
+    2^-53 cut off on each side, and the table's cumulative weights those
+    of the row."""
+    dist = make_distribution(spec)
+    table = _sum_table(dist)
+    sizes = {129, table.max_count // 2, table.max_count}
+    for c, (first, mass) in _sum_law_rows(dist, sizes).items():
+        values = first + np.arange(len(mass))
+        exact, below, above = _exact_sum_law(dist, c, values)
+        big = exact >= 1e-12
+        assert np.abs(mass[big] / exact[big] - 1).max() < 1e-12, f"row {c}"
+        assert below < _TAIL_MASS and above < _TAIL_MASS, f"row {c}: cut {below:.2e}, {above:.2e}"
+        cdf = table.cdf[values - table.offset[c]]
+        assert np.abs(cdf - np.cumsum(mass) / mass.sum()).max() < 1e-15, f"row {c}"
 
 
 def test_geometric_sum_table_builds_fast():
