@@ -27,7 +27,7 @@ from .exact import mean_m_tau as exact_mean_m_tau
 from .exact import tau_quantile
 from .gaussian_limit import ThetaCovariance, is_positive_semidefinite, theta_covariance, theta_variance
 from .offspring import OffspringDistribution
-from .process import default_horizon, floor_level, plain_sizes
+from .process import default_horizon, floor_level, plain_batch, trajectory_rows
 from .randomness import RandomnessSource
 from .stopping import LimitOracle, limit_constant
 
@@ -201,6 +201,14 @@ def _batch_mean_se(values: np.ndarray, batch_ids: np.ndarray,
     return mean, se
 
 
+def _hist_rows(hists: Sequence[np.ndarray]) -> np.ndarray:
+    """The batches' count histograms as the rows of one zero-padded matrix."""
+    out = np.zeros((len(hists), max(len(h) for h in hists)), dtype=np.int64)
+    for b, h in enumerate(hists):
+        out[b, :len(h)] = h
+    return out
+
+
 def _median_from_hist(hist: np.ndarray, total: int) -> float:
     """Sample median of integer data summarized by a count histogram."""
     cum = np.cumsum(hist)
@@ -215,15 +223,15 @@ def _median_from_hist(hist: np.ndarray, total: int) -> float:
 # vectorized batch simulation
 
 
-def _tau_hist_batch(batch: int, *, seed: int, layout, dist, K: int, slot: int,
-                    cap: int) -> tuple[np.ndarray, int]:
-    """Histogram of extinction times for one trajectory batch."""
-    _, count = layout[batch]
+def _tau_hist_batch(batch: int, *, seed: int, layout, dist, K: int, horizon: int,
+                    slot: int = 0, dump: bool = False) -> tuple[np.ndarray, int, str | None]:
+    """Histogram of extinction times for one trajectory batch, its count of
+    paths alive at the horizon, and its trajectory rows when ``dump``."""
+    start, count = layout[batch]
     gen = RandomnessSource(seed).handle(batch, slot).generator
-    taus = np.zeros(count, dtype=np.int64)
-    for n, (live, sizes) in enumerate(plain_sizes(K, count, dist, gen, cap), 1):
-        taus[live[sizes == 0]] = n
-    return np.bincount(taus[taus > 0]), int(np.count_nonzero(taus == 0))
+    taus, rows = plain_batch(K, count, dist, gen, horizon, rows=dump)
+    text = trajectory_rows(rows[:, :, None], start) if dump else None
+    return np.bincount(taus[taus >= 0]), int(np.count_nonzero(taus < 0)), text
 
 
 def _lifetime_hist_batch(batch: int, *, seed: int, layout, K: int,
@@ -257,20 +265,14 @@ def _values_batch(batch: int, *, seed: int, layout, dist, K: int, u1: float,
     """
     _, count = layout[batch]
     gen = RandomnessSource(seed).handle(batch, 0).generator
-    rows = [np.full(count, K, dtype=np.int64)]
-    for live, sizes in plain_sizes(K, count, dist, gen, cap):
-        rows.append(np.zeros(count, dtype=np.int64))
-        rows[-1][live] = sizes
-    M = np.vstack(rows)
+    taus, M = plain_batch(K, count, dist, gen, cap, rows=True)
     cols = np.arange(count)
-    extinct = M[-1] == 0
-    taus = np.where(extinct, (M == 0).argmax(axis=0), -1)
     s1 = np.floor(u1 * np.maximum(taus, 0)).astype(np.int64)
     s2 = np.floor(u2 * np.maximum(taus, 0)).astype(np.int64)
     x1 = M[s1, cols]
     x2 = M[s2, cols]
     xn = M[fixed_n, cols] if fixed_n < M.shape[0] else np.zeros(count, np.int64)
-    return taus, x1, x2, xn, int((~extinct).sum())
+    return taus, x1, x2, xn, int(np.count_nonzero(taus < 0))
 
 
 def _theta_batch(batch: int, *, seed: int, layout, dist, K: int,
@@ -281,11 +283,8 @@ def _theta_batch(batch: int, *, seed: int, layout, dist, K: int,
     """
     _, count = layout[batch]
     gen = RandomnessSource(seed).handle(batch, 0).generator
-    M = np.zeros((indices[-1], count), dtype=np.int64)
-    for n, (live, sizes) in enumerate(plain_sizes(K, count, dist, gen, indices[-1],
-                                                  floor_level(a, K))):
-        M[n, live] = sizes
-    return M[np.array(indices) - 1].T
+    _, M = plain_batch(K, count, dist, gen, indices[-1], floor_level(a, K), rows=True)
+    return np.pad(M, ((0, indices[-1] + 1 - len(M)), (0, 0)))[list(indices)].T
 
 
 def _collect_values(dist, K, u1, u2, paths, seed, batches, workers,
@@ -484,14 +483,12 @@ def extinction_scaling(
 
     fns = [partial(_lifetime_hist_batch, seed=seed, layout=layout, K=K, m=m) if use_lifetime
            else partial(_tau_hist_batch, seed=seed, layout=layout, dist=dist, K=K, slot=slot,
-                        cap=default_horizon(K, m, multiplier=cap_multiplier))
+                        horizon=default_horizon(K, m, multiplier=cap_multiplier))
            for slot, K in enumerate(K_list)]
     for K, parts in zip(K_list, _run_batches(fns, batches, workers)):
-        width = max(len(h) for h, _ in parts)
-        hists = np.zeros((batches, width), dtype=np.int64)
-        for b, (h, _) in enumerate(parts):
-            hists[b, :len(h)] = h
-        censored = sum(cens for _, cens in parts)
+        hists = _hist_rows([p[0] for p in parts])
+        width = hists.shape[1]
+        censored = sum(p[1] for p in parts)
         hist = hists.sum(axis=0)
         total = int(hist.sum())
         logK = math.log(K)

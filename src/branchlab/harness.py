@@ -28,16 +28,16 @@ import numpy as np
 
 from . import __version__, estimators
 from .estimators import AD_SIGNIFICANCE_LEVELS, ExperimentReport, batch_layout, entry_info, entry_le
-from .estimators import _median_from_hist, _run_batches
-# extinction_scaling, conditional_moment_check, simulate_coupled and simulate_path are
-# not called through this namespace; perfbench/spans.py traces them through it.
+from .estimators import _hist_rows, _median_from_hist, _run_batches, _tau_hist_batch
+# extinction_scaling, conditional_moment_check, simulate_coupled, simulate_path and
+# write_trajectories are not called through this namespace; perfbench/spans.py traces
+# them through it.
 from .estimators import conditional_moment_check, extinction_scaling
 from .gaussian_limit import MODES, ThetaCovariance, covariance_matrix, is_positive_semidefinite
 from .offspring import (InvalidParameter, NonNormalizedPMF, OffspringDistribution,
                         SupercriticalWithoutOverride, make_distribution)
-from .process import (coupled_floors, coupled_record, coupled_step, default_horizon, plain_sizes,
-                      plain_trajectory_rows, simulate_coupled, simulate_path, trajectory_header,
-                      write_trajectories)
+from .process import (coupled_floors, coupled_step, default_horizon, simulate_coupled, simulate_path,
+                      trajectory_header, trajectory_rows, write_trajectories)
 from .randomness import RandomnessSource
 from .stopping import LimitOracle, boundary_warnings, limit_constant
 
@@ -434,35 +434,8 @@ _CROSS_KEY_RULES = (_mean_rules, _batch_rules, _u_order, _population_sizes, _lif
 
 
 # ---------------------------------------------------------------------------
-# batch workers for the two pathwise kinds (module level so they pickle)
-
-
-def _records_text(records: list) -> str:
-    """Trajectory CSV rows for one batch, header stripped for merging."""
-    buf = io.StringIO()
-    write_trajectories(records, buf)
-    raw = buf.getvalue()
-    return raw.split("\n", 1)[1] if "\n" in raw else ""
-
-
-def _simulate_batch(batch: int, *, layout, seed: int, dist, K: int, horizon: int, dump: bool):
-    """Run one batch of plain paths on the batch engine.
-
-    Keeps the extinction times, and the (generations, paths) size matrix
-    only when the trajectories are dumped.
-    """
-    start, count = layout[batch]
-    gen = RandomnessSource(seed).handle(batch, 0).generator
-    taus = np.zeros(count, dtype=np.int64)
-    rows = [np.full(count, K, dtype=np.int64)]
-    for n, (live, sizes) in enumerate(plain_sizes(K, count, dist, gen, horizon), 1):
-        taus[live[sizes == 0]] = n
-        if dump:
-            rows.append(np.zeros(count, dtype=np.int64))
-            rows[-1][live] = sizes
-    hist = np.bincount(taus[taus > 0], minlength=1)
-    text = plain_trajectory_rows(np.vstack(rows), start) if dump else None
-    return hist, int(np.count_nonzero(taus == 0)), text
+# the coupled batch worker (module level so it pickles); simulate batches run
+# estimators._tau_hist_batch
 
 
 def _coupled_batch(batch: int, *, layout, seed: int, dist, K: int, levels, horizon: int, dump: bool):
@@ -487,11 +460,7 @@ def _coupled_batch(batch: int, *, layout, seed: int, dist, K: int, levels, horiz
         if dump:
             rows.append(sizes)
             flags.append(flag)
-    text = None
-    if dump:
-        rows, flags = np.stack(rows, axis=1), np.stack(flags, axis=1)
-        text = _records_text([coupled_record(K, levels, rows[i], flags[i], start + i)
-                              for i in range(count)])
+    text = trajectory_rows(np.stack(rows), start, floors, np.stack(flags)) if dump else None
     hist = np.bincount(taus[taus > 0], minlength=1)
     return hist, int(np.count_nonzero(taus == 0)), *bad.tolist(), text
 
@@ -513,13 +482,6 @@ def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
         np.count_nonzero(flags != (shifted > 0)),
         np.count_nonzero(np.diff(upper, axis=1) < 0),
     ])
-
-
-def _merge_hists(hists: list[np.ndarray]) -> np.ndarray:
-    total = np.zeros(max(h.size for h in hists), dtype=np.int64)
-    for h in hists:
-        total[: h.size] += h
-    return total
 
 
 def _tau_entries(hist: np.ndarray, extinct: int, K: int, mean: float) -> list:
@@ -559,7 +521,7 @@ def _run_pathwise(kind: str, cfg: dict, dist: OffspringDistribution, batch_fn, g
         K=K, horizon=horizon, dump=dump, **extra,
     )
     [parts] = _run_batches([fn], batches, cfg["workers"])
-    hist = _merge_hists([p[0] for p in parts])
+    hist = _hist_rows([p[0] for p in parts]).sum(axis=0)
     censored = sum(p[1] for p in parts)
     entries = [
         entry_info("paths", paths),
@@ -753,7 +715,7 @@ def run(config: Mapping, *, stderr: IO[str] | None = None) -> RunResult:
     traj_text = None
     matrix = None
     if kind == "simulate":
-        report, traj_text = _run_pathwise(kind, cfg, dist, _simulate_batch)
+        report, traj_text = _run_pathwise(kind, cfg, dist, _tau_hist_batch)
     elif kind == "coupled":
         # float() because the levels name trajectory columns: 0 and 0.0 must print alike.
         levels = sorted(set(float(a) for a in cfg["levels"]))

@@ -4,15 +4,15 @@ Every distribution exposes the same sampling surfaces:
 
 * ``inverse_cdf`` maps uniforms to offspring counts (one uniform per
   individual);
-* ``sample`` / ``sample_sum`` draw a single offspring or a progeny sum,
-  and ``closure_sums`` an array of progeny sums, the sums through an
-  exact law. A sum of 1..C individuals (C up to 1024) inverts one uniform
-  through a guide table over the tabulated c-fold convolution of the pmf,
-  cut on both tails, built once per law and process, when a call holds
-  enough such sums to repay the table's fixed cost; other sums use a named
-  closed form for bernoulli, binomial, poisson and geometric, and
-  multinomial type counts dotted with the support for explicit tables. A
-  sum of 0 individuals is 0 and draws nothing.
+* ``sample_sum`` draws one progeny sum and ``closure_sums`` an array of
+  them, through the exact law of the sum. A sum of 1..C individuals (C
+  up to 1024) inverts one uniform through a guide table over the
+  tabulated c-fold convolution of the pmf, cut on both tails, built once
+  per law and process, when a call holds enough such sums to repay the
+  table's fixed cost; other sums use a named closed form for bernoulli,
+  binomial, poisson and geometric, and multinomial type counts dotted
+  with the support for explicit tables. A sum of 0 individuals is 0 and
+  draws nothing.
 
 Distributions are described by plain dicts, e.g. ``{"kind": "poisson",
 "lambda": 0.7}`` or ``{"kind": "pmf", "table": {"0": 0.6, "1": 0.4}}``,
@@ -46,6 +46,8 @@ _BLAS_ONE_THREAD = 1 << 18
 #: A call with fewer sizes in the table's range uses the named samplers:
 #: below this many, the table's fixed cost per call outweighs its saving.
 _SUM_TABLE_MIN_DRAWS = 256
+#: The most cells a poisson cdf may take.
+_POISSON_CELLS = 1 << 20
 #: Tail mass below the resolution of a 53-bit uniform.
 _TAIL_MASS = 2.0**-53
 #: Rows are convolved from rows trimmed where this much smaller mass lies
@@ -146,11 +148,6 @@ class OffspringDistribution:
         idx = np.minimum(idx, len(self._cdf) - 1)
         return self._support[idx]
 
-    def sample(self, draw) -> int:
-        """Draw one offspring count from a handle or numpy Generator."""
-        gen = _as_generator(draw)
-        return int(self.inverse_cdf(gen.random(1))[0])
-
     def sample_sum(self, count: int, draw) -> int:
         """Draw the sum of ``count`` independent offspring in one step,
         from the exact law of the sum."""
@@ -212,13 +209,7 @@ class OffspringDistribution:
             n = 1 if p == 0.0 else math.floor(math.log(_BUILD_TAIL_MASS) / math.log(p)) + 1
             return (1.0 - p) * p ** np.arange(n) if n <= cells else None
         if self.kind == "poisson":
-            # Past k >= 2 lambda the terms at least halve, so the tail beyond
-            # a term is below it; logs keep e^-lambda from underflowing.
-            lam, probs = self.params["lambda"], []
-            while len(probs) <= cells and (len(probs) <= 2 * lam or probs[-1] >= _BUILD_TAIL_MASS):
-                k = len(probs)
-                probs.append(math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) if lam else float(k == 0))
-            return np.array(probs) if len(probs) <= cells else None
+            return _poisson_pmf(self.params["lambda"], cells)
         if self._support.max() >= cells:
             return None
         return np.bincount(self._support, weights=self._table_pvals())
@@ -440,19 +431,20 @@ def _discrete_table(support, weights) -> tuple[np.ndarray, np.ndarray]:
     return support, cdf
 
 
-def _poisson_table(lam: float) -> tuple[np.ndarray, np.ndarray]:
-    # Extend until the float cdf saturates; the residual tail mass is
-    # below the resolution of a 53-bit uniform.
-    probs = [math.exp(-lam)]
-    total = probs[0]
-    k = 0
-    while total < 1.0 and probs[-1] > 0.0:
-        k += 1
-        probs.append(probs[-1] * lam / k)
-        total += probs[-1]
-        if k > 10_000:
-            break
-    return _discrete_table(np.arange(len(probs)), probs)
+def _poisson_pmf(lam: float, cells: int) -> np.ndarray | None:
+    """The poisson(lam) pmf on 0, 1, ..., cut where its tail mass drops
+    below ``_BUILD_TAIL_MASS``, or None if that takes more than ``cells``.
+
+    Past k >= 2 lam the terms at least halve, so the tail beyond a term is
+    below it; logs keep e^-lam from underflowing.
+    """
+    if 2 * lam >= cells:
+        return None
+    probs = []
+    while len(probs) <= 2 * lam or probs[-1] >= _BUILD_TAIL_MASS:
+        k = len(probs)
+        probs.append(math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) if lam else float(k == 0))
+    return np.array(probs) if len(probs) <= cells else None
 
 
 def _binomial_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -509,7 +501,11 @@ def make_distribution(
         lam = _require(spec, "lambda", float)
         if not lam >= 0.0:
             raise InvalidParameter(f"poisson lambda must be >= 0, got {lam}")
-        support, cdf = _poisson_table(lam)
+        pmf = _poisson_pmf(lam, _POISSON_CELLS)
+        if pmf is None:
+            raise InvalidParameter(f"poisson lambda must be below {_POISSON_CELLS // 2} "
+                                   f"for its cdf to be tabulated, got {lam}")
+        support, cdf = _discrete_table(np.arange(len(pmf)), pmf)
         dist = OffspringDistribution(kind, {"lambda": lam}, lam, lam, support, cdf)
     elif kind == "geometric":
         p = _require(spec, "p", float)

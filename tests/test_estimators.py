@@ -69,7 +69,7 @@ def test_batch_layout_properties(total, data):
 
 def _tau_hist_parts(K: int):
     layout = batch_layout(600, 6)
-    return partial(_tau_hist_batch, seed=3, layout=layout, dist=POI, K=K, slot=0, cap=60)
+    return partial(_tau_hist_batch, seed=3, layout=layout, dist=POI, K=K, horizon=60)
 
 
 def test_run_batches_gives_each_function_its_parts_at_any_worker_count():
@@ -82,7 +82,7 @@ def test_run_batches_gives_each_function_its_parts_at_any_worker_count():
         assert len(runs) == 2
         for parts, want in zip(runs, alone):
             assert len(parts) == 6
-            for (hist, censored), (want_hist, want_censored) in zip(parts, want):
+            for (hist, censored, _), (want_hist, want_censored, _) in zip(parts, want):
                 assert np.array_equal(hist, want_hist) and censored == want_censored
 
 

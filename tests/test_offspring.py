@@ -515,6 +515,20 @@ def test_pmf_table_accepts_int_keys_and_normalization_slack():
 
 def test_sample_accepts_generator_and_rejects_other():
     dist = make_distribution({"kind": "bernoulli", "p": 0.3})
-    assert dist.sample(np.random.default_rng(5)) in (0, 1)
+    assert dist.sample_sum(1, np.random.default_rng(5)) in (0, 1)
     with pytest.raises(TypeError):
-        dist.sample("not-a-generator")
+        dist.sample_sum(1, "not-a-generator")
+
+
+@pytest.mark.parametrize("lam", [0.7, 30.0, 800.0, 5000.0])
+def test_poisson_inverse_cdf_matches_scipy_quantiles(lam):
+    """The poisson cdf table is built from logs, so a mean far above 745,
+    where e^-lambda underflows, still has the right quantiles."""
+    dist = make_distribution({"kind": "poisson", "lambda": lam}, allow_supercritical=lam >= 1)
+    u = np.array([1e-6, 0.1, 0.25, 0.5, 0.75, 0.9, 1 - 1e-6])
+    np.testing.assert_array_equal(dist.inverse_cdf(u), st.poisson.ppf(u, lam))
+
+
+def test_poisson_too_wide_to_tabulate_is_refused():
+    with pytest.raises(InvalidParameter, match="tabulated"):
+        make_distribution({"kind": "poisson", "lambda": 1e12}, allow_supercritical=True)

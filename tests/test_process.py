@@ -15,18 +15,20 @@ from test_offspring import SUBCRITICAL_SPECS, _chisquare_gof, _sum_law_pmf
 
 from branchlab.estimators import _tau_hist_batch
 from branchlab.exact import extinction_cdf
-from branchlab.harness import _coupled_batch, _simulate_batch
+from branchlab.harness import _coupled_batch
 from branchlab.offspring import OffspringDistribution, make_distribution
 from branchlab.process import (
     PathRecord,
     coupled_floors,
+    coupled_record,
     coupled_step,
     default_horizon,
     floor_level,
     plain_sizes,
-    plain_trajectory_rows,
     simulate_coupled,
     simulate_path,
+    trajectory_header,
+    trajectory_rows,
     write_trajectories,
 )
 from branchlab.randomness import RandomnessSource
@@ -142,18 +144,22 @@ def test_coupled_base_extinction_law(dist):
 @pytest.mark.parametrize("runner", ["tau_hist", "simulate"])
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.kind)
 def test_plain_engine_extinction_law(dist, runner):
-    """Extinction times of the plain batch engine, as the extinction-scaling
-    and simulate kinds run it, follow exact.extinction_cdf."""
+    """Extinction times of the plain batch engine follow exact.extinction_cdf,
+    without the size matrix (extinction-scaling, and simulate without a dump)
+    and with it (simulate writing trajectories), where each path's rows end
+    at its extinction time."""
     K, paths = 12, 20_000
     horizon = default_horizon(K, dist.mean)
-    if runner == "tau_hist":
-        hist, censored = _tau_hist_batch(0, seed=32, layout=[(0, paths)], dist=dist, K=K,
-                                         slot=0, cap=horizon)
-    else:
-        hist, censored, _ = _simulate_batch(0, layout=[(0, paths)], seed=33, dist=dist, K=K,
-                                            horizon=horizon, dump=False)
+    dump = runner == "simulate"
+    hist, censored, text = _tau_hist_batch(0, seed=32 + dump, layout=[(0, paths)], dist=dist,
+                                           K=K, horizon=horizon, dump=dump)
     assert censored == 0
     _assert_extinction_cdf(hist, dist, K, paths)
+    if dump:
+        rows = np.array([line.split(",") for line in text.splitlines()], dtype=np.int64)
+        ends = rows[rows[:, 2] == 0]
+        assert (ends[:, 0] == np.arange(paths)).all() and len(rows) == paths + ends[:, 1].sum()
+        assert (np.bincount(ends[:, 1], minlength=hist.size) == hist).all()
 
 
 def test_plain_sizes_stop_rule_and_floor():
@@ -222,29 +228,49 @@ def test_plain_engine_draws_only_for_live_paths(monkeypatch, dist, cap):
 
     monkeypatch.setattr(OffspringDistribution, "closure_sums", spy)
     cap = cap or default_horizon(40, dist.mean)
-    hist, censored = _tau_hist_batch(0, seed=8, layout=[(0, 500)], dist=dist, K=40, slot=0,
-                                     cap=cap)
+    hist, censored, _ = _tau_hist_batch(0, seed=8, layout=[(0, 500)], dist=dist, K=40,
+                                        horizon=cap)
     assert all(sizes.all() for sizes in calls)
     assert sum(sizes.size for sizes in calls) == hist @ np.arange(hist.size) + censored * cap
     assert len(calls) == (cap if censored else hist.size - 1)
     assert (censored > 0) == (cap == 6)
 
 
+def _reference_text(records) -> str:
+    buf = io.StringIO()
+    write_trajectories(records, buf)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("dist", [BERN, FAMILIES[-1]], ids=lambda d: d.kind)
 def test_batch_rows_match_write_trajectories(dist):
     """The batch formatter writes the same bytes as write_trajectories for
-    paths run on their closure streams, some extinct at different times and
-    some censored at the horizon."""
+    plain paths run on their closure streams, some extinct at different
+    times and some censored at the horizon, and for coupled paths at levels
+    that include 0, whose base dies out before the horizon in some paths and
+    not in others."""
     horizon, first = 7, 3
     src = RandomnessSource(12)
     recs = [simulate_path(20, dist, src, p, horizon=horizon) for p in range(first, first + 30)]
     assert {rec.extinct for rec in recs} == {True, False}
-    sizes = np.zeros((horizon + 1, len(recs)), dtype=np.int64)
+    sizes = np.zeros((horizon + 1, len(recs), 1), dtype=np.int64)
     for i, rec in enumerate(recs):
-        sizes[:len(rec.sizes), i] = rec.sizes
-    buf = io.StringIO()
-    write_trajectories(recs, buf)
-    assert "path,n,X\n" + plain_trajectory_rows(sizes, first) == buf.getvalue()
+        sizes[:len(rec.sizes), i, 0] = rec.sizes
+    assert "path,n,X\n" + trajectory_rows(sizes, first) == _reference_text(recs)
+
+    K, levels = 20, [0.0, 0.15, 0.5]
+    floors = coupled_floors(levels, K)
+    gen = RandomnessSource(13).handle().generator
+    rows, flags = [np.full((30, len(floors)), K, dtype=np.int64)], []
+    for _ in range(horizon):
+        step, flag = coupled_step(rows[-1], floors, dist, gen)
+        rows.append(step)
+        flags.append(flag)
+    rows, flags = np.stack(rows), np.stack(flags)
+    coupled = [coupled_record(K, levels, rows[:, i], flags[:, i], first + i) for i in range(30)]
+    assert {rec.extinct for rec in coupled} == {True, False}
+    text = trajectory_rows(rows, first, floors, flags)
+    assert trajectory_header(levels) + "\n" + text == _reference_text(coupled)
 
 
 def test_step_truncated_floor_and_precondition():

@@ -71,25 +71,26 @@ def test_closure_stream_disjoint_from_pool_stream():
     assert not np.array_equal(pool, closure)
 
 
-def test_closure_generator_repositions_in_place():
+def test_closure_generator_restarts_its_stream():
+    """Each call gives a new generator at the start of the path's stream;
+    one handed out before keeps its place."""
     src = RandomnessSource(8)
     g3 = src.closure_generator(3)
     first = g3.random(4).copy()
-    g5 = src.closure_generator(5)
-    assert g5 is g3  # same object, repositioned
-    src.closure_generator(3)
-    np.testing.assert_array_equal(g3.random(4), first)
+    assert src.closure_generator(5) is not g3
+    np.testing.assert_array_equal(src.closure_generator(3).random(4), first)
+    assert not np.array_equal(g3.random(4), first)
 
 
 def test_handles_are_independent_objects():
     src = RandomnessSource(99)
     h1 = src.handle(path=1, generation=0)
     h2 = src.handle(path=2, generation=0)
-    u1 = h1.uniform()
-    u2 = h2.uniform()  # interleaved consumption must not interact
+    u1 = h1.uniforms(1)
+    u2 = h2.uniforms(1)  # interleaved consumption must not interact
     fresh = RandomnessSource(99)
-    assert fresh.handle(path=1).uniform() == u1
-    assert fresh.handle(path=2).uniform() == u2
+    assert fresh.handle(path=1).uniforms(1) == u1
+    assert fresh.handle(path=2).uniforms(1) == u2
     assert "path=1" in repr(h1)
 
 
@@ -105,7 +106,7 @@ def test_handle_stream_disjoint_from_pool_and_closure():
 def test_extreme_seeds_are_accepted(seed):
     src = RandomnessSource(seed)
     assert src.uniforms(0, 0, 4).shape == (4,)
-    assert 0.0 <= src.handle().uniform() < 1.0
+    assert 0.0 <= src.handle().uniforms(1)[0] < 1.0
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", None])
@@ -122,3 +123,7 @@ def test_bad_addresses_rejected():
         src.uniforms(0, -1, 4)
     with pytest.raises(ValueError):
         src.closure_generator(2**64)
+    with pytest.raises(ValueError):
+        src.handle(2**64)
+    with pytest.raises(ValueError):
+        src.handle(0, -1)
