@@ -7,6 +7,11 @@ summaries merge in batch order, and standard errors come from the spread
 of batch means. Batch simulation runs the process module's batch engine
 across the paths of a batch on a handle stream keyed by (batch, slot).
 
+The conditional experiments average over an ``Ensemble`` of paths. A
+Monte Carlo sample and an exact enumeration (probability weights, one
+batch) run the same grouping, binning and scoring code, so the tests'
+enumeration oracles check the code that writes the reports.
+
 Statistical verdicts are derived only from (estimate, stderr, target,
 tolerance), and every tolerance is recorded on the entry itself.
 """
@@ -185,22 +190,6 @@ def _batch_ids(layout: list[tuple[int, int]]) -> np.ndarray:
     return np.repeat(np.arange(len(layout)), [c for _, c in layout])
 
 
-def _batch_mean_se(values: np.ndarray, batch_ids: np.ndarray,
-                   batches: int) -> tuple[float, float | None]:
-    """Mean of ``values`` plus the batch-replication standard error."""
-    if len(values) == 0:
-        raise ValueError("cannot average an empty selection")
-    mean = float(values.mean())
-    counts = np.bincount(batch_ids, minlength=batches)
-    ok = counts > 0
-    if ok.sum() < 2:
-        return mean, None
-    sums = np.bincount(batch_ids, weights=values, minlength=batches)
-    means = sums[ok] / counts[ok]
-    se = float(means.std(ddof=1) / math.sqrt(ok.sum()))
-    return mean, se
-
-
 def _hist_rows(hists: Sequence[np.ndarray]) -> np.ndarray:
     """The batches' count histograms as the rows of one zero-padded matrix."""
     out = np.zeros((len(hists), max(len(h) for h in hists)), dtype=np.int64)
@@ -272,7 +261,7 @@ def _values_batch(batch: int, *, seed: int, layout, dist, K: int, u1: float,
     x1 = M[s1, cols]
     x2 = M[s2, cols]
     xn = M[fixed_n, cols] if fixed_n < M.shape[0] else np.zeros(count, np.int64)
-    return taus, x1, x2, xn, int(np.count_nonzero(taus < 0))
+    return taus, x1, x2, xn
 
 
 def _theta_batch(batch: int, *, seed: int, layout, dist, K: int,
@@ -288,29 +277,83 @@ def _theta_batch(batch: int, *, seed: int, layout, dist, K: int,
 
 
 def _collect_values(dist, K, u1, u2, paths, seed, batches, workers,
-                    cap_multiplier, fixed_n):
+                    cap_multiplier, fixed_n) -> Ensemble:
     layout = batch_layout(paths, batches)
     cap = default_horizon(K, dist.mean, multiplier=cap_multiplier)
     fn = partial(_values_batch, seed=seed, layout=layout, dist=dist, K=K,
                  u1=u1, u2=u2, fixed_n=fixed_n, cap=cap)
     [parts] = _run_batches([fn], batches, workers)
-    tau = np.concatenate([p[0] for p in parts])
-    x1 = np.concatenate([p[1] for p in parts])
-    x2 = np.concatenate([p[2] for p in parts])
-    xn = np.concatenate([p[3] for p in parts])
-    censored = sum(p[4] for p in parts)
-    return tau, x1, x2, xn, censored, _batch_ids(layout)
+    tau, x1, x2, xn = (np.concatenate(column) for column in zip(*parts))
+    return Ensemble(tau, x1, x2, xn, _batch_ids(layout))
 
 
 # ---------------------------------------------------------------------------
-# conditional-aggregation pipeline shared by the two-time moment experiments
+# the ensemble of paths that every conditional experiment averages over
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Per-path tau (-1 if censored), X at floor(u1 tau), floor(u2 tau) and
+    a fixed n, with each path's batch and weight.
+
+    A Monte Carlo sample leaves ``weights`` unset, so every path weighs 1
+    and means carry batch standard errors. An exact enumeration weighs
+    each path by its probability and is one batch, so its means carry
+    none. Only ``mass`` and ``mean`` tell the two apart. A selection is an
+    ascending index array, ``values`` hold one value per selected path,
+    and averages run in selection order.
+    """
+
+    tau: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    xn: np.ndarray | None
+    batch: np.ndarray
+    weights: np.ndarray | None = None
+
+    @classmethod
+    def enumeration(cls, tau, x1, x2, weights) -> Ensemble:
+        """Every path of an exact enumeration, weighted by its probability."""
+        tau = np.asarray(tau, dtype=np.int64)
+        return cls(tau, np.asarray(x1), np.asarray(x2), None,
+                   np.zeros(len(tau), dtype=np.int64), np.asarray(weights, dtype=float))
+
+    def mass(self, sel: np.ndarray) -> float:
+        """Total weight of the selected paths: their count in a sample."""
+        if self.weights is None:
+            return float(len(sel))
+        return float(self.weights[sel].sum())
+
+    def mean(self, values: np.ndarray, sel: np.ndarray) -> float:
+        """Mean of the selected paths' ``values``, weighted by the paths' weights."""
+        if len(sel) == 0:
+            raise ValueError("cannot average an empty selection")
+        if self.weights is None:
+            return float(values.mean())
+        w = self.weights[sel]
+        return float((values * w).sum() / w.sum())
+
+    def mean_se(self, values: np.ndarray, sel: np.ndarray) -> tuple[float, float | None]:
+        """``mean`` plus the spread of batch means over sqrt(batches), or
+        None when fewer than two batches hold a selected path."""
+        mean = self.mean(values, sel)
+        ids = self.batch[sel]
+        counts = np.bincount(ids)
+        ok = counts > 0
+        if ok.sum() < 2:
+            return mean, None
+        means = np.bincount(ids, weights=values)[ok] / counts[ok]
+        return mean, float(means.std(ddof=1) / math.sqrt(ok.sum()))
+
+
+# ---------------------------------------------------------------------------
+# grouping and binning shared by the conditional experiments
 
 
 @dataclass
 class BinStat:
     representative: float
     mean: float
-    count: int
     mass: float
 
 
@@ -320,20 +363,17 @@ def assign_bins(values: np.ndarray, min_count: int, mode: str,
 
     ``quantile`` slices the sorted sample into equal-count chunks of at
     least ``min_count`` elements; ``distinct`` makes one bin per distinct
-    value, dropping values rarer than ``min_count``.
+    value, numbered in ascending value order, dropping values rarer than
+    ``min_count``.
     """
-    n = len(values)
-    ids = np.full(n, -1, dtype=np.int64)
     if mode == "distinct":
-        next_id = 0
-        for v in np.unique(values):
-            sel = values == v
-            if sel.sum() >= min_count:
-                ids[sel] = next_id
-                next_id += 1
-        return ids
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        kept = counts >= min_count
+        return np.where(kept, np.cumsum(kept) - 1, -1)[inverse]
     if mode != "quantile":
         raise ValueError(f"unknown bin mode {mode!r}")
+    n = len(values)
+    ids = np.full(n, -1, dtype=np.int64)
     nbins = min(n // min_count, max_bins)
     if nbins < 1:
         return ids
@@ -343,77 +383,22 @@ def assign_bins(values: np.ndarray, min_count: int, mode: str,
     return ids
 
 
-def _weighted_mean(values: np.ndarray, weights: np.ndarray | None) -> float:
-    if weights is None:
-        return float(values.mean())
-    return float((values * weights).sum() / weights.sum())
+def _tau_group_counts(tau: np.ndarray, min_count: int) -> dict[int, int]:
+    """Path counts of the exact-tau groups of at least ``min_count`` extinct
+    paths, in ascending tau."""
+    ts, counts = np.unique(tau[tau >= 0], return_counts=True)
+    return {int(t): int(c) for t, c in zip(ts, counts) if c >= min_count}
 
 
-def _conditional_scores(tau, x_pred, x_cond, factors, *, power, min_bin_count,
-                    bin_mode, min_group_count, weights=None):
-    """Per-path ratio scores plus the per-group bin table.
-
-    Within each exact-tau group, paths are binned on the conditioning
-    value, and a binned path p scores
-    x_pred_p^power / (representative^power * factors_p), where factors_p
-    is constant within a group, so that a (weighted) mean of scores over
-    any path set is the aggregate ratio estimate for that set.
-    """
-    scores = np.full(len(tau), np.nan)
-    groups: dict[int, dict] = {}
-    for t in np.unique(tau):
-        if t < 0:
-            continue
-        sel = np.flatnonzero(tau == t)
-        if len(sel) < min_group_count:
-            continue
-        ids = assign_bins(x_cond[sel], min_bin_count, bin_mode)
-        bins = []
-        for b in range(int(ids.max()) + 1):
-            here = sel[ids == b]
-            if len(here) == 0:
-                continue
-            w = None if weights is None else weights[here]
-            rep = _weighted_mean(x_cond[here].astype(float), w)
-            mean_pred = _weighted_mean(x_pred[here].astype(float) ** power, w)
-            scores[here] = (x_pred[here].astype(float) ** power
-                            / (rep**power * factors[here]))
-            mass = float(len(here)) if weights is None else float(weights[here].sum())
-            bins.append(BinStat(rep, mean_pred, len(here), mass))
-        if bins:
-            group_mass = float(len(sel)) if weights is None else float(weights[sel].sum())
-            groups[int(t)] = {"bins": bins, "count": len(sel), "mass": group_mass}
-    if not groups:
-        raise InsufficientBinMass(
-            f"no tau group of >= {min_group_count} paths produced a bin of "
-            f">= {min_bin_count} paths")
-    return scores, groups
+def _dominant_group(counts: dict[int, int]) -> int:
+    """The group of most paths; the smallest tau among equals."""
+    return max(counts, key=counts.get)
 
 
-def _dominant_group(groups: dict[int, dict]) -> int:
-    return max(sorted(groups), key=lambda t: groups[t]["count"])
-
-
-def _mean_of_scores(scores, sel, batch_ids, batches, weights):
-    idx = np.flatnonzero(sel & np.isfinite(scores))
-    if weights is not None:
-        return _weighted_mean(scores[idx], weights[idx]), None
-    return _batch_mean_se(scores[idx], batch_ids[idx], batches)
-
-
-def _marginalization_residual(groups, t, scores, tau, x_pred, power, weights):
-    """Relative gap between the bin-recombined and the direct group mean.
-
-    Exact identity of the estimator: recombining the per-bin conditional
-    means with their masses must reproduce the unconditional mean over
-    the same (binned) paths.
-    """
-    bins = groups[t]["bins"]
-    lhs = sum(b.mass * b.mean for b in bins) / sum(b.mass for b in bins)
-    sel = np.flatnonzero((tau == t) & np.isfinite(scores))
-    w = None if weights is None else weights[sel]
-    rhs = _weighted_mean(x_pred[sel].astype(float) ** power, w)
-    return abs(lhs - rhs) / abs(rhs)
+def _mean_se_where(ens: Ensemble, values: np.ndarray, where: np.ndarray):
+    """``ens.mean_se`` of the per-path ``values`` over the paths ``where`` marks."""
+    sel = np.flatnonzero(where)
+    return ens.mean_se(values[sel], sel)
 
 
 def invariance_target(K: int, power: int, u1: float, eps: float) -> float:
@@ -688,52 +673,75 @@ def clt_covariance_check(
 # experiment: two-time conditional moments
 
 
-def _conditional_moment_core(tau, x1, x2, weights, batch_ids, batches, *,
-                             u1, u2, power, m, min_bin_count, bin_mode,
+def _path_entries(paths: int, ens: Ensemble) -> list[StatEntry]:
+    return [entry_info("paths", paths),
+            entry_le("censored_paths", int(np.count_nonzero(ens.tau < 0)), 0)]
+
+
+def _conditional_moment_core(ens: Ensemble, *, u1, u2, power, m, min_bin_count, bin_mode,
                              min_group_count, ratio_band, max_bins_reported):
-    extinct = tau >= 0
+    extinct = ens.tau >= 0
     if not extinct.any():
         raise InsufficientBinMass("no path went extinct within the horizon")
-    s1 = np.floor(u1 * tau).astype(np.int64)
-    s2 = np.floor(u2 * tau).astype(np.int64)
+    s1 = np.floor(u1 * ens.tau).astype(np.int64)
+    s2 = np.floor(u2 * ens.tau).astype(np.int64)
+    counts = _tau_group_counts(ens.tau, min_group_count)
     entries: list[StatEntry] = []
-    for label, xp, xc, sp, sc in (("forward", x1, x2, s1, s2),
-                                  ("reverse", x2, x1, s2, s1)):
+    for label, xp, xc, sp, sc in (("forward", ens.x1, ens.x2, s1, s2),
+                                  ("reverse", ens.x2, ens.x1, s2, s1)):
         factors = m ** (power * (sp - sc).astype(float))
-        if weights is None:
-            e_hat, e_se = _batch_mean_se(factors[extinct], batch_ids[extinct],
-                                         batches)
-        else:
-            e_hat, e_se = _weighted_mean(factors[extinct], weights[extinct]), None
-        scores, groups = _conditional_scores(
-            tau, xp, xc, factors, power=power, min_bin_count=min_bin_count,
-            bin_mode=bin_mode, min_group_count=min_group_count, weights=weights)
-        t_star = _dominant_group(groups)
+        e_hat, e_se = _mean_se_where(ens, factors, extinct)
+        # Within each tau group, paths are binned on the conditioning value,
+        # and a binned path p scores x_pred_p^power / (representative^power
+        # * factors_p). factors_p is constant within a group, so the mean of
+        # scores over any path set is the aggregate ratio for that set.
+        scores = np.full(len(ens.tau), np.nan)
+        table: dict[int, list[BinStat]] = {}
+        for t in counts:
+            sel = np.flatnonzero(ens.tau == t)
+            ids = assign_bins(xc[sel], min_bin_count, bin_mode)
+            bins = []
+            for b in range(int(ids.max()) + 1):  # no bin id is empty
+                here = sel[ids == b]
+                rep = ens.mean(xc[here].astype(float), here)
+                pred = xp[here].astype(float) ** power
+                scores[here] = pred / (rep**power * factors[here])
+                bins.append(BinStat(rep, ens.mean(pred, here), ens.mass(here)))
+            if bins:
+                table[t] = bins
+        if not table:
+            raise InsufficientBinMass(
+                f"no tau group of >= {min_group_count} paths produced a bin of "
+                f">= {min_bin_count} paths")
+        t_star = _dominant_group({t: counts[t] for t in table})
+        group = np.flatnonzero(ens.tau == t_star)
         entries.append(entry_info(f"{label}.em_factor", e_hat, stderr=e_se))
         if label == "forward":
-            total_mass = (float(extinct.sum()) if weights is None
-                          else float(weights[extinct].sum()))
             entries.append(entry_info("tau.dominant_group", t_star))
             entries.append(entry_info("tau.dominant_mass",
-                                      groups[t_star]["mass"] / total_mass))
-        est, se = _mean_of_scores(scores, tau == t_star, batch_ids, batches,
-                                  weights)
+                                      ens.mass(group) / ens.mass(np.flatnonzero(extinct))))
+        finite = np.isfinite(scores)
+        binned = group[finite[group]]
+        est, se = ens.mean_se(scores[binned], binned)
         entries.append(_ratio_entry(f"{label}.dominant_ratio", est, se, ratio_band))
-        est, se = _mean_of_scores(scores, extinct, batch_ids, batches, weights)
+        est, se = _mean_se_where(ens, scores, finite)
         entries.append(_ratio_entry(f"{label}.aggregate_ratio", est, se, ratio_band))
         # Sensitivity view: the same aggregate normalized by the pooled
         # across-path factor instead of each group's own, per the open
         # choice in how the asymptote's expectation is read.
         pooled = scores * (factors / e_hat)
-        est, se = _mean_of_scores(pooled, extinct, batch_ids, batches, weights)
+        est, se = _mean_se_where(ens, pooled, np.isfinite(pooled))
         entries.append(entry_info(f"{label}.aggregate_ratio_pooled", est,
                                   stderr=se, target=1.0))
-        resid = _marginalization_residual(groups, t_star, scores, tau, xp,
-                                          power, weights)
+        # Exact identity of the estimator: the bins' means recombined by
+        # mass reproduce the mean over the same (binned) paths.
+        bins = table[t_star]
+        lhs = sum(b.mass * b.mean for b in bins) / sum(b.mass for b in bins)
+        rhs = ens.mean(xp[binned].astype(float) ** power, binned)
         entries.append(entry_le(f"{label}.marginalization_rel_residual",
-                                resid, 1e-9))
-        f_star = float(factors[np.flatnonzero(tau == t_star)[0]])
-        for i, b in enumerate(groups[t_star]["bins"][:max_bins_reported]):
+                                abs(lhs - rhs) / abs(rhs), 1e-9))
+        f_star = float(factors[group[0]])
+        for i, b in enumerate(bins[:max_bins_reported]):
             entries.append(entry_info(
                 f"{label}.bin[{i}].ratio",
                 b.mean / (b.representative**power * f_star), target=1.0))
@@ -777,14 +785,10 @@ def conditional_moment_check(
         raise ValueError("u1 and u2 must lie strictly inside (0, 1)")
     if u1 == u2:
         raise ValueError("u1 == u2 makes the two-time conditioning degenerate")
-    tau, x1, x2, _, censored, ids = _collect_values(
-        dist, K, u1, u2, paths, seed, batches, workers, cap_multiplier, 1)
-    entries = [entry_info("paths", paths),
-               entry_le("censored_paths", censored, 0)]
-    entries += _conditional_moment_core(
-        tau, x1, x2, None, ids, batches, u1=u1, u2=u2, power=power,
-        m=dist.mean, min_bin_count=min_bin_count, bin_mode=bin_mode,
-        min_group_count=min_group_count, ratio_band=ratio_band,
+    ens = _collect_values(dist, K, u1, u2, paths, seed, batches, workers, cap_multiplier, 1)
+    entries = _path_entries(paths, ens) + _conditional_moment_core(
+        ens, u1=u1, u2=u2, power=power, m=dist.mean, min_bin_count=min_bin_count,
+        bin_mode=bin_mode, min_group_count=min_group_count, ratio_band=ratio_band,
         max_bins_reported=max_bins_reported)
     cfg = {"u1": u1, "u2": u2, "l": power, "K": K, "paths": paths,
            "seed": seed, "batches": batches, "offspring": dist.descriptor()}
@@ -807,12 +811,9 @@ def conditional_moment_from_arrays(
     ratio_band: tuple[float, float] | None = None,
 ) -> ExperimentReport:
     """Same pipeline on an explicit weighted ensemble (for exact oracles)."""
-    tau = np.asarray(tau, dtype=np.int64)
-    ids = np.zeros(len(tau), dtype=np.int64)
     entries = _conditional_moment_core(
-        tau, np.asarray(x1), np.asarray(x2), np.asarray(weights, dtype=float),
-        ids, 1, u1=u1, u2=u2, power=power, m=m, min_bin_count=min_bin_count,
-        bin_mode=bin_mode, min_group_count=min_group_count,
+        Ensemble.enumeration(tau, x1, x2, weights), u1=u1, u2=u2, power=power, m=m,
+        min_bin_count=min_bin_count, bin_mode=bin_mode, min_group_count=min_group_count,
         ratio_band=ratio_band, max_bins_reported=64)
     cfg = {"u1": u1, "u2": u2, "l": power, "m": m, "weighted": True}
     return ExperimentReport("conditional-moments", cfg, entries, 1, len(tau))
@@ -820,6 +821,35 @@ def conditional_moment_from_arrays(
 
 # ---------------------------------------------------------------------------
 # experiment: moments conditioned on the extinction time
+
+
+def _on_tau_core(ens: Ensemble, *, u1, power, K, m, min_group_count, ratio_band,
+                 max_groups_reported):
+    """The dominant group, the ratio of each of the ``max_groups_reported``
+    largest tau groups, and the dominant and aggregate ratios."""
+    extinct = ens.tau >= 0
+    if not extinct.any():
+        raise InsufficientBinMass("no path went extinct within the horizon")
+    s1 = np.floor(u1 * ens.tau).astype(np.int64)
+    scores = np.where(extinct,
+                      ens.x1.astype(float) ** power
+                      / (float(K) ** power * m ** (power * s1.astype(float))),
+                      np.nan)
+    counts = _tau_group_counts(ens.tau, min_group_count)
+    if not counts:
+        raise InsufficientBinMass(f"no tau group reached {min_group_count} paths")
+    finite = np.isfinite(scores)
+    t_star = _dominant_group(counts)
+    entries = [entry_info("tau.dominant_group", t_star)]
+    largest = sorted(counts, key=lambda t: -counts[t])[:max_groups_reported]
+    for t in sorted(largest):
+        est, se = _mean_se_where(ens, scores, (ens.tau == t) & finite)
+        entries.append(entry_info(f"group[t={t}].ratio", est, stderr=se, target=1.0))
+    est, se = _mean_se_where(ens, scores, (ens.tau == t_star) & finite)
+    entries.append(_ratio_entry("dominant_ratio", est, se, ratio_band))
+    est, se = _mean_se_where(ens, scores, np.isin(ens.tau, list(counts)) & finite)
+    entries.append(_ratio_entry("aggregate_ratio", est, se, ratio_band))
+    return entries
 
 
 def conditional_on_tau_check(
@@ -851,46 +881,19 @@ def conditional_on_tau_check(
         raise ValueError("u1 must lie strictly inside (0, 1)")
     m = dist.mean
     fixed_n = max(1, math.floor(u1 * tau_quantile(dist, K)))
-    tau, x1, _, xn, censored, ids = _collect_values(
-        dist, K, u1, u1, paths, seed, batches, workers, cap_multiplier, fixed_n)
-    extinct = tau >= 0
-    if not extinct.any():
-        raise InsufficientBinMass("no path went extinct within the horizon")
-    s1 = np.floor(u1 * tau).astype(np.int64)
-    scores = np.where(extinct,
-                      x1.astype(float) ** power
-                      / (float(K) ** power * m ** (power * s1.astype(float))),
-                      np.nan)
-    entries = [entry_info("paths", paths),
-               entry_le("censored_paths", censored, 0)]
+    ens = _collect_values(dist, K, u1, u1, paths, seed, batches, workers, cap_multiplier, fixed_n)
+    entries = _path_entries(paths, ens) + _on_tau_core(
+        ens, u1=u1, power=power, K=K, m=m, min_group_count=min_group_count,
+        ratio_band=ratio_band, max_groups_reported=max_groups_reported)
 
-    tau_vals, counts = np.unique(tau[extinct], return_counts=True)
-    big = counts >= min_group_count
-    if not big.any():
-        raise InsufficientBinMass(f"no tau group reached {min_group_count} paths")
-    eligible = tau_vals[big]
-    t_star = int(eligible[np.argmax(counts[big])])
-    entries.append(entry_info("tau.dominant_group", t_star))
-
-    order = np.argsort(-counts[big], kind="stable")
-    for t in sorted(int(t) for t in eligible[order][:max_groups_reported]):
-        est, se = _mean_of_scores(scores, tau == t, ids, batches, None)
-        entries.append(entry_info(f"group[t={t}].ratio", est, stderr=se,
-                                  target=1.0))
-
-    est, se = _mean_of_scores(scores, tau == t_star, ids, batches, None)
-    entries.append(_ratio_entry("dominant_ratio", est, se, ratio_band))
-    est, se = _mean_of_scores(scores, np.isin(tau, eligible), ids, batches, None)
-    entries.append(_ratio_entry("aggregate_ratio", est, se, ratio_band))
-
+    extinct = np.flatnonzero(ens.tau >= 0)
     entries.append(entry_info("wald.n", fixed_n))
     target = K * m**fixed_n
-    mean_xn, se_xn = _batch_mean_se(xn[extinct].astype(float), ids[extinct],
-                                    batches)
+    mean_xn, se_xn = ens.mean_se(ens.xn[extinct].astype(float), extinct)
     entries.append(entry_se("wald.mean_Xn", mean_xn, se_xn, target, se_k))
-    recombined = sum(
-        float(xn[extinct][tau[extinct] == t].mean()) * cnt / extinct.sum()
-        for t, cnt in zip(tau_vals, counts))
+    total = ens.mass(extinct)
+    groups = (np.flatnonzero(ens.tau == t) for t in _tau_group_counts(ens.tau, 1))
+    recombined = sum(ens.mean(ens.xn[sel], sel) * ens.mass(sel) / total for sel in groups)
     # Relative to the mean, or absolute where every X_n is 0.
     resid = abs(recombined - mean_xn) / (abs(mean_xn) or 1.0)
     entries.append(entry_le("wald.marginalization_rel_residual", resid, 1e-9))
@@ -909,17 +912,13 @@ def conditional_on_tau_from_arrays(
     power: int,
     K: int,
     m: float,
+    min_group_count: int = 1,
 ) -> ExperimentReport:
-    """Per-group conditional ratios on an explicit weighted ensemble."""
-    tau = np.asarray(tau, dtype=np.int64)
-    x1 = np.asarray(x1, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    entries: list[StatEntry] = []
-    for t in np.unique(tau):
-        sel = tau == t
-        denom = float(K) ** power * m ** (power * math.floor(u1 * t))
-        est = _weighted_mean(x1[sel] ** power, weights[sel]) / denom
-        entries.append(entry_info(f"group[t={t}].ratio", est, target=1.0))
+    """Same pipeline on an explicit weighted ensemble (for exact oracles),
+    reporting every group; censored paths (tau = -1) are skipped."""
+    entries = _on_tau_core(
+        Ensemble.enumeration(tau, x1, x1, weights), u1=u1, power=power, K=K, m=m,
+        min_group_count=min_group_count, ratio_band=None, max_groups_reported=None)
     cfg = {"u1": u1, "l": power, "K": K, "m": m, "weighted": True}
     return ExperimentReport("conditional-on-tau", cfg, entries, 1, len(tau))
 
@@ -962,21 +961,21 @@ def invariance_check(
             raise ValueError(f"|eps| must be <= 0.2, got {eps}")
     m = dist.mean
     c = limit_constant(LimitOracle(m))
-    tau, x1, x2, _, censored, ids = _collect_values(
-        dist, K, u1, u2, paths, seed, batches, workers, cap_multiplier, 1)
+    ens = _collect_values(dist, K, u1, u2, paths, seed, batches, workers, cap_multiplier, 1)
+    tau, x2 = ens.tau, ens.x2
     extinct = tau >= 0
     if not extinct.any():
         raise EmptyConditioningSet("no path went extinct within the horizon")
-    entries = [entry_info("paths", paths),
-               entry_le("censored_paths", censored, 0)]
-    x1f = x1.astype(float)
+    entries = _path_entries(paths, ens)
+    x1f = ens.x1.astype(float)
+    total = ens.mass(np.flatnonzero(extinct))
     rel_diffs = []
 
     for eps in eps_grid:
         pre = f"eps={eps:+g}"
         center = (1.0 + eps) * float(K) ** (1.0 - u2)
-        window = extinct & (np.abs(x2 - center) <= window_rel * center)
-        if not window.any():
+        window = np.flatnonzero(extinct & (np.abs(x2 - center) <= window_rel * center))
+        if not len(window):
             populated = x2[extinct]
             nearest = float(populated[np.argmin(np.abs(populated - center))])
             raise EmptyConditioningSet(
@@ -984,16 +983,16 @@ def invariance_check(
                 f"{center:.6g} (eps={eps:+g}); nearest populated window sits "
                 f"at eps={nearest / float(K) ** (1.0 - u2) - 1.0:+.4f}")
         t_eps = math.floor((1.0 + eps) * c * math.log(K))
-        group = tau == t_eps
-        if not group.any():
+        group = np.flatnonzero(tau == t_eps)
+        if not len(group):
             seen = np.unique(tau[extinct])
             near_t = int(seen[np.argmin(np.abs(seen - t_eps))])
             raise EmptyConditioningSet(
                 f"no path has tau = {t_eps} (eps={eps:+g}); nearest populated "
                 f"group is tau = {near_t}, i.e. eps="
                 f"{near_t / (c * math.log(K)) - 1.0:+.4f}")
-        mean_a, se_a = _batch_mean_se(x1f[window] ** power, ids[window], batches)
-        mean_b, se_b = _batch_mean_se(x1f[group] ** power, ids[group], batches)
+        mean_a, se_a = ens.mean_se(x1f[window] ** power, window)
+        mean_b, se_b = ens.mean_se(x1f[group] ** power, group)
         A, B = math.log(mean_a), math.log(mean_b)
         target = invariance_target(K, power, u1, eps)
         entries.append(entry_info(
@@ -1002,10 +1001,8 @@ def invariance_check(
         entries.append(entry_info(
             f"{pre}.B", B, target=target,
             stderr=None if se_b is None else se_b / mean_b))
-        entries.append(entry_info(f"{pre}.window_mass",
-                                  float(window.sum()) / extinct.sum()))
-        entries.append(entry_info(f"{pre}.group_mass",
-                                  float(group.sum()) / extinct.sum()))
+        entries.append(entry_info(f"{pre}.window_mass", ens.mass(window) / total))
+        entries.append(entry_info(f"{pre}.group_mass", ens.mass(group) / total))
         entries.append(entry_le(f"{pre}.abs_diff", abs(A - B),
                                 rel_tol * abs(A), target=rel_tol * abs(A)))
         rel_diffs.append(abs(A - B) / abs(A))

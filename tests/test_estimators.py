@@ -14,6 +14,7 @@ from branchlab import estimators
 from branchlab.estimators import (
     AD_SIGNIFICANCE_LEVELS,
     EmptyConditioningSet,
+    Ensemble,
     InsufficientBinMass,
     anderson_darling_critical,
     assign_bins,
@@ -155,6 +156,12 @@ def test_assign_bins_modes():
     assert set(ids[vals == 1]) == {0}
     assert set(ids[vals == 2]) == {1}
     assert set(ids[vals == 9]) == {2}
+    # out of order, with rare values between common ones: ids still follow
+    # ascending value order
+    vals = np.array([7, 3, 5, 3, 7, 4, 7, 3, 6, 5, 8])
+    assert assign_bins(vals, 2, "distinct").tolist() == [2, 0, 1, 0, 2, -1, 2, 0, -1, 1, -1]
+    assert assign_bins(vals, 3, "distinct").tolist() == [1, 0, -1, 0, 1, -1, 1, 0, -1, -1, -1]
+    vals = np.array([5.0, 1, 1, 2, 2, 2, 9, 9, 9, 9])
     ids = assign_bins(vals, 3, "quantile")
     # every element is binned, chunks follow the sorted order
     assert (ids >= 0).all()
@@ -273,8 +280,10 @@ def test_on_tau_pipeline_reproduces_enumeration():
     p, K, horizon, u1, power = 0.5, 6, 5, 0.5, 2
     tau, x1, _, w = _enumeration_arrays(p, K, horizon, u1, u1)
     ext = tau >= 0
-    report = conditional_on_tau_from_arrays(tau[ext], x1[ext], w[ext],
-                                            u1=u1, power=power, K=K, m=p)
+    assert not ext.all()  # censored paths are passed in and skipped
+    report = conditional_on_tau_from_arrays(tau, x1, w, u1=u1, power=power, K=K, m=p)
+    groups = [e.name for e in report.entries if e.name.startswith("group[")]
+    assert groups == [f"group[t={t}].ratio" for t in np.unique(tau[ext])]
     for t in np.unique(tau[ext]):
         sel = ext & (tau == t)
         direct = sum(wt * float(v) ** power for wt, v in zip(w[sel], x1[sel]))
@@ -282,6 +291,9 @@ def test_on_tau_pipeline_reproduces_enumeration():
         direct /= K ** power * p ** (power * math.floor(u1 * t))
         got = report.entry(f"group[t={t}].ratio").estimate
         assert got == pytest.approx(direct, rel=1e-9)
+    scores = x1[ext] ** power / (K**power * p ** (power * np.floor(u1 * tau[ext])))
+    assert report.entry("aggregate_ratio").estimate == pytest.approx(
+        (w[ext] * scores).sum() / w[ext].sum(), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +498,36 @@ def test_conditional_on_tau_wald_residual_when_every_x_n_is_zero():
     assert report.entry("wald.marginalization_rel_residual").estimate == 0.0
 
 
+def test_on_tau_check_matches_from_arrays_and_direct_means(monkeypatch):
+    """Fixed paths, two of them censored and one group below min_group_count:
+    the check, the oracle's entry point at unit weights and plain numpy
+    give the same group, dominant and aggregate ratios. Groups 4 and 5 tie
+    on size, so the dominant group is the smaller tau."""
+    K, u1, power, m = 40, 0.5, 2, POI.mean
+    tau = np.array([4, 5, 4, -1, 6, 5, 4, 6, 5, -1, 4, 7, 6, 5])
+    x1 = np.array([9, 7, 12, 0, 5, 8, 10, 6, 11, 0, 14, 3, 4, 6])
+    ens = Ensemble(tau, x1, x1, x1 + 1, np.repeat(np.arange(7), 2))
+    monkeypatch.setattr(estimators, "_collect_values", lambda *args: ens)
+    check = conditional_on_tau_check(u1, power, K, POI, len(tau), 0, batches=7,
+                                     min_group_count=3)
+    oracle = conditional_on_tau_from_arrays(tau, x1, np.ones(len(tau)), u1=u1, power=power,
+                                            K=K, m=m, min_group_count=3)
+    scores = x1.astype(float) ** power / (K**power * m ** (power * np.floor(u1 * tau)))
+    direct = {f"group[t={t}].ratio": scores[tau == t].mean() for t in (4, 5, 6)}
+    direct["dominant_ratio"] = direct["group[t=4].ratio"]
+    direct["aggregate_ratio"] = scores[np.isin(tau, [4, 5, 6])].mean()
+    assert check.entry("censored_paths").estimate == 2
+    assert check.entry("tau.dominant_group").estimate == 4
+    for name, value in direct.items():
+        assert check.entry(name).estimate == oracle.entry(name).estimate
+        assert check.entry(name).estimate == pytest.approx(value, rel=1e-12)
+        assert oracle.entry(name).stderr is None
+    assert check.entry("dominant_ratio").stderr is not None
+    names = [e.name for e in check.entries]
+    assert "group[t=7].ratio" not in names
+    assert [e.name for e in oracle.entries] == names[2:names.index("wald.n")]
+
+
 def test_conditional_validation_errors():
     with pytest.raises(ValueError, match="degenerate"):
         conditional_moment_check(0.5, 0.5, 1, 50, POI, 400, 1, batches=4)
@@ -530,7 +572,8 @@ def test_invariance_empty_group_names_nearest(monkeypatch):
     but no path dies at t_eps = 17: the error names the nearest tau seen.
     The paths are fixed here, so the case does not hang on one seed's draws."""
     tau = np.array([12, 15, 20])
-    values = (tau, np.ones(3, np.int64), np.full(3, 10), np.ones(3, np.int64), 0, np.arange(3))
+    values = Ensemble(tau, np.ones(3, np.int64), np.full(3, 10), np.ones(3, np.int64),
+                      np.arange(3))
     monkeypatch.setattr(estimators, "_collect_values", lambda *args: values)
     with pytest.raises(EmptyConditioningSet, match="nearest populated group is tau = 15"):
         invariance_check(0.3, 1, [0.2], 200, POI, 3, 2, u2=0.6,

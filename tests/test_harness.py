@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import re
@@ -520,3 +521,17 @@ def test_cli_exit_codes_under_fuzzed_configs(tmp_path, monkeypatch, kind, data):
     monkeypatch.chdir(tmp_path)
     config.setdefault("out", "runs")
     assert main([kind, "--config", write_config(tmp_path, config)]) in (0, 1, 2)
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    """perfbench/spans.py replaces functions by (owner, attribute); a name that
+    is deleted or moved would make a traced benchmark run fail with KeyError."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    pairs = [(owner, attr) for _, owners, _ in spans.targets() for owner, attr in owners]
+    assert pairs
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr in pairs if attr not in vars(owner)]
+    assert not missing
