@@ -68,7 +68,7 @@ from .process import (
     simulate_path,
     write_trajectories,
 )
-from .randomness import DrawHandle, RandomnessSource
+from .randomness import RandomnessSource
 from .stopping import LimitOracle, NeverHit, NotExtinct, boundary_warnings, limit_constant
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
     "CoupledPaths",
     "DegenerateSample",
     "Diagnostic",
-    "DrawHandle",
     "EmptyConditioningSet",
     "ExperimentReport",
     "InsufficientBinMass",

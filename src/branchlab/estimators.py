@@ -13,7 +13,9 @@ batch) run the same grouping, binning and scoring code, so the tests'
 enumeration oracles check the code that writes the reports.
 
 Statistical verdicts are derived only from (estimate, stderr, target,
-tolerance), and every tolerance is recorded on the entry itself.
+tolerance), and every tolerance is recorded on the entry itself. The
+normality gate's Anderson-Darling statistic and its critical values are
+both computed here, so the module needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.stats as sps
 
 from .exact import mean_m_tau as exact_mean_m_tau
 from .exact import tau_quantile
-from .gaussian_limit import ThetaCovariance, is_positive_semidefinite, theta_covariance, theta_variance
+from .gaussian_limit import (ThetaCovariance, covariance_matrix, is_positive_semidefinite,
+                             theta_covariance, theta_variance)
 from .offspring import OffspringDistribution
 from .process import default_horizon, floor_level, plain_batch, trajectory_rows
 from .randomness import RandomnessSource
@@ -217,7 +219,7 @@ def _tau_hist_batch(batch: int, *, seed: int, layout, dist, K: int, horizon: int
     """Histogram of extinction times for one trajectory batch, its count of
     paths alive at the horizon, and its trajectory rows when ``dump``."""
     start, count = layout[batch]
-    gen = RandomnessSource(seed).handle(batch, slot).generator
+    gen = RandomnessSource(seed).handle(batch, slot)
     taus, rows = plain_batch(K, count, dist, gen, horizon, rows=dump)
     text = trajectory_rows(rows[:, :, None], start) if dump else None
     return np.bincount(taus[taus >= 0]), int(np.count_nonzero(taus < 0)), text
@@ -253,7 +255,7 @@ def _values_batch(batch: int, *, seed: int, layout, dist, K: int, u1: float,
     Censored paths get tau = -1 and are skipped downstream.
     """
     _, count = layout[batch]
-    gen = RandomnessSource(seed).handle(batch, 0).generator
+    gen = RandomnessSource(seed).handle(batch, 0)
     taus, M = plain_batch(K, count, dist, gen, cap, rows=True)
     cols = np.arange(count)
     s1 = np.floor(u1 * np.maximum(taus, 0)).astype(np.int64)
@@ -271,7 +273,7 @@ def _theta_batch(batch: int, *, seed: int, layout, dist, K: int,
     Generations after the whole batch died out stay 0.
     """
     _, count = layout[batch]
-    gen = RandomnessSource(seed).handle(batch, 0).generator
+    gen = RandomnessSource(seed).handle(batch, 0)
     _, M = plain_batch(K, count, dist, gen, indices[-1], floor_level(a, K), rows=True)
     return np.pad(M, ((0, indices[-1] + 1 - len(M)), (0, 0)))[list(indices)].T
 
@@ -534,7 +536,8 @@ def extinction_scaling(
 
 # Stephens (1974) asymptotic critical values of the Anderson-Darling A^2
 # for normality with mean and variance estimated (his case 3), by
-# significance level.
+# significance level. The statistic and its finite-sample critical values
+# are both computed below.
 AD_SIGNIFICANCE_LEVELS = (0.15, 0.10, 0.05, 0.025, 0.01)
 _AD_NORM_CRITICAL = np.array([0.561, 0.631, 0.752, 0.873, 1.035])
 
@@ -550,6 +553,34 @@ def anderson_darling_critical(n: int, significance: float) -> float:
         raise ValueError(f"ad_significance must be one of {AD_SIGNIFICANCE_LEVELS}")
     critical = np.around(_AD_NORM_CRITICAL / (1.0 + 0.75 / n + 2.25 / n / n), 3)
     return float(critical[AD_SIGNIFICANCE_LEVELS.index(significance)])
+
+
+def anderson_darling_statistic(x: np.ndarray) -> float:
+    """A^2 of ``x`` against the normal law with its own mean and sd.
+
+    With w the sorted sample standardized by its mean and ``ddof=1``
+    standard deviation, A^2 = -n - sum_i (2i - 1)/n (log Phi(w_i) +
+    log(1 - Phi(w_{n+1-i}))).
+    """
+    n = len(x)
+    w = (np.sort(x) - x.mean()) / x.std(ddof=1)
+    # One erfc per value gives the smaller tail t = Phi(-|w|) to full
+    # relative precision: log t is log Phi(w) where w < 0 and log(1 - Phi(w))
+    # elsewhere, and log1p(-t) is the other one.
+    a = np.abs(w)
+    t = np.array([0.5 * math.erfc(v) for v in (a / math.sqrt(2.0)).tolist()])
+    far = a > 37.0  # Phi(-37) is about 6e-300; further out erfc underflows to 0
+    log_t = np.log(np.where(far, 1.0, t))  # the far entries are set next
+    # There, Phi(-a) = phi(a)/a (1 - 1/a^2 + 3/a^4 - 15/a^6 + ...), cut after
+    # the term in a^-14: the next one is below 2e-19.
+    af = a[far]
+    series = 1.0 + sum(math.prod(range(1, 2 * k, 2)) * (-1.0 / af**2) ** k for k in range(1, 8))
+    log_t[far] = -0.5 * af**2 - np.log(af * math.sqrt(2.0 * math.pi)) + np.log(series)
+    log_rest = np.log1p(-t)
+    lower = w < 0
+    log_cdf, log_sf = np.where(lower, log_t, log_rest), np.where(lower, log_rest, log_t)
+    i = np.arange(1, n + 1)
+    return float(-n - np.sum((2 * i - 1.0) / n * (log_cdf + log_sf[::-1])))
 
 
 def clt_covariance_check(
@@ -586,20 +617,20 @@ def clt_covariance_check(
         raise ValueError("indices must be positive generations")
     ad_critical = anderson_darling_critical(paths, ad_significance)
     layout = batch_layout(paths, batches)
-    ids = _batch_ids(layout)
     fn = partial(_theta_batch, seed=seed, layout=layout, dist=dist, K=K,
                  indices=indices, a=a)
     [parts] = _run_batches([fn], batches, workers)
     X = np.vstack(parts)
     centers = K * dist.mean ** np.array(indices, dtype=float)
     theta = (X - centers) / (dist.std * math.sqrt(K))
+    theta_batches = [theta[start:start + count] for start, count in layout]
 
     models = {mode: ThetaCovariance(dist.mean, mode=mode, a=a)
               for mode in ("paper", "martingale")}
     entries: list[StatEntry] = [entry_info("paths", paths)]
 
     def batch_se(label, col_fn):
-        vals = np.array([col_fn(theta[ids == b]) for b in range(batches)])
+        vals = np.array([col_fn(tb) for tb in theta_batches])
         se = float(vals.std(ddof=1) / math.sqrt(batches))
         if se == 0.0:
             raise DegenerateSample(f"every batch gives {label} = {vals[0]:g}, so its standard "
@@ -645,18 +676,11 @@ def clt_covariance_check(
                                   1.0 if share > 0.5 else 0.0))
 
     for mode, model in models.items():
-        M = np.empty((len(indices), len(indices)))
-        for p in range(len(indices)):
-            for q in range(len(indices)):
-                lo, hi = min(p, q), max(p, q)
-                M[p, q] = theta_covariance(model, indices[lo],
-                                           indices[hi] - indices[lo])
-        psd = 1.0 if is_positive_semidefinite(M) else 0.0
-        entries.append(entry_info(f"psd.{mode}", psd))
+        psd = is_positive_semidefinite(covariance_matrix(model, indices))
+        entries.append(entry_info(f"psd.{mode}", 1.0 if psd else 0.0))
 
     for j, p in ((indices[0], 0), (indices[-1], len(indices) - 1)):
-        stat = float(sps.anderson(theta[:, p], dist="norm",
-                                  method="interpolate").statistic)
+        stat = anderson_darling_statistic(theta[:, p])
         name = f"theta[{j}].anderson_darling"
         scale = float(theta[:, p].std(ddof=1)) * dist.std * math.sqrt(K)
         if scale >= ad_min_scale:

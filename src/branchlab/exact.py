@@ -14,9 +14,11 @@ Everything here is deterministic arithmetic, no sampling:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -32,20 +34,30 @@ def _tail_from_survival(s: float, K: int) -> float:
     return -math.expm1(K * math.log1p(-s))
 
 
-def line_survival_probs(dist: OffspringDistribution, horizon: int) -> np.ndarray:
-    """s_n = P(a single line is alive at generation n), n = 0..horizon.
+_MAX_GENERATIONS = 10_000_000
+
+
+def _survival(dist: OffspringDistribution) -> Iterator[float]:
+    """s_0 = 1, s_1, s_2, ...: P(a single line is alive at generation n).
 
     Iterates the complement map s -> 1 - f(1 - s), which stays accurate
     down to denormal survival probabilities where the plain fixed-point
     iteration of the generating function saturates one ulp short of 1.
+    Raises RuntimeError when asked for more than ``_MAX_GENERATIONS``
+    steps, so a sum that never meets its tolerance cannot loop forever.
     """
+    s = 1.0
+    for _ in range(_MAX_GENERATIONS + 1):
+        yield s
+        s = dist.pgf_complement(s)
+    raise RuntimeError(f"survival iteration did not converge in {_MAX_GENERATIONS} generations")
+
+
+def line_survival_probs(dist: OffspringDistribution, horizon: int) -> np.ndarray:
+    """s_n = P(a single line is alive at generation n), n = 0..horizon."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    s = np.empty(horizon + 1)
-    s[0] = 1.0
-    for n in range(horizon):
-        s[n + 1] = dist.pgf_complement(s[n])
-    return s
+    return np.fromiter(itertools.islice(_survival(dist), horizon + 1), float, horizon + 1)
 
 
 def line_extinction_probs(dist: OffspringDistribution, horizon: int) -> np.ndarray:
@@ -72,29 +84,21 @@ def tau_quantile(dist: OffspringDistribution, K: int, prob: float = 0.5) -> int:
         return 0
     if dist.mean >= 1.0:
         raise ValueError("quantiles need a strictly subcritical mean")
-    n, s = 0, 1.0
-    while _tail_from_survival(s, K) > 1.0 - prob:
-        n += 1
-        s = dist.pgf_complement(s)
-        if n > 10_000_000:
-            raise RuntimeError("extinction quantile did not converge")
-    return n
+    for n, s in enumerate(_survival(dist)):
+        if _tail_from_survival(s, K) <= 1.0 - prob:
+            return n
 
 
 def tau_mean(dist: OffspringDistribution, K: int, tol: float = 1e-13) -> float:
     """E tau_K = sum_n P(tau_K > n), summed to absolute tail tol."""
     if K == 0:
         return 0.0
-    total, s, n = 0.0, 1.0, 0
-    while True:
+    total = 0.0
+    for s in _survival(dist):
         tail = _tail_from_survival(s, K)
         total += tail
         if tail < tol:
             return total
-        s = dist.pgf_complement(s)
-        n += 1
-        if n > 10_000_000:
-            raise RuntimeError("extinction mean did not converge")
 
 
 def mean_m_tau(dist: OffspringDistribution, K: int, tol: float = 1e-15) -> float:
@@ -104,20 +108,13 @@ def mean_m_tau(dist: OffspringDistribution, K: int, tol: float = 1e-15) -> float
         raise ValueError(f"needs a strictly subcritical positive mean, got {m}")
     if K == 0:
         return 1.0
-    total = 0.0
-    s_prev, n = 1.0, 0
-    power = 1.0
-    while True:
-        s = dist.pgf_complement(s_prev)
-        n += 1
+    total, power = 0.0, 1.0
+    for s_prev, s in itertools.pairwise(_survival(dist)):
         power *= m
         total += power * (_tail_from_survival(s_prev, K) - _tail_from_survival(s, K))
         # remaining mass contributes at most m^{n+1} * P(tau > n)
         if power * m * _tail_from_survival(s, K) < tol:
             return total
-        s_prev = s
-        if n > 10_000_000:
-            raise RuntimeError("m^tau summation did not converge")
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,7 @@ def is_positive_semidefinite(matrix: np.ndarray, rel_tol: float = 1e-10) -> bool
 
 
 def sample_theta(
-    cov: ThetaCovariance, horizon: int, draw, *, size: int | None = None
+    cov: ThetaCovariance, horizon: int, gen: np.random.Generator, *, size: int | None = None
 ) -> np.ndarray:
     """Sample the sequence theta_1..theta_horizon autoregressively.
 
@@ -149,7 +149,6 @@ def sample_theta(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     cov._check_index(horizon)
-    gen = draw if isinstance(draw, np.random.Generator) else draw.generator
     rows = 1 if size is None else size
     z = gen.standard_normal((rows, horizon))
     theta = np.empty_like(z)

@@ -447,7 +447,7 @@ def _coupled_batch(batch: int, *, layout, seed: int, dist, K: int, levels, horiz
     is the common start K, where every gate holds by construction.
     """
     start, count = layout[batch]
-    gen = RandomnessSource(seed).handle(batch, 0).generator
+    gen = RandomnessSource(seed).handle(batch, 0)
     floors = coupled_floors(levels, K)
     sizes = np.full((count, len(floors)), K, dtype=np.int64)
     taus = np.zeros(count, dtype=np.int64)

@@ -148,12 +148,14 @@ class OffspringDistribution:
         idx = np.minimum(idx, len(self._cdf) - 1)
         return self._support[idx]
 
-    def sample_sum(self, count: int, draw) -> int:
+    def sample_sum(self, count: int, gen: np.random.Generator) -> int:
         """Draw the sum of ``count`` independent offspring in one step,
         from the exact law of the sum."""
         if count < 0:
             raise InvalidParameter(f"count must be >= 0, got {count}")
-        return int(self.closure_sums(np.array([count]), _as_generator(draw))[0])
+        if not isinstance(gen, np.random.Generator):
+            raise TypeError(f"expected a numpy Generator, got {type(gen)!r}")
+        return int(self.closure_sums(np.array([count]), gen)[0])
 
     def closure_sums(self, counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         """Vectorized progeny sums for an array of sizes, of any shape.
@@ -413,15 +415,6 @@ def _sum_table(dist: OffspringDistribution) -> _SumTable | None:
     """
     table = _SumTable(_sum_law_blocks(dist))
     return table if table.max_count else None
-
-
-def _as_generator(draw) -> np.random.Generator:
-    if isinstance(draw, np.random.Generator):
-        return draw
-    gen = getattr(draw, "generator", None)
-    if isinstance(gen, np.random.Generator):
-        return gen
-    raise TypeError(f"expected a numpy Generator or draw handle, got {type(draw)!r}")
 
 
 def _discrete_table(support, weights) -> tuple[np.ndarray, np.ndarray]:

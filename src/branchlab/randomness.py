@@ -68,21 +68,6 @@ class RandomnessSource:
         """
         return self._generator(path, 0, TAG_CLOSURE)
 
-    def handle(self, path: int = 0, generation: int = 0) -> DrawHandle:
-        """A sequential handle rooted at (path, generation)."""
-        return DrawHandle(self._generator(path, generation, TAG_HANDLE), path, generation)
-
-
-class DrawHandle:
-    """A positioned, sequentially consumed randomness handle."""
-
-    def __init__(self, generator: np.random.Generator, path: int, generation: int):
-        self.generator = generator
-        self.path = path
-        self.generation = generation
-
-    def uniforms(self, count: int) -> np.ndarray:
-        return self.generator.random(count)
-
-    def __repr__(self) -> str:
-        return f"DrawHandle(path={self.path}, generation={self.generation})"
+    def handle(self, path: int = 0, generation: int = 0) -> np.random.Generator:
+        """A sequential generator rooted at (path, generation)."""
+        return self._generator(path, generation, TAG_HANDLE)

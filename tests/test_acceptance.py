@@ -85,7 +85,7 @@ def test_criterion_2_thinning_oracle(capsys):
     cap = default_horizon(K, dist.mean)
     x3_parts, tau_parts = [], []
     for b, (_, count) in enumerate(batch_layout(paths, batches)):
-        gen = src.handle(b, 0).generator
+        gen = src.handle(b, 0)
         sizes = np.full(count, K, dtype=np.int64)
         taus = np.zeros(count, dtype=np.int64)
         x3 = None

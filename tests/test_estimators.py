@@ -7,6 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -17,6 +18,7 @@ from branchlab.estimators import (
     Ensemble,
     InsufficientBinMass,
     anderson_darling_critical,
+    anderson_darling_statistic,
     assign_bins,
     batch_layout,
     clt_covariance_check,
@@ -453,6 +455,28 @@ def test_anderson_darling_critical_values():
         anderson_darling_critical(2000, 0.02)
     with pytest.raises(ValueError, match="ad_significance"):
         clt_covariance_check(100, POI, (1,), 1000, 1, ad_significance=0.02)
+
+
+def _ad_sample(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    if kind == "normal":
+        return rng.normal(3.0, 2.0, size=n)
+    if kind == "poisson":  # a lattice: many ties, skewed
+        return rng.poisson(1.5, size=n).astype(float)
+    # one value about 44.7 sd out, where erfc underflows to 0
+    return np.r_[np.zeros(n - 1), 1e6]
+
+
+@pytest.mark.parametrize("kind,n", [("normal", 50), ("normal", 1000), ("normal", 20_000),
+                                    ("poisson", 50), ("poisson", 2000), ("poisson", 20_000),
+                                    ("outlier", 2001)])
+def test_anderson_darling_statistic_matches_scipy(kind, n):
+    x = _ad_sample(kind, n)
+    expected = st.anderson(x, dist="norm", method="interpolate").statistic
+    got = anderson_darling_statistic(x)
+    assert got == pytest.approx(expected, rel=1e-9)
+    if kind == "outlier":
+        assert got == pytest.approx(772.6912215506145, rel=1e-12)
 
 
 def test_clt_check_validation():

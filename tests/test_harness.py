@@ -6,7 +6,10 @@ import csv
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
+import branchlab
 from branchlab import estimators
 from branchlab.cli import main
 from branchlab.estimators import AD_SIGNIFICANCE_LEVELS
@@ -535,3 +539,14 @@ def test_every_name_the_benchmark_traces_resolves():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr in pairs if attr not in vars(owner)]
     assert not missing
+
+
+def test_runtime_imports_no_scipy():
+    """scipy is a test dependency only: importing the package and its CLI in a
+    fresh interpreter must not load any scipy module."""
+    code = ("import sys, branchlab, branchlab.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(branchlab.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

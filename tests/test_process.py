@@ -40,7 +40,7 @@ FAMILIES = [make_distribution(spec) for spec in SUBCRITICAL_SPECS]
 
 
 def test_step_of_zero_is_zero():
-    gen = RandomnessSource(1).handle().generator
+    gen = RandomnessSource(1).handle()
     floors = np.zeros(3, dtype=np.int64)
     sizes, flags = coupled_step(np.zeros((4, 3), dtype=np.int64), floors, BERN, gen)
     assert not sizes.any() and not flags.any()
@@ -50,7 +50,7 @@ def test_step_of_zero_is_zero():
 
 def test_step_binomial_gof():
     """bernoulli(p) offspring: one step from K is exactly binomial(K, p)."""
-    gen = RandomnessSource(17).handle().generator
+    gen = RandomnessSource(17).handle()
     K, n_rep = 50, 10_000
     floors = coupled_floors([0.2, 0.6], K)
     sizes, _ = coupled_step(np.full((n_rep, 3), K, dtype=np.int64), floors, BERN, gen)
@@ -71,7 +71,7 @@ def test_step_follows_closure_law(dist):
     scattered back to the wrong column shows as a wrong marginal.
     """
     rng = np.random.default_rng(5)
-    gen = RandomnessSource(18).handle().generator
+    gen = RandomnessSource(18).handle()
     base = np.array([9, 16, 25])
     n_rep = 20_000
     perms = np.argsort(rng.random((n_rep, 3)), axis=1)
@@ -90,7 +90,7 @@ def test_joint_law_of_prefix_sums(dist):
     uncorrelated with S(s0); z-tests on one engine step with shuffled
     column orders."""
     rng = np.random.default_rng(6)
-    gen = RandomnessSource(19).handle().generator
+    gen = RandomnessSource(19).handle()
     base = np.array([8, 14, 30])
     n_rep = 40_000
     perms = np.argsort(rng.random((n_rep, 3)), axis=1)
@@ -165,7 +165,7 @@ def test_plain_engine_extinction_law(dist, runner):
 def test_plain_sizes_stop_rule_and_floor():
     """The engine stops after the first generation in which every path is 0;
     a floor keeps every path live, at or above the floor, until the horizon."""
-    gen = RandomnessSource(4).handle().generator
+    gen = RandomnessSource(4).handle()
     rows = list(plain_sizes(3, 50, ZERO, gen, 10))
     assert len(rows) == 1 and not rows[0][1].any()
     rows = list(plain_sizes(40, 50, BERN, gen, 30))
@@ -201,8 +201,8 @@ def test_plain_sizes_match_full_width_loop(family, K, paths, floor, seed):
     draw. K and paths put sizes on both sides of the table limit C and the
     256-draw rule."""
     horizon = default_horizon(K, family.mean)
-    ref_gen = RandomnessSource(seed).handle().generator
-    gen = RandomnessSource(seed).handle().generator
+    ref_gen = RandomnessSource(seed).handle()
+    gen = RandomnessSource(seed).handle()
     rows = []
     for live, sizes in plain_sizes(K, paths, family, gen, horizon, floor):
         rows.append(np.zeros(paths, dtype=np.int64))
@@ -260,7 +260,7 @@ def test_batch_rows_match_write_trajectories(dist):
 
     K, levels = 20, [0.0, 0.15, 0.5]
     floors = coupled_floors(levels, K)
-    gen = RandomnessSource(13).handle().generator
+    gen = RandomnessSource(13).handle()
     rows, flags = [np.full((30, len(floors)), K, dtype=np.int64)], []
     for _ in range(horizon):
         step, flag = coupled_step(rows[-1], floors, dist, gen)
@@ -276,7 +276,7 @@ def test_batch_rows_match_write_trajectories(dist):
 def test_step_truncated_floor_and_precondition():
     """Truncated columns are floored at b = floor(a K) and never start a
     step below it; their indicator reads whether the sum beat the floor."""
-    gen = RandomnessSource(2).handle().generator
+    gen = RandomnessSource(2).handle()
     floors = coupled_floors([0.25, 0.5], 100)
     sizes, flags = coupled_step(np.full((3, 3), 100, dtype=np.int64), floors, ZERO, gen)
     assert (sizes == [0, 25, 50]).all() and not flags.any()
@@ -288,7 +288,7 @@ def test_step_truncated_floor_and_precondition():
 
 
 def test_step_truncated_at_level_zero_equals_step():
-    gen = RandomnessSource(3).handle().generator
+    gen = RandomnessSource(3).handle()
     sizes = np.full((200, 3), 40, dtype=np.int64)
     floors = coupled_floors([0.0, 0.3], 40)
     for _ in range(6):

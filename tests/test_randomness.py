@@ -86,18 +86,17 @@ def test_handles_are_independent_objects():
     src = RandomnessSource(99)
     h1 = src.handle(path=1, generation=0)
     h2 = src.handle(path=2, generation=0)
-    u1 = h1.uniforms(1)
-    u2 = h2.uniforms(1)  # interleaved consumption must not interact
+    u1 = h1.random(1)
+    u2 = h2.random(1)  # interleaved consumption must not interact
     fresh = RandomnessSource(99)
-    assert fresh.handle(path=1).uniforms(1) == u1
-    assert fresh.handle(path=2).uniforms(1) == u2
-    assert "path=1" in repr(h1)
+    assert fresh.handle(path=1).random(1) == u1
+    assert fresh.handle(path=2).random(1) == u2
 
 
 def test_handle_stream_disjoint_from_pool_and_closure():
     src = RandomnessSource(4)
     h = src.handle(path=0, generation=0)
-    block = h.uniforms(16)
+    block = h.random(16)
     assert not np.array_equal(block, src.uniforms(0, 0, 16))
     assert not np.array_equal(block, src.closure_generator(0).random(16))
 
@@ -106,7 +105,7 @@ def test_handle_stream_disjoint_from_pool_and_closure():
 def test_extreme_seeds_are_accepted(seed):
     src = RandomnessSource(seed)
     assert src.uniforms(0, 0, 4).shape == (4,)
-    assert 0.0 <= src.handle().uniforms(1)[0] < 1.0
+    assert 0.0 <= src.handle().random(1)[0] < 1.0
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", None])
