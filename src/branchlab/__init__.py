@@ -27,7 +27,7 @@ The package is organised bottom-up:
 
 from __future__ import annotations
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .estimators import (
     DegenerateSample,

@@ -75,7 +75,6 @@ class StatEntry:
 @dataclass
 class ExperimentReport:
     experiment: str
-    config: dict
     entries: list[StatEntry] = field(default_factory=list)
     batches: int = 1
     total_paths: int = 0
@@ -225,27 +224,6 @@ def _tau_hist_batch(batch: int, *, seed: int, layout, dist, K: int, horizon: int
     return np.bincount(taus[taus >= 0]), int(np.count_nonzero(taus < 0)), text
 
 
-def _lifetime_hist_batch(batch: int, *, seed: int, layout, K: int,
-                         m: float) -> tuple[np.ndarray, int]:
-    """Exact extinction-time sampler for non-branching (bernoulli) lines.
-
-    Each of the K initial lines survives a generation with probability m
-    independently, so tau is the max of K iid geometric lifetimes with
-    closed-form law P(tau <= n) = (1 - m^n)^K; one uniform per path
-    inverts it. This is plain Monte Carlo on an exact representation.
-    The uniform block is shared across the K grid of a run (common
-    random numbers), which tightens trend comparisons.
-    """
-    _, count = layout[batch]
-    src = RandomnessSource(seed)
-    u = src.uniforms(batch, 0, count)
-    with np.errstate(divide="ignore"):
-        tail = -np.expm1(np.log(np.maximum(u, 1e-320)) / K)  # 1 - u^(1/K)
-        taus = np.ceil(np.log(tail) / math.log(m))
-    taus = np.maximum(taus, 1.0).astype(np.int64)
-    return np.bincount(taus), 0
-
-
 def _values_batch(batch: int, *, seed: int, layout, dist, K: int, u1: float,
                   u2: float, fixed_n: int, cap: int):
     """Per-path (tau, X at floor(u1 tau), at floor(u2 tau), at fixed_n).
@@ -270,12 +248,16 @@ def _theta_batch(batch: int, *, seed: int, layout, dist, K: int,
                  indices: tuple[int, ...], a: float) -> np.ndarray:
     """Population sizes at the requested generations, one row per path.
 
-    Generations after the whole batch died out stay 0.
+    Generations after the whole batch died out read 0.
     """
     _, count = layout[batch]
     gen = RandomnessSource(seed).handle(batch, 0)
     _, M = plain_batch(K, count, dist, gen, indices[-1], floor_level(a, K), rows=True)
-    return np.pad(M, ((0, indices[-1] + 1 - len(M)), (0, 0)))[list(indices)].T
+    rows = np.array(indices)
+    kept = rows < len(M)
+    X = np.zeros((len(rows), count), dtype=M.dtype)
+    X[kept] = M[rows[kept]]
+    return X.T
 
 
 def _collect_values(dist, K, u1, u2, paths, seed, batches, workers,
@@ -434,7 +416,6 @@ def extinction_scaling(
     *,
     batches: int = 40,
     workers: int = 1,
-    tau_sampler: str = "auto",
     cap_multiplier: int = 10,
     median_rel_tol: float | None = None,
     trend_gates: Sequence[str] = ("mean", "kEm"),
@@ -450,17 +431,9 @@ def extinction_scaling(
     entries gate that the deviations named in ``trend_gates`` shrink
     along the grid; the median-based trend holds only for offspring laws
     whose integer medians happen to round favorably at every grid point,
-    so it is gated per configuration rather than by default. For
-    bernoulli offspring the exact lifetime representation of tau can be
-    sampled directly, one uniform per path; other families run batched
-    trajectories.
+    so it is gated per configuration rather than by default. Every K runs
+    batched trajectories on its own handle slot, for every offspring family.
     """
-    if tau_sampler not in ("auto", "trajectory", "lifetime"):
-        raise ValueError(f"unknown tau sampler {tau_sampler!r}")
-    if tau_sampler == "lifetime" and dist.kind != "bernoulli":
-        raise ValueError("the lifetime sampler is exact only for bernoulli offspring")
-    use_lifetime = (tau_sampler == "lifetime"
-                    or (tau_sampler == "auto" and dist.kind == "bernoulli"))
     m = dist.mean
     c = limit_constant(LimitOracle(m))
     K_list = sorted(dict.fromkeys(int(K) for K in K_list))
@@ -468,9 +441,8 @@ def extinction_scaling(
     entries: list[StatEntry] = []
     devs: dict[str, list[float]] = {"median": [], "mean": [], "kEm": []}
 
-    fns = [partial(_lifetime_hist_batch, seed=seed, layout=layout, K=K, m=m) if use_lifetime
-           else partial(_tau_hist_batch, seed=seed, layout=layout, dist=dist, K=K, slot=slot,
-                        horizon=default_horizon(K, m, multiplier=cap_multiplier))
+    fns = [partial(_tau_hist_batch, seed=seed, layout=layout, dist=dist, K=K, slot=slot,
+                   horizon=default_horizon(K, m, multiplier=cap_multiplier))
            for slot, K in enumerate(K_list)]
     for K, parts in zip(K_list, _run_batches(fns, batches, workers)):
         hists = _hist_rows([p[0] for p in parts])
@@ -524,11 +496,7 @@ def extinction_scaling(
             entries.append(trend_entry(f"trend.{name}_dev_max_increase", devs[name], scales[name],
                                        trend_slack if name in trend_gates else None))
 
-    cfg = {"K_list": K_list, "paths": paths, "seed": seed, "batches": batches,
-           "tau_sampler": "lifetime" if use_lifetime else "trajectory",
-           "offspring": dist.descriptor()}
-    return ExperimentReport("extinction-scaling", cfg, entries, batches,
-                            paths * len(K_list))
+    return ExperimentReport("extinction-scaling", entries, batches, paths * len(K_list))
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +584,11 @@ def clt_covariance_check(
     if not indices or indices[0] < 1:
         raise ValueError("indices must be positive generations")
     ad_critical = anderson_darling_critical(paths, ad_significance)
+    models = {mode: ThetaCovariance(dist.mean, mode=mode, a=a)
+              for mode in ("paper", "martingale")}
+    # Built before simulating, so an index past ell(a) - 1 is refused at once.
+    psd = {mode: is_positive_semidefinite(covariance_matrix(model, indices))
+           for mode, model in models.items()}
     layout = batch_layout(paths, batches)
     fn = partial(_theta_batch, seed=seed, layout=layout, dist=dist, K=K,
                  indices=indices, a=a)
@@ -625,8 +598,6 @@ def clt_covariance_check(
     theta = (X - centers) / (dist.std * math.sqrt(K))
     theta_batches = [theta[start:start + count] for start, count in layout]
 
-    models = {mode: ThetaCovariance(dist.mean, mode=mode, a=a)
-              for mode in ("paper", "martingale")}
     entries: list[StatEntry] = [entry_info("paths", paths)]
 
     def batch_se(label, col_fn):
@@ -675,9 +646,8 @@ def clt_covariance_check(
         entries.append(entry_info("adjudication.winner_is_martingale",
                                   1.0 if share > 0.5 else 0.0))
 
-    for mode, model in models.items():
-        psd = is_positive_semidefinite(covariance_matrix(model, indices))
-        entries.append(entry_info(f"psd.{mode}", 1.0 if psd else 0.0))
+    for mode, ok in psd.items():
+        entries.append(entry_info(f"psd.{mode}", 1.0 if ok else 0.0))
 
     for j, p in ((indices[0], 0), (indices[-1], len(indices) - 1)):
         stat = anderson_darling_statistic(theta[:, p])
@@ -688,9 +658,7 @@ def clt_covariance_check(
         else:
             entries.append(entry_info(name, stat, target=ad_critical))
 
-    cfg = {"K": K, "indices": list(indices), "paths": paths, "seed": seed,
-           "batches": batches, "a": a, "offspring": dist.descriptor()}
-    return ExperimentReport("clt-check", cfg, entries, batches, paths)
+    return ExperimentReport("clt-check", entries, batches, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -814,9 +782,7 @@ def conditional_moment_check(
         ens, u1=u1, u2=u2, power=power, m=dist.mean, min_bin_count=min_bin_count,
         bin_mode=bin_mode, min_group_count=min_group_count, ratio_band=ratio_band,
         max_bins_reported=max_bins_reported)
-    cfg = {"u1": u1, "u2": u2, "l": power, "K": K, "paths": paths,
-           "seed": seed, "batches": batches, "offspring": dist.descriptor()}
-    return ExperimentReport("conditional-moments", cfg, entries, batches, paths)
+    return ExperimentReport("conditional-moments", entries, batches, paths)
 
 
 def conditional_moment_from_arrays(
@@ -839,8 +805,7 @@ def conditional_moment_from_arrays(
         Ensemble.enumeration(tau, x1, x2, weights), u1=u1, u2=u2, power=power, m=m,
         min_bin_count=min_bin_count, bin_mode=bin_mode, min_group_count=min_group_count,
         ratio_band=ratio_band, max_bins_reported=64)
-    cfg = {"u1": u1, "u2": u2, "l": power, "m": m, "weighted": True}
-    return ExperimentReport("conditional-moments", cfg, entries, 1, len(tau))
+    return ExperimentReport("conditional-moments", entries, 1, len(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -922,9 +887,7 @@ def conditional_on_tau_check(
     resid = abs(recombined - mean_xn) / (abs(mean_xn) or 1.0)
     entries.append(entry_le("wald.marginalization_rel_residual", resid, 1e-9))
 
-    cfg = {"u1": u1, "l": power, "K": K, "paths": paths, "seed": seed,
-           "batches": batches, "offspring": dist.descriptor()}
-    return ExperimentReport("conditional-on-tau", cfg, entries, batches, paths)
+    return ExperimentReport("conditional-on-tau", entries, batches, paths)
 
 
 def conditional_on_tau_from_arrays(
@@ -943,8 +906,7 @@ def conditional_on_tau_from_arrays(
     entries = _on_tau_core(
         Ensemble.enumeration(tau, x1, x1, weights), u1=u1, power=power, K=K, m=m,
         min_group_count=min_group_count, ratio_band=None, max_groups_reported=None)
-    cfg = {"u1": u1, "l": power, "K": K, "m": m, "weighted": True}
-    return ExperimentReport("conditional-on-tau", cfg, entries, 1, len(tau))
+    return ExperimentReport("conditional-on-tau", entries, 1, len(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -1032,7 +994,4 @@ def invariance_check(
         rel_diffs.append(abs(A - B) / abs(A))
 
     entries.append(entry_le("max_rel_diff", max(rel_diffs), rel_tol))
-    cfg = {"u1": u1, "u2": u2, "l": power, "eps_grid": eps_grid, "K": K,
-           "paths": paths, "seed": seed, "batches": batches,
-           "window_rel": window_rel, "offspring": dist.descriptor()}
-    return ExperimentReport("invariance", cfg, entries, batches, paths)
+    return ExperimentReport("invariance", entries, batches, paths)

@@ -26,7 +26,7 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from . import __version__, estimators
+from . import __version__, estimators, exact
 from .estimators import AD_SIGNIFICANCE_LEVELS, ExperimentReport, batch_layout, entry_info, entry_le
 from .estimators import _hist_rows, _median_from_hist, _run_batches, _tau_hist_batch
 # extinction_scaling, conditional_moment_check, simulate_coupled, simulate_path and
@@ -195,8 +195,12 @@ CONFIG_KEYS: dict[str, Key] = {
                                   "bin_mode must be quantile or distinct"),),
                     kinds=("conditional-moments",)),
     "min_group_count": Key(200, _POSITIVE_INT, kinds=_BINNED),
-    "tau_sampler": Key("auto", ((_one_of("auto", "trajectory", "lifetime"),
-                                 "{key} must be auto, trajectory, or lifetime"),), kinds=_SCALING),
+    # Read by no estimator: both values simulate trajectories. The key stays so
+    # that every config keeps its hash and its report.json config echo.
+    "tau_sampler": Key("auto", (
+        (lambda v: v != "lifetime", "the lifetime {key} was removed in 0.6.0: extinction-scaling "
+                                    "simulates trajectories for every law; use auto or trajectory"),
+        (_one_of("auto", "trajectory"), "{key} must be auto or trajectory"))),
     "median_rel_tol": Key(checks=((_number(lambda v: v > 0), "{key} must be positive when given"),),
                           kinds=_SCALING),
     "trend_gates": Key(["mean", "kEm"],
@@ -404,11 +408,26 @@ def _population_sizes(kind: str, cfg: dict, dist) -> list[Diagnostic]:
                   "the population would overflow; lower K or the horizon")
 
 
-def _lifetime_sampler(kind: str, cfg: dict, dist) -> list[Diagnostic]:
-    lifetime = kind == "extinction-scaling" and cfg["tau_sampler"] == "lifetime"
-    if lifetime and dist is not None and dist.kind != "bernoulli":
-        return _error("the lifetime sampler applies to bernoulli offspring only")
-    return []
+def _oracle_reach(kind: str, cfg: dict, dist) -> list[Diagnostic]:
+    """The exact oracle a run calls stops within ``exact._MAX_GENERATIONS``
+    steps of its survival iteration: conditional-on-tau's median of tau, and
+    extinction-scaling's E[m^tau] when ``exact_oracle`` is set. s_n <= m^n,
+    so both stop by about n = (log K + 35) / -log m."""
+    if kind == "conditional-on-tau":
+        K = cfg["K"]
+    elif kind == "extinction-scaling" and cfg["exact_oracle"]:
+        K = max(cfg["K_list"] or [0])
+    else:
+        return []
+    if dist is None or not K or not 0.0 < dist.mean < 1.0:
+        return []
+    steps = (math.log(K) + 35) / -math.log(dist.mean)
+    if steps <= exact._MAX_GENERATIONS:
+        return []
+    fix = "set exact_oracle to false or lower" if kind == "extinction-scaling" else "lower"
+    return _error(f"offspring mean {dist.mean} is too close to 1: the exact oracle of {kind} "
+                  f"could need {steps:.3g} generations, more than its limit of "
+                  f"{exact._MAX_GENERATIONS}; {fix} the mean")
 
 
 def _level_warnings(kind: str, cfg: dict, dist) -> list[Diagnostic]:
@@ -429,7 +448,7 @@ def _level_warnings(kind: str, cfg: dict, dist) -> list[Diagnostic]:
 
 
 #: The rules that tie keys together, run after every key passed its own row.
-_CROSS_KEY_RULES = (_mean_rules, _batch_rules, _u_order, _population_sizes, _lifetime_sampler,
+_CROSS_KEY_RULES = (_mean_rules, _batch_rules, _u_order, _population_sizes, _oracle_reach,
                     _level_warnings)
 
 
@@ -530,13 +549,7 @@ def _run_pathwise(kind: str, cfg: dict, dist: OffspringDistribution, batch_fn, g
     ]
     entries += [entry_le(name, sum(p[2 + i] for p in parts), 0) for i, name in enumerate(gates)]
     entries += _tau_entries(hist, paths - censored, K, dist.mean)
-    report = ExperimentReport(
-        kind,
-        {"K": K, **extra, "horizon": horizon, "offspring": dist.descriptor()},
-        entries,
-        batches=batches,
-        total_paths=paths,
-    )
+    report = ExperimentReport(kind, entries, batches=batches, total_paths=paths)
     header = trajectory_header(extra.get("levels", []))
     text = header + "\n" + "".join(p[-1] for p in parts) if dump else None
     return report, text
@@ -552,13 +565,7 @@ def _run_gaussian_cov(cfg: dict, dist: OffspringDistribution):
             if q >= p:
                 entries.append(entry_info(f"cov[{i},{j}]", float(matrix[p, q])))
     entries.append(entry_info("psd", 1.0 if is_positive_semidefinite(matrix) else 0.0))
-    report = ExperimentReport(
-        "gaussian-cov",
-        {"m": dist.mean, "mode": cfg["mode"], "a": cfg["a"], "indices": indices},
-        entries,
-        batches=1,
-        total_paths=0,
-    )
+    report = ExperimentReport("gaussian-cov", entries, batches=1, total_paths=0)
     return report, [[float(v) for v in row] for row in matrix]
 
 

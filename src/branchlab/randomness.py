@@ -13,13 +13,13 @@ outputs. Consequences:
 * paths are embarrassingly parallel, since nothing is shared or
   consumed across path indices.
 
-Addressed uniform blocks live on the ``UNIFORMS`` stream; the bernoulli
-lifetime sampler inverts one per path. Simulations draw progeny sums,
-never individual offspring: a single path (plain or coupled) consumes its
-free-running ``CLOSURE`` stream in generation order, and batch loops
-consume a ``HANDLE`` stream rooted at (batch, slot). The coupled
-processes share block sums drawn from these streams, not addressed
-individual draws.
+Addressed uniform blocks live on the ``UNIFORMS`` stream. No simulation
+reads it; ``uniforms`` stays because the benchmark's tracer names it.
+Simulations draw progeny sums, never individual offspring: a single path
+(plain or coupled) consumes its free-running ``CLOSURE`` stream in
+generation order, and batch loops consume a ``HANDLE`` stream rooted at
+(batch, slot). The coupled processes share block sums drawn from these
+streams, not addressed individual draws.
 """
 
 from __future__ import annotations

@@ -175,14 +175,14 @@ def test_criterion_4_extinction_scaling(capsys):
 def test_criterion_5_k_mean_m_tau(capsys):
     """K E[m^tau] against the exact summation oracle and along the K grid."""
     bern = make_distribution(BERN05)
-    leg1 = extinction_scaling([10], bern, 200_000, SEED, batches=40, tau_sampler="trajectory")
+    leg1 = extinction_scaling([10], bern, 200_000, SEED, batches=40)
     oracle = leg1.entry("K=10.K_mean_m_tau_vs_exact")
     assert abs(oracle.target - 10 * mean_m_tau(bern, 10)) < 1e-12
     z = abs(oracle.estimate - oracle.target) / oracle.stderr
 
     leg2 = extinction_scaling(
         [100, 1000, 10_000], bern, 2_000_000, SEED,
-        batches=40, tau_sampler="lifetime", trend_gates=("kEm",),
+        batches=40, trend_gates=("kEm",),
     )
     trend = leg2.entry("trend.kEm_dev_max_increase")
     devs = [abs(leg2.entry(f"K={k}.K_mean_m_tau").estimate - 1.0) for k in (100, 1000, 10_000)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 from functools import partial
 
@@ -11,7 +12,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from branchlab import estimators
+from branchlab import estimators, harness
 from branchlab.estimators import (
     AD_SIGNIFICANCE_LEVELS,
     EmptyConditioningSet,
@@ -36,7 +37,7 @@ from branchlab.estimators import (
     trend_entry,
 )
 from branchlab.estimators import _median_from_hist, _run_batches, _tau_hist_batch
-from branchlab.exact import enumerate_bernoulli_paths, tau_quantile
+from branchlab.exact import enumerate_bernoulli_paths
 from branchlab.offspring import make_distribution
 
 BERN = make_distribution({"kind": "bernoulli", "p": 0.5})
@@ -343,38 +344,33 @@ def test_binned_pipeline_matches_thinning_conditionals():
 
 
 def test_trajectory_sampler_matches_exact_summation():
-    report = extinction_scaling([20, 80], BERN, 4000, 11, batches=40,
-                                tau_sampler="trajectory", trend_gates=())
+    report = extinction_scaling([20, 80], BERN, 4000, 11, batches=40, trend_gates=())
     assert report.passed
-    assert report.config["tau_sampler"] == "trajectory"
     for K in (20, 80):
         assert report.entry(f"K={K}.K_mean_m_tau_vs_exact").verdict == "pass"
         assert report.entry(f"K={K}.censored_paths").estimate == 0
 
 
-def test_lifetime_sampler_matches_exact_summation_and_median():
-    report = extinction_scaling([200], BERN, 20_000, 5, batches=40,
-                                tau_sampler="lifetime", trend_gates=())
-    assert report.passed
-    med = report.entry("K=200.median_tau_over_logK").estimate * math.log(200)
-    assert med == pytest.approx(tau_quantile(BERN, 200), abs=1e-9)
-    assert report.entry("K=200.K_mean_m_tau_vs_exact").verdict == "pass"
-
-
-def test_auto_sampler_choice_and_grid_normalization():
+def test_auto_sampler_choice_and_grid_normalization(tmp_path):
+    """A bernoulli run under tau_sampler auto simulates trajectories, and the
+    K grid is sorted and deduplicated."""
     report = extinction_scaling([80, 20, 80], BERN, 2000, 3, batches=40,
                                 trend_gates=())
-    assert report.config["tau_sampler"] == "lifetime"
-    assert report.config["K_list"] == [20, 80]
-    report = extinction_scaling([20], POI, 2000, 3, batches=40, trend_gates=())
-    assert report.config["tau_sampler"] == "trajectory"
+    assert [e.name for e in report.entries if e.name.endswith(".paths")] == [
+        "K=20.paths", "K=80.paths"]
+    cfg = {"experiment": "extinction-scaling", "offspring": {"kind": "bernoulli", "p": 0.5},
+           "seed": 3, "K_list": [20, 80], "paths": 2000, "batches": 40, "trend_gates": [],
+           "out": str(tmp_path)}
+    csv = [(harness.run({**cfg, "tau_sampler": sampler}, stderr=io.StringIO()).run_dir
+            / "report.csv").read_bytes() for sampler in ("auto", "trajectory")]
+    assert csv[0] == csv[1]
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
-def test_kem_deviation_shrinks_under_common_random_numbers(seed):
-    """Shared uniforms across the K grid resolve the small exact trend."""
+def test_kem_deviation_shrinks_along_the_grid(seed):
+    """Trajectories resolve the small exact K E[m^tau] trend at 20 000 paths."""
     report = extinction_scaling([50, 200, 800], BERN, 20_000, seed, batches=40,
-                                tau_sampler="lifetime", trend_gates=("kEm",))
+                                trend_gates=("kEm",))
     assert report.passed
     assert report.entry("trend.kEm_dev_max_increase").estimate < 0.0
     # ungated trends are still reported
@@ -386,8 +382,8 @@ def test_median_trend_passes_on_float_ties():
     deviations equal in exact arithmetic but 8.9e-16 apart in floats."""
     dist = make_distribution({"kind": "binomial", "n": 2, "p": 0.4})
     K_list = [100, 1000, 10_000, 100_000]
-    report = extinction_scaling(K_list, dist, 40_000, 1, tau_sampler="trajectory",
-                                trend_gates=("median",), trend_slack=0.0)
+    report = extinction_scaling(K_list, dist, 40_000, 1, trend_gates=("median",),
+                                trend_slack=0.0)
     medians = [report.entry(f"K={K}.median_tau_over_logK").estimate * math.log(K)
                for K in K_list[1:]]
     assert np.allclose(medians, [30, 40, 50])
@@ -414,13 +410,6 @@ def test_batch_se_shrinks_with_replication():
     assert 0.3 < ratio < 0.75
 
 
-def test_extinction_scaling_validation():
-    with pytest.raises(ValueError):
-        extinction_scaling([20], BERN, 100, 1, tau_sampler="bogus")
-    with pytest.raises(ValueError):
-        extinction_scaling([20], POI, 100, 1, tau_sampler="lifetime")
-
-
 # ---------------------------------------------------------------------------
 # Gaussian fluctuation check
 
@@ -441,7 +430,6 @@ def test_clt_check_small_population():
 
 def test_clt_check_truncated_level_runs():
     report = clt_covariance_check(500, POI, (1, 2), 8000, 33, batches=40, a=0.2)
-    assert report.config["a"] == 0.2
     assert report.entry("theta[1].mean").verdict == "pass"
 
 

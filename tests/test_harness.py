@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -78,12 +79,13 @@ def test_validate_missing_seed():
         ({"K_list": [5, 100]}, "integer >= 10"),
         ({"K_list": []}, "nonempty K_list"),
         ({"tau_sampler": "bogus"}, "tau_sampler"),
-        ({"offspring": POI, "tau_sampler": "lifetime"}, "bernoulli offspring only"),
+        ({"offspring": POI, "tau_sampler": "lifetime"}, "lifetime tau_sampler was removed"),
         ({"trend_gates": ["median", "mode"]}, "trend_gates"),
         ({"junk": 1}, "unknown config key 'junk'"),
         ({"exact_oracle": "no"}, "exact_oracle must be true or false"),
         ({"se_k": "x"}, "se_k must be positive"),
         ({"trend_gates": [["mean"]]}, "trend_gates"),
+        ({"tau_sampler": "lifetime"}, "lifetime tau_sampler was removed"),
     ],
 )
 def test_validate_extinction_scaling_errors(overrides, fragment):
@@ -135,6 +137,24 @@ def test_validate_kind_errors(kind, overrides, fragment):
            "paths": 1000, "batches": 40}
     cfg.update(overrides)
     assert any(fragment in e for e in errors(cfg)), errors(cfg)
+
+
+NEAR_ONE = {"kind": "bernoulli", "p": 0.9999999}
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("conditional-on-tau", {"K": 10, "u1": 0.5}),
+    ("extinction-scaling", {"K_list": [10, 100]}),
+])
+def test_validate_refuses_exact_oracles_beyond_their_generation_limit(kind, overrides):
+    """The exact oracles iterate the survival map at most 10^7 times; a mean
+    this close to 1 needs more, a mean of 0.99 a few thousand."""
+    cfg = {"experiment": kind, "offspring": NEAR_ONE, "seed": 1, "paths": 1000,
+           "batches": 40, **overrides}
+    assert any("offspring mean 0.9999999 is too close to 1" in e for e in errors(cfg))
+    assert errors({**cfg, "offspring": {"kind": "bernoulli", "p": 0.99}}) == []
+    if kind == "extinction-scaling":
+        assert errors({**cfg, "exact_oracle": False}) == []
 
 
 def test_validate_supercritical():
@@ -421,6 +441,22 @@ def test_cli_reports_a_run_out_of_memory(tmp_path, capsys, monkeypatch, message,
 
 
 @pytest.mark.parametrize("kind, payload, fragment", [
+    ("conditional-on-tau", {"offspring": NEAR_ONE, "K": 10, "u1": 0.5, "paths": 30,
+                            "batches": 30}, "offspring mean 0.9999999 is too close to 1"),
+    ("clt-check", {"offspring": POI, "K": 1000, "a": 0.5, "indices": [1, 2, 3000],
+                   "paths": 4000, "batches": 40}, "index 2 exceeds ell(a) - 1 = 1"),
+])
+def test_cli_refuses_before_simulating(tmp_path, capsys, kind, payload, fragment):
+    """A config that an exact oracle or the limit model cannot serve exits
+    with code 2 before anything is simulated."""
+    cfg = write_config(tmp_path, {"seed": 1, **payload, "out": str(tmp_path / "runs")})
+    started = time.perf_counter()
+    assert main([kind, "--config", cfg]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert f"error: {fragment}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, payload, fragment", [
     ("conditional-on-tau", {"offspring": POI, "K": 10, "u1": 0.3, "paths": 60, "batches": 30},
      "no tau group reached"),
     ("invariance", {"offspring": POI, "K": 10, "u1": 0.3, "paths": 60, "batches": 30,
@@ -478,7 +514,7 @@ def _in_range(batches: int) -> dict:
         "min_bin_count": hs.integers(1, 50),
         "bin_mode": hs.sampled_from(["quantile", "distinct"]),
         "min_group_count": hs.integers(1, 50),
-        "tau_sampler": hs.sampled_from(["auto", "trajectory", "lifetime"]),
+        "tau_sampler": hs.sampled_from(["auto", "trajectory"]),
         "median_rel_tol": floats(0.01, 1.0),
         "trend_gates": hs.lists(hs.sampled_from(["median", "mean", "kEm"]), unique=True),
         "trend_slack": floats(0.0, 1.0),
@@ -497,6 +533,7 @@ MALFORMED = ["x", -1, 1.5, [], {}, None, True, float("nan"), [1, "x"]]
 MALFORMED_FOR = {
     "K": [10**19],
     "K_list": [[10, 10**19]],
+    "tau_sampler": ["lifetime"],
     "offspring": [{"kind": "bernoulli", "p": "x"}, {"kind": "pmf", "table": {"0": 1.0, "x": 0.0}}],
 }
 
