@@ -5,7 +5,9 @@ partitioned into contiguous equal batches, each batch simulates on its own
 addressed stream (so the worker count cannot change any draw), per-batch
 summaries merge in batch order, and standard errors come from the spread
 of batch means. Batch simulation runs the process module's batch engine
-across the paths of a batch on a handle stream keyed by (batch, slot).
+across the paths of a batch on a handle stream keyed by (batch, slot);
+small batches are stepped together as a stack, which draws exactly what
+its batches draw one by one.
 
 The conditional experiments average over an ``Ensemble`` of paths. A
 Monte Carlo sample and an exact enumeration (probability weights, one
@@ -163,27 +165,51 @@ def batch_layout(total: int, batches: int) -> list[tuple[int, int]]:
     return out
 
 
-def _call(job: tuple[Callable[[int], object], int]) -> object:
-    fn, batch = job
-    return fn(batch)
+#: A stack is consecutive batches with at most this many paths in all; a
+#: larger batch runs alone.
+_STACK_PATHS = 4096
 
 
-def _run_batches(fns: Sequence[Callable[[int], object]], batches: int, workers: int) -> list[list]:
-    """Batches 0..batches-1 of every function, one list of parts per function.
+def _stacks(layout: list[tuple[int, int]]) -> list[range]:
+    """Consecutive runs of batches whose paths add up to at most
+    ``_STACK_PATHS``, each as a range of batch indices."""
+    stacks, first, paths = [], 0, 0
+    for batch, (_, count) in enumerate(layout):
+        if batch > first and paths + count > _STACK_PATHS:
+            stacks.append(range(first, batch))
+            first, paths = batch, 0
+        paths += count
+    stacks.append(range(first, len(layout)))
+    return stacks
 
-    All the jobs go through one pool, the last function's batches first, so
+
+def _call(job: tuple[Callable[[range], list], range]) -> list:
+    fn, stack = job
+    return fn(stack)
+
+
+def _run_batches(fns: Sequence[Callable[[range], list]], layout: list[tuple[int, int]],
+                 workers: int) -> list[list]:
+    """Every batch of ``layout`` through every function, one list of parts
+    per function, one part per batch in batch order.
+
+    A job is one function on one stack (see :func:`_stacks`): the function
+    takes a range of consecutive batches and returns their parts in order.
+    All the jobs go through one pool, the last function's stacks first, so
     a grid listed by growing K starts its longest batches first. The pool
     gets at most one process per job and per CPU; with one, the jobs run
     in this process. Each batch draws from its own addressed stream, so
-    neither the order nor the process count changes a part.
+    neither the stacks, the order nor the process count changes a part.
     """
-    jobs = [(fn, b) for fn in reversed(fns) for b in range(batches)]
+    jobs = [(fn, stack) for fn in reversed(fns) for stack in _stacks(layout)]
     procs = min(workers, len(jobs), os.cpu_count() or 1)
     if procs <= 1:
-        parts = [_call(job) for job in jobs]
+        results = [_call(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            parts = list(pool.map(_call, jobs))
+            results = list(pool.map(_call, jobs))
+    parts = [part for result in results for part in result]
+    batches = len(layout)
     return [parts[i * batches:(i + 1) * batches] for i in reversed(range(len(fns)))]
 
 
@@ -213,51 +239,63 @@ def _median_from_hist(hist: np.ndarray, total: int) -> float:
 # vectorized batch simulation
 
 
-def _tau_hist_batch(batch: int, *, seed: int, layout, dist, K: int, horizon: int,
-                    slot: int = 0, dump: bool = False) -> tuple[np.ndarray, int, str | None]:
-    """Histogram of extinction times for one trajectory batch, its count of
-    paths alive at the horizon, and its trajectory rows when ``dump``."""
-    start, count = layout[batch]
-    gen = RandomnessSource(seed).handle(batch, slot)
-    taus, rows = plain_batch(K, count, dist, gen, horizon, rows=dump)
-    text = trajectory_rows(rows[:, :, None], start) if dump else None
-    return np.bincount(taus[taus >= 0]), int(np.count_nonzero(taus < 0)), text
+def _stack_streams(stack: range, seed: int, layout, slot: int = 0):
+    """Each batch's handle stream and path count, for a stack of batches."""
+    src = RandomnessSource(seed)
+    return [src.handle(b, slot) for b in stack], [layout[b][1] for b in stack]
 
 
-def _values_batch(batch: int, *, seed: int, layout, dist, K: int, u1: float,
-                  u2: float, fixed_n: int, cap: int):
-    """Per-path (tau, X at floor(u1 tau), at floor(u2 tau), at fixed_n).
+def _tau_hist_batch(stack: range, *, seed: int, layout, dist, K: int, horizon: int,
+                    slot: int = 0, dump: bool = False) -> list[tuple[np.ndarray, int, str | None]]:
+    """Per batch of the stack: the histogram of its extinction times, its
+    count of paths alive at the horizon, and its trajectory rows when
+    ``dump``."""
+    gens, counts = _stack_streams(stack, seed, layout, slot)
+    parts = []
+    for b, (taus, rows) in zip(stack, plain_batch(K, counts, dist, gens, horizon, rows=dump)):
+        text = trajectory_rows(rows[:, :, None], layout[b][0]) if dump else None
+        parts.append((np.bincount(taus[taus >= 0]), int(np.count_nonzero(taus < 0)), text))
+    return parts
 
-    Runs a whole batch to extinction keeping the generation-by-generation
+
+def _values_batch(stack: range, *, seed: int, layout, dist, K: int, u1: float,
+                  u2: float, fixed_n: int, cap: int) -> list[tuple[np.ndarray, ...]]:
+    """Per batch of the stack, per path: (tau, X at floor(u1 tau), at
+    floor(u2 tau), at fixed_n).
+
+    Runs the stack to extinction keeping the generation-by-generation
     size vectors, then reads each path's values at its realized times.
     Censored paths get tau = -1 and are skipped downstream.
     """
-    _, count = layout[batch]
-    gen = RandomnessSource(seed).handle(batch, 0)
-    taus, M = plain_batch(K, count, dist, gen, cap, rows=True)
-    cols = np.arange(count)
-    s1 = np.floor(u1 * np.maximum(taus, 0)).astype(np.int64)
-    s2 = np.floor(u2 * np.maximum(taus, 0)).astype(np.int64)
-    x1 = M[s1, cols]
-    x2 = M[s2, cols]
-    xn = M[fixed_n, cols] if fixed_n < M.shape[0] else np.zeros(count, np.int64)
-    return taus, x1, x2, xn
+    gens, counts = _stack_streams(stack, seed, layout)
+    parts = []
+    for taus, M in plain_batch(K, counts, dist, gens, cap, rows=True):
+        cols = np.arange(len(taus))
+        s1 = np.floor(u1 * np.maximum(taus, 0)).astype(np.int64)
+        s2 = np.floor(u2 * np.maximum(taus, 0)).astype(np.int64)
+        x1 = M[s1, cols]
+        x2 = M[s2, cols]
+        xn = M[fixed_n, cols] if fixed_n < M.shape[0] else np.zeros(len(taus), np.int64)
+        parts.append((taus, x1, x2, xn))
+    return parts
 
 
-def _theta_batch(batch: int, *, seed: int, layout, dist, K: int,
-                 indices: tuple[int, ...], a: float) -> np.ndarray:
-    """Population sizes at the requested generations, one row per path.
+def _theta_batch(stack: range, *, seed: int, layout, dist, K: int,
+                 indices: tuple[int, ...], a: float) -> list[np.ndarray]:
+    """Per batch of the stack: population sizes at the requested
+    generations, one row per path.
 
     Generations after the whole batch died out read 0.
     """
-    _, count = layout[batch]
-    gen = RandomnessSource(seed).handle(batch, 0)
-    _, M = plain_batch(K, count, dist, gen, indices[-1], floor_level(a, K), rows=True)
+    gens, counts = _stack_streams(stack, seed, layout)
     rows = np.array(indices)
-    kept = rows < len(M)
-    X = np.zeros((len(rows), count), dtype=M.dtype)
-    X[kept] = M[rows[kept]]
-    return X.T
+    parts = []
+    for _, M in plain_batch(K, counts, dist, gens, indices[-1], floor_level(a, K), rows=True):
+        kept = rows < len(M)
+        X = np.zeros((len(rows), M.shape[1]), dtype=M.dtype)
+        X[kept] = M[rows[kept]]
+        parts.append(X.T)
+    return parts
 
 
 def _collect_values(dist, K, u1, u2, paths, seed, batches, workers,
@@ -266,7 +304,7 @@ def _collect_values(dist, K, u1, u2, paths, seed, batches, workers,
     cap = default_horizon(K, dist.mean, multiplier=cap_multiplier)
     fn = partial(_values_batch, seed=seed, layout=layout, dist=dist, K=K,
                  u1=u1, u2=u2, fixed_n=fixed_n, cap=cap)
-    [parts] = _run_batches([fn], batches, workers)
+    [parts] = _run_batches([fn], layout, workers)
     tau, x1, x2, xn = (np.concatenate(column) for column in zip(*parts))
     return Ensemble(tau, x1, x2, xn, _batch_ids(layout))
 
@@ -444,7 +482,7 @@ def extinction_scaling(
     fns = [partial(_tau_hist_batch, seed=seed, layout=layout, dist=dist, K=K, slot=slot,
                    horizon=default_horizon(K, m, multiplier=cap_multiplier))
            for slot, K in enumerate(K_list)]
-    for K, parts in zip(K_list, _run_batches(fns, batches, workers)):
+    for K, parts in zip(K_list, _run_batches(fns, layout, workers)):
         hists = _hist_rows([p[0] for p in parts])
         width = hists.shape[1]
         censored = sum(p[1] for p in parts)
@@ -592,7 +630,7 @@ def clt_covariance_check(
     layout = batch_layout(paths, batches)
     fn = partial(_theta_batch, seed=seed, layout=layout, dist=dist, K=K,
                  indices=indices, a=a)
-    [parts] = _run_batches([fn], batches, workers)
+    [parts] = _run_batches([fn], layout, workers)
     X = np.vstack(parts)
     centers = K * dist.mean ** np.array(indices, dtype=float)
     theta = (X - centers) / (dist.std * math.sqrt(K))

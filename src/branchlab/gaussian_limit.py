@@ -73,17 +73,26 @@ class ThetaCovariance:
             )
 
 
+def _variances(cov: ThetaCovariance, indices: Sequence[int]) -> list[float]:
+    """var(theta_j) for each j of the ascending ``indices``, from one pass
+    of the recursion var_{j+1} = m^2 var_j + m^j - a."""
+    m, a = cov.m, cov.a
+    var, power, j, out = 1.0, 1.0, 1, []  # var(theta_1), m^0
+    for target in indices:
+        for _ in range(j, target):
+            power *= m
+            var = m * m * var + power - a
+        j = target
+        out.append(var)
+    return out
+
+
 def theta_variance(cov: ThetaCovariance, j: int) -> float:
     """var(theta_j) from the recursion var_{j+1} = m^2 var_j + m^j - a."""
     if j < 1:
         raise ValueError(f"index must be >= 1, got {j}")
     cov._check_index(j)
-    m, a = cov.m, cov.a
-    var, power = 1.0, 1.0  # var(theta_1), m^0
-    for _ in range(1, j):
-        power *= m
-        var = m * m * var + power - a
-    return var
+    return _variances(cov, [j])[0]
 
 
 def closed_form_variance(m: float, j: int) -> float:
@@ -91,12 +100,8 @@ def closed_form_variance(m: float, j: int) -> float:
     return m ** (j - 1) * (1.0 - m**j) / (1.0 - m)
 
 
-def theta_covariance(cov: ThetaCovariance, j: int, n: int) -> float:
-    """cov(theta_j, theta_{j+n}) under the model's mode."""
-    if n < 0:
-        raise ValueError(f"lag must be >= 0, got {n}")
-    cov._check_index(j + n)
-    var = theta_variance(cov, j)
+def _covariance(cov: ThetaCovariance, j: int, n: int, var: float) -> float:
+    """cov(theta_j, theta_{j+n}) under the model's mode, given var(theta_j)."""
     m, a = cov.m, cov.a
     base = m**n * var
     if cov.mode == "martingale" or n == 0:
@@ -105,24 +110,37 @@ def theta_covariance(cov: ThetaCovariance, j: int, n: int) -> float:
     return base + cross
 
 
+def theta_covariance(cov: ThetaCovariance, j: int, n: int) -> float:
+    """cov(theta_j, theta_{j+n}) under the model's mode."""
+    if n < 0:
+        raise ValueError(f"lag must be >= 0, got {n}")
+    cov._check_index(j + n)
+    return _covariance(cov, j, n, theta_variance(cov, j))
+
+
 def covariance_matrix(
     cov: ThetaCovariance, indices: Sequence[int], *, require_psd: bool = False
 ) -> np.ndarray:
     """Covariance matrix over the given indices.
 
-    With ``require_psd`` the matrix is additionally put through the
-    eigenvalue check and rejected loudly — never silently repaired —
-    when it fails.
+    Runs the variance recursion once, up to the largest index, and fills
+    each unordered pair once: every cell is bit-identical to
+    :func:`theta_covariance`. With ``require_psd`` the matrix is
+    additionally put through the eigenvalue check and rejected loudly —
+    never silently repaired — when it fails.
     """
     idx = list(indices)
     if len(set(idx)) != len(idx) or any(i < 1 for i in idx):
         raise ValueError(f"indices must be distinct positive integers, got {idx}")
     if sorted(idx) != idx:
         raise ValueError(f"indices must be sorted, got {idx}")
+    for i in idx:
+        cov._check_index(i)
+    var = _variances(cov, idx)
     M = np.empty((len(idx), len(idx)))
     for p, ip in enumerate(idx):
-        for q, iq in enumerate(idx):
-            M[p, q] = theta_covariance(cov, min(ip, iq), abs(ip - iq))
+        for q in range(p, len(idx)):
+            M[p, q] = M[q, p] = _covariance(cov, ip, idx[q] - ip, var[p])
     if require_psd and not is_positive_semidefinite(M):
         raise NotPositiveSemiDefinite(
             f"covariance matrix for mode={cov.mode!r}, m={cov.m}, "

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, estimators, exact
 from .estimators import AD_SIGNIFICANCE_LEVELS, ExperimentReport, batch_layout, entry_info, entry_le
-from .estimators import _hist_rows, _median_from_hist, _run_batches, _tau_hist_batch
+from .estimators import _hist_rows, _median_from_hist, _run_batches, _stack_streams, _tau_hist_batch
 # extinction_scaling, conditional_moment_check, simulate_coupled, simulate_path and
 # write_trajectories are not called through this namespace; perfbench/spans.py traces
 # them through it.
@@ -36,9 +36,8 @@ from .estimators import conditional_moment_check, extinction_scaling
 from .gaussian_limit import MODES, ThetaCovariance, covariance_matrix, is_positive_semidefinite
 from .offspring import (InvalidParameter, NonNormalizedPMF, OffspringDistribution,
                         SupercriticalWithoutOverride, make_distribution)
-from .process import (coupled_floors, coupled_step, default_horizon, simulate_coupled, simulate_path,
-                      trajectory_header, trajectory_rows, write_trajectories)
-from .randomness import RandomnessSource
+from .process import (batch_slices, coupled_floors, coupled_step, default_horizon, simulate_coupled,
+                      simulate_path, trajectory_header, trajectory_rows, write_trajectories)
 from .stopping import LimitOracle, boundary_warnings, limit_constant
 
 SCHEMA_VERSION = 1
@@ -457,37 +456,46 @@ _CROSS_KEY_RULES = (_mean_rules, _batch_rules, _u_order, _population_sizes, _ora
 # estimators._tau_hist_batch
 
 
-def _coupled_batch(batch: int, *, layout, seed: int, dist, K: int, levels, horizon: int, dump: bool):
-    """Run one batch of coupled paths on the gap-closure engine.
+def _coupled_batch(stack: range, *, layout, seed: int, dist, K: int, levels, horizon: int,
+                   dump: bool) -> list[tuple]:
+    """Run a stack of coupled batches on the gap-closure engine.
 
-    Keeps the current (paths, 1+L) state, the four gate-violation counts
-    over every path, generation and level, and the base extinction
-    times; the full trajectories only when they are dumped. Generation 0
-    is the common start K, where every gate holds by construction.
+    Keeps the current (paths, 1+L) state of the whole stack, each path's
+    four gate-violation counts over every generation and level, and the
+    base extinction times; the full trajectories only when they are
+    dumped. Generation 0 is the common start K, where every gate holds by
+    construction. Returns one part per batch: its extinction-time
+    histogram, censored count, four violation counts and trajectory rows.
     """
-    start, count = layout[batch]
-    gen = RandomnessSource(seed).handle(batch, 0)
+    gens, counts = _stack_streams(stack, seed, layout)
     floors = coupled_floors(levels, K)
-    sizes = np.full((count, len(floors)), K, dtype=np.int64)
-    taus = np.zeros(count, dtype=np.int64)
-    bad = np.zeros(4, dtype=np.int64)
+    sizes = np.full((sum(counts), len(floors)), K, dtype=np.int64)
+    taus = np.zeros(len(sizes), dtype=np.int64)
+    bad = np.zeros((len(sizes), 4), dtype=np.int64)
     rows, flags = [sizes], []
     for n in range(1, horizon + 1):
-        sizes, flag = coupled_step(sizes, floors, dist, gen)
+        sizes, flag = coupled_step(sizes, floors, dist, gens, counts)
         taus[(sizes[:, 0] == 0) & (taus == 0)] = n
         bad += _violations(sizes, flag, floors, dist.single_child)
         if dump:
             rows.append(sizes)
             flags.append(flag)
-    text = trajectory_rows(np.stack(rows), start, floors, np.stack(flags)) if dump else None
-    hist = np.bincount(taus[taus > 0], minlength=1)
-    return hist, int(np.count_nonzero(taus == 0)), *bad.tolist(), text
+    if dump:
+        rows, flags = np.stack(rows), np.stack(flags)
+    parts = []
+    for b, batch in zip(stack, batch_slices(counts)):
+        first = layout[b][0]
+        text = trajectory_rows(rows[:, batch], first, floors, flags[:, batch]) if dump else None
+        tau = taus[batch]
+        parts.append((np.bincount(tau[tau > 0], minlength=1), int(np.count_nonzero(tau == 0)),
+                      *bad[batch].sum(axis=0).tolist(), text))
+    return parts
 
 
 def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
                 single_child: bool) -> np.ndarray:
     """Sandwich, shift-identity, indicator and level-monotonicity violations
-    of one generation of a coupled batch.
+    of one generation of a coupled stack, as a (paths, 4) count matrix.
 
     The sandwich gates X <= X^(a) for every law, and Y^(a) <= X only when no
     individual has more than one child: otherwise the b_a individuals that
@@ -495,11 +503,11 @@ def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
     """
     base, upper = sizes[:, :1], sizes[:, 1:]
     shifted = upper - floors[1:]
-    return np.array([
-        np.count_nonzero(((shifted > base) & single_child) | (base > upper)),
-        np.count_nonzero(shifted + floors[1:] != upper),
-        np.count_nonzero(flags != (shifted > 0)),
-        np.count_nonzero(np.diff(upper, axis=1) < 0),
+    return np.column_stack([
+        np.count_nonzero(((shifted > base) & single_child) | (base > upper), axis=1),
+        np.count_nonzero(shifted + floors[1:] != upper, axis=1),
+        np.count_nonzero(flags != (shifted > 0), axis=1),
+        np.count_nonzero(np.diff(upper, axis=1) < 0, axis=1),
     ])
 
 
@@ -528,18 +536,18 @@ COUPLED_GATES = ("sandwich_violations", "shift_identity_violations",
 def _run_pathwise(kind: str, cfg: dict, dist: OffspringDistribution, batch_fn, gates=(), **extra):
     """Run a simulate or coupled config batch by batch.
 
-    ``batch_fn`` returns the batch's extinction-time histogram, its censored
-    count, one count per entry of ``gates``, and its trajectory rows (or
-    None); ``extra`` holds the kind's own batch arguments.
+    ``batch_fn`` takes a stack of batches and returns, per batch, its
+    extinction-time histogram, its censored count, one count per entry of
+    ``gates``, and its trajectory rows (or None); ``extra`` holds the
+    kind's own batch arguments.
     """
     K, paths, batches = cfg["K"], cfg["paths"], cfg["batches"]
     horizon = cfg["horizon"] or default_horizon(K, dist.mean, cfg["cap_multiplier"])
     dump = cfg["write_trajectories"]
-    fn = partial(
-        batch_fn, layout=batch_layout(paths, batches), seed=cfg["seed"], dist=dist,
-        K=K, horizon=horizon, dump=dump, **extra,
-    )
-    [parts] = _run_batches([fn], batches, cfg["workers"])
+    layout = batch_layout(paths, batches)
+    fn = partial(batch_fn, layout=layout, seed=cfg["seed"], dist=dist, K=K, horizon=horizon,
+                 dump=dump, **extra)
+    [parts] = _run_batches([fn], layout, cfg["workers"])
     hist = _hist_rows([p[0] for p in parts]).sum(axis=0)
     censored = sum(p[1] for p in parts)
     entries = [

@@ -94,6 +94,7 @@ class OffspringDistribution:
         self._support = support
         self._cdf = cdf
         self._pvals: np.ndarray | None = None
+        self._hash: int | None = None
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
@@ -105,10 +106,18 @@ class OffspringDistribution:
         return self.kind == other.kind and self.params == other.params
 
     def __hash__(self) -> int:
-        return hash((self.kind, frozenset(
-            (k, frozenset(v.items()) if isinstance(v, dict) else v)
-            for k, v in self.params.items()
-        )))
+        # Every closure_sums call of a table-sized batch looks the law up in
+        # the _sum_table cache, so the hash is kept once computed. It is not
+        # pickled: string hashes differ between processes.
+        if self._hash is None:
+            self._hash = hash((self.kind, frozenset(
+                (k, frozenset(v.items()) if isinstance(v, dict) else v)
+                for k, v in self.params.items()
+            )))
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_hash": None}
 
     @property
     def std(self) -> float:
@@ -297,24 +306,28 @@ class _SumTable:
             fit = int(np.count_nonzero(cells + np.arange(1, len(n) + 1) * width <= _SUM_TABLE_CELLS))
             if not fit:
                 break
-            rows, full, width = np.arange(fit), len(n), int(width[fit - 1])
+            full, span, width = len(n), cum.shape[1], int(width[fit - 1])
             lo, hi, n = lo[:fit], hi[:fit], n[:fit]
-            below = np.where(lo > 0, cum[rows, lo - 1], 0.0)
+            flat, first = cum.ravel(), np.arange(0, fit * span, span)
+            below = np.where(lo > 0, flat[first + lo - 1], 0.0)
             # Each row from its lower cut, over the block's widest row;
             # columns past the block's end repeat its last.
-            cols = np.minimum(lo[:, None] + np.arange(width), cum.shape[1] - 1)
+            cols = np.minimum(lo[:, None] + np.arange(width), span - 1)
+            cols += first[:, None]
             out = self.cdf[cells: cells + fit * width].reshape(fit, width)
-            np.subtract(np.take_along_axis(cum[:fit], cols, axis=1), below[:, None], out=out)
-            out /= (cum[rows, hi - 1] - below)[:, None]
+            np.take(flat, cols, out=out, mode="clip")  # in range: clip skips a buffer
+            out -= below[:, None]
+            out /= (flat[first + hi - 1] - below)[:, None]
             # Row keys do not overlap, so one running count of the cells
             # below each slot fills every guide of the block.
             ends = np.cumsum(n + 1)
-            key = (out * n[:, None]).astype(np.int64) + (ends - n - 1)[:, None]
+            key = (out * n[:, None]).astype(np.int64)
+            key += (ends - n - 1)[:, None]
             at = np.bincount(key.ravel(), minlength=ends[-1])
             guide = np.cumsum(at, out=self.guide[slots: slots + ends[-1]])
             guide -= at - cells
             sizes.append(n)
-            offsets.append(start + lo - cells - width * rows)
+            offsets.append(start + lo - cells - width * np.arange(fit))
             cells, slots = cells + fit * width, slots + int(ends[-1])
             if fit < full:
                 break
@@ -396,8 +409,10 @@ def _sum_law_blocks(dist: OffspringDistribution):
         work += len(kernel) * span * width
         if work > _SUM_TABLE_WORK:
             return
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate((np.zeros(span - 1), seed, np.zeros(span - 1))), span)
+        padded = np.zeros(width + span - 1)
+        padded[span - 1: span - 1 + len(seed)] = seed
+        # Row i is padded[i: i + span], a window of the zero-padded seed.
+        windows = np.ndarray((width, span), buffer=padded, strides=(8, 8))
         # Products of at most _BLAS_ONE_THREAD multiply-adds, which OpenBLAS
         # runs on one thread: a second thread costs more than it saves here,
         # and far more when another process holds the other core.

@@ -13,18 +13,27 @@ nondecreasing, so the pathwise sandwich Y_n^(a) <= X_n <= X_n^(a) and the
 pre-decoupling agreement between levels are checkable sample by sample,
 not just in law (the lower half, Y_n^(a) <= X_n, only for offspring in
 {0, 1}). Plain paths run on :func:`plain_sizes`, which steps the live
-paths of a whole batch with one progeny-sum draw per generation: a path
-is dropped once it reaches 0, so extinct paths cost nothing. Every plain
-batch, a single path included, goes through :func:`plain_batch`, which
-scatters those steps back into extinction times and a size matrix, and
-:func:`trajectory_rows` turns a plain or coupled batch's sizes into its
-trajectory CSV rows in one format call.
+paths with one progeny-sum draw per batch per generation: a path is
+dropped once it reaches 0, so extinct paths cost nothing.
+
+Both engines step a *stack*: consecutive batches, each with its own
+generator and path count, held in one matrix whose paths are numbered
+batch after batch. The numpy work of a generation (the sort, scatter and
+compaction) runs once over the stack, and each batch draws its sums with
+one ``closure_sums`` call on its own contiguous slice and generator. A
+batch therefore draws exactly what it draws alone, and a one-batch stack
+is a plain batch. Every plain stack, a single path included, goes through
+:func:`plain_batch`, which scatters those steps back into each batch's
+extinction times and size matrix, and :func:`trajectory_rows` turns a
+plain or coupled batch's sizes into its trajectory CSV rows in one format
+call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -112,64 +121,87 @@ class CoupledPaths:
         return len(self.base_sizes) - 1
 
 
+def batch_slices(counts: Sequence[int]) -> list[slice]:
+    """Each batch's paths in a stack whose batches hold ``counts`` paths."""
+    return [slice(end - count, end) for count, end in zip(counts, accumulate(counts))]
+
+
 def plain_sizes(
     K: int,
-    paths: int,
+    counts: Sequence[int],
     dist: OffspringDistribution,
-    gen: np.random.Generator,
+    gens: Sequence[np.random.Generator],
     horizon: int,
     floor: int = 0,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Step a batch of plain paths from X_0 = K, one generation per yield.
+    """Step a stack of plain batches from X_0 = K, one generation per yield.
 
-    Yields ``(live, sizes)`` at generations 1, 2, ..., horizon: ``live``
-    holds the batch indices of the paths alive before the step and
-    ``sizes`` their new sizes, drawn with one ``closure_sums`` call and
-    floored at ``floor``. Zero is absorbing, so a path whose size is 0 is
-    dropped after the yield, and the generator stops once none is left.
-    ``closure_sums`` draws nothing for a size of 0, so dropping the dead
-    paths changes no draw of the live ones.
+    Batch i has ``counts[i]`` paths and draws from ``gens[i]``; the
+    stack's paths are numbered batch after batch. Yields ``(live, sizes)``
+    at generations 1, 2, ..., horizon: ``live`` holds the stack indices of
+    the paths alive before the step and ``sizes`` their new sizes, floored
+    at ``floor``. Each batch with a live path draws its sizes with one
+    ``closure_sums`` call on its own slice, in path order. Zero is
+    absorbing, so a path whose size is 0 is dropped after the yield, and
+    the generator stops once none is left. ``closure_sums`` draws nothing
+    for a size of 0, so dropping the dead paths changes no draw of the
+    live ones.
     """
-    live = np.arange(paths)
-    sizes = np.full(paths, K, dtype=np.int64)
+    live = np.arange(sum(counts))
+    sizes = np.full(live.size, K, dtype=np.int64)
+    ends = np.cumsum(counts)  # each batch's end among the live paths
     for _ in range(horizon):
-        sizes = dist.closure_sums(sizes, gen)
-        if floor:
-            sizes = np.maximum(sizes, floor)
+        drawn = np.empty_like(sizes)
+        lo = 0
+        for gen, hi in zip(gens, ends.tolist()):
+            if hi > lo:
+                drawn[lo:hi] = dist.closure_sums(sizes[lo:hi], gen)
+            lo = hi
+        sizes = np.maximum(drawn, floor) if floor else drawn
         yield live, sizes
         alive = np.flatnonzero(sizes)
         if alive.size < sizes.size:
             if not alive.size:
                 return
             live, sizes = live[alive], sizes[alive]
+            ends = np.searchsorted(alive, ends)
 
 
 def plain_batch(
     K: int,
-    paths: int,
+    counts: Sequence[int],
     dist: OffspringDistribution,
-    gen: np.random.Generator,
+    gens: Sequence[np.random.Generator],
     horizon: int,
     floor: int = 0,
     *,
     rows: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run a batch of plain paths on :func:`plain_sizes`.
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Run a stack of plain batches on :func:`plain_sizes`.
 
-    Returns each path's extinction time, -1 for a path alive at the
-    horizon, and with ``rows`` the (generations, paths) size matrix from
-    X_0 = K on: one row per generation stepped, 0 after a path's
-    extinction. The rows stop with the last generation stepped, so a batch
-    that dies out early keeps no rows up to the horizon.
+    Returns one ``(taus, matrix)`` per batch: each path's extinction time,
+    -1 for a path alive at the horizon, and with ``rows`` the (generations,
+    paths) size matrix from X_0 = K on, one row per generation the batch
+    stepped, 0 after a path's extinction. A batch's rows stop with the last
+    generation it stepped, so a batch that dies out early keeps no rows up
+    to the horizon, whatever the other batches of its stack do.
     """
-    taus = np.full(paths, -1, dtype=np.int64)
-    matrix = [np.full(paths, K, dtype=np.int64)] if rows else None
-    for n, (live, sizes) in enumerate(plain_sizes(K, paths, dist, gen, horizon, floor), 1):
+    total = sum(counts)
+    taus = np.full(total, -1, dtype=np.int64)
+    matrix = [np.full(total, K, dtype=np.int64)] if rows else None
+    for n, (live, sizes) in enumerate(plain_sizes(K, counts, dist, gens, horizon, floor), 1):
         taus[live[sizes == 0]] = n
         if rows:
-            matrix.append(np.zeros(paths, dtype=np.int64))
+            matrix.append(np.zeros(total, dtype=np.int64))
             matrix[-1][live] = sizes
-    return taus, np.vstack(matrix) if rows else None
+    if not rows:
+        return [(taus[batch], None) for batch in batch_slices(counts)]
+    matrix = np.vstack(matrix)
+    parts = []
+    for batch in batch_slices(counts):
+        last = horizon if (taus[batch] < 0).any() else int(taus[batch].max())
+        parts.append((taus[batch], matrix[:last + 1, batch]))
+    return parts
 
 
 def simulate_path(
@@ -182,8 +214,8 @@ def simulate_path(
 ) -> PathRecord:
     """Run the base process until extinction or the generation cap.
 
-    Runs :func:`plain_batch` on a one-path batch fed by the path's closure
-    stream.
+    Runs :func:`plain_batch` on a stack of one one-path batch fed by the
+    path's closure stream.
     """
     if K < 0:
         raise ValueError(f"initial size must be >= 0, got {K}")
@@ -194,7 +226,7 @@ def simulate_path(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    taus, sizes = plain_batch(K, 1, dist, src.closure_generator(path), horizon, rows=True)
+    [(taus, sizes)] = plain_batch(K, [1], dist, [src.closure_generator(path)], horizon, rows=True)
     tau = int(taus[0])
     extinct = tau >= 0
     return PathRecord(K, sizes[:, 0].tolist(), extinct, tau if extinct else None, not extinct, path)
@@ -204,23 +236,28 @@ def coupled_step(
     sizes: np.ndarray,
     floors: np.ndarray,
     dist: OffspringDistribution,
-    gen: np.random.Generator,
+    gens: Sequence[np.random.Generator],
+    counts: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One generation of X and every X^(a) for a batch of coupled paths.
+    """One generation of X and every X^(a) for a stack of coupled batches.
 
     ``sizes`` is a (paths, 1+L) matrix of current sizes [X, X^(a_1), ...,
-    X^(a_L)] and ``floors`` the matching [0, b_1, ..., b_L]. Each row is
-    sorted; the gaps between consecutive sizes (the first gap being the
-    smallest size) are drawn as independent progeny sums in one
-    ``closure_sums`` call, and their running sums, scattered back to the
-    columns, are the progeny prefix sums S(.) at the current sizes. Returns
-    the next sizes max(floor, S) and the (paths, L) indicators
-    1{S(X^(a)) > b_a}.
+    X^(a_L)], its rows batch after batch with ``counts[i]`` rows drawn
+    from ``gens[i]``, and ``floors`` the matching [0, b_1, ..., b_L]. Each
+    row is sorted; the gaps between consecutive sizes (the first gap being
+    the smallest size) are drawn as independent progeny sums, one
+    ``closure_sums`` call per batch on its own rows, and their running
+    sums, scattered back to the columns, are the progeny prefix sums S(.)
+    at the current sizes. Returns the next sizes max(floor, S) and the
+    (paths, L) indicators 1{S(X^(a)) > b_a}.
     """
     order = np.argsort(sizes, axis=1)
     gaps = np.diff(np.sort(sizes, axis=1), axis=1, prepend=0)
+    sums = np.empty_like(gaps)
+    for gen, batch in zip(gens, batch_slices(counts)):
+        sums[batch] = dist.closure_sums(gaps[batch], gen)
     progeny = np.empty_like(sizes)
-    progeny[np.arange(len(sizes))[:, None], order] = np.cumsum(dist.closure_sums(gaps, gen), axis=1)
+    progeny[np.arange(len(sizes))[:, None], order] = np.cumsum(sums, axis=1)
     return np.maximum(progeny, floors), progeny[:, 1:] > floors[1:]
 
 
@@ -262,9 +299,10 @@ def simulate_coupled(
 ) -> CoupledPaths:
     """Drive the base process and every truncation level on shared sums.
 
-    Runs :func:`coupled_step` on a one-path batch fed by the path's
-    closure stream: the base next size is S(X_n), the level-a next size is
-    max{floor_a, S(X_n^(a))}, and the indicator is 1{S(X_n^(a)) > floor_a}.
+    Runs :func:`coupled_step` on a stack of one one-path batch fed by the
+    path's closure stream: the base next size is S(X_n), the level-a next
+    size is max{floor_a, S(X_n^(a))}, and the indicator is
+    1{S(X_n^(a)) > floor_a}.
     The level 0 process coincides with the base path identically.
     """
     if K < 0:
@@ -276,11 +314,11 @@ def simulate_coupled(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    gen = src.closure_generator(path)
+    gens = [src.closure_generator(path)]
     sizes = np.full((1, len(floors)), K, dtype=np.int64)
     rows, flags = [sizes], []
     for _ in range(horizon):
-        sizes, flag = coupled_step(sizes, floors, dist, gen)
+        sizes, flag = coupled_step(sizes, floors, dist, gens, [1])
         rows.append(sizes)
         flags.append(flag)
     return coupled_record(K, levels, np.vstack(rows), np.vstack(flags), path)

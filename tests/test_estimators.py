@@ -80,9 +80,9 @@ def test_run_batches_gives_each_function_its_parts_at_any_worker_count():
     """Two functions through one pool give the parts each gives alone, in
     batch order, at workers 1 and 2."""
     fns = [_tau_hist_parts(10), _tau_hist_parts(500)]
-    alone = [[fn(b) for b in range(6)] for fn in fns]
+    alone = [[fn(range(b, b + 1))[0] for b in range(6)] for fn in fns]
     for workers in (1, 2):
-        runs = _run_batches(fns, 6, workers)
+        runs = _run_batches(fns, batch_layout(600, 6), workers)
         assert len(runs) == 2
         for parts, want in zip(runs, alone):
             assert len(parts) == 6
@@ -91,9 +91,11 @@ def test_run_batches_gives_each_function_its_parts_at_any_worker_count():
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records ``max_workers``, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and every
+    job it maps, and maps them in-process."""
 
     sizes: list[int] = []
+    jobs: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -105,7 +107,13 @@ class _RecordingPool:
         return False
 
     def map(self, fn, jobs):
+        jobs = list(jobs)
+        self.jobs.extend(jobs)
         return map(fn, jobs)
+
+
+def _powers(base: int, stack: range) -> list[int]:
+    return [base**b for b in stack]
 
 
 @pytest.mark.parametrize("workers, functions, batches, cpus, pool", [
@@ -120,14 +128,52 @@ class _RecordingPool:
 def test_run_batches_forks_no_more_processes_than_can_work(monkeypatch, workers, functions,
                                                            batches, cpus, pool):
     """The pool gets min(workers, jobs, CPUs) processes, and no pool starts
-    when that is 1 (a CPU count of None counts as 1)."""
+    when that is 1 (a CPU count of None counts as 1). Batches larger than a
+    stack's path budget each make a job of their own."""
     monkeypatch.setattr(estimators, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(estimators.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    fns = [partial(pow, i + 2) for i in range(functions)]
-    runs = _run_batches(fns, batches, workers)
+    fns = [partial(_powers, i + 2) for i in range(functions)]
+    layout = batch_layout(batches * (estimators._STACK_PATHS + 1), batches)
+    runs = _run_batches(fns, layout, workers)
     assert _RecordingPool.sizes == ([] if pool is None else [pool])
-    assert runs == [[fn(b) for b in range(batches)] for fn in fns]
+    assert runs == [[fn(range(b, b + 1))[0] for b in range(batches)] for fn in fns]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("counts", [
+    [10] * 40,
+    [250] * 40,
+    [4096, 1, 4095, 2, 5000, 3, 3, 4090],
+    [5000] * 3,
+    [1],
+])
+def test_run_batches_stacks_within_the_path_budget(monkeypatch, counts, workers):
+    """Jobs are stacks of consecutive batches, the last function's first,
+    each within the path budget unless it is one larger batch; the parts
+    come back one per batch, in batch order."""
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_RecordingPool, "jobs", [])
+    layout = [(int(sum(counts[:b])), c) for b, c in enumerate(counts)]
+    budget = estimators._STACK_PATHS
+    fns = [partial(_powers, 2), partial(_powers, 3)]
+    runs = _run_batches(fns, layout, workers)
+    assert runs == [[base**b for b in range(len(counts))] for base in (2, 3)]
+    stacks = estimators._stacks(layout)
+    assert [b for stack in stacks for b in stack] == list(range(len(counts)))
+    for stack in stacks:
+        paths = sum(counts[b] for b in stack)
+        assert paths <= budget or len(stack) == 1
+    # Greedy: a stack ends only where its next batch would break the budget.
+    for stack, after in zip(stacks, stacks[1:]):
+        assert sum(counts[b] for b in stack) + counts[after[0]] > budget
+    jobs = _RecordingPool.jobs
+    if workers == 1:
+        assert not jobs
+    else:
+        assert [fn.args[0] for fn, _ in jobs] == [3] * len(stacks) + [2] * len(stacks)
+        assert [stack for _, stack in jobs] == stacks * 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

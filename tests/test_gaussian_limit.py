@@ -10,6 +10,7 @@ import scipy.stats as st
 
 from branchlab.exact import enumerate_bernoulli_paths
 from branchlab.gaussian_limit import (
+    MODES,
     NotPositiveSemiDefinite,
     OutOfValidityRange,
     ThetaCovariance,
@@ -98,6 +99,30 @@ def test_covariance_matrix_shapes_and_values():
     assert M[0, 1] == pytest.approx(theta_covariance(cov, 1, 1))
     assert M[0, 2] == pytest.approx(theta_covariance(cov, 1, 3))
     assert M[1, 2] == pytest.approx(theta_covariance(cov, 2, 2))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("m, a, indices", [
+    (0.7, 0.0, [1, 2, 5, 9, 30, 31]),
+    (0.5, 0.0, [3]),
+    (0.6, 0.1, [1, 2, 3, 4]),
+    (0.9, 0.05, [1, 3, 7, 20]),
+])
+def test_covariance_matrix_is_bit_identical_to_its_cells(mode, m, a, indices):
+    """One variance recursion and one cell per unordered pair give exactly
+    the per-cell values, and an index past ell(a) - 1 is refused with the
+    same message."""
+    cov = ThetaCovariance(m, mode=mode, a=a)
+    cells = np.array([[theta_covariance(cov, min(p, q), abs(p - q)) for q in indices]
+                      for p in indices])
+    assert np.array_equal(covariance_matrix(cov, indices), cells)
+    if a:
+        past = [1, cov.max_index + 1, cov.max_index + 2]
+        with pytest.raises(OutOfValidityRange) as want:
+            theta_covariance(cov, 1, past[1] - 1)
+        with pytest.raises(OutOfValidityRange) as got:
+            covariance_matrix(cov, past)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("m", [0.3, 0.5, 0.8])

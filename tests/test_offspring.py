@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats as st
+
+import branchlab
 
 from branchlab.offspring import (
     _SUM_TABLE_CELLS,
@@ -232,6 +239,33 @@ def test_zero_sizes_draw_nothing(spec):
 #: pmfs on {0, top} whose supports are wide enough to lower the number of
 #: tabulated sizes, and too wide for even one row.
 WIDE_TOPS, TOO_WIDE_TOPS = (50, 1000), (10**6, 10**12)
+
+
+def test_law_hash_is_kept_but_not_pickled():
+    """Equal laws hash alike however they were built, and the hash is kept on
+    the law. A pickled law carries no hash: in a process with another string
+    hash seed, as under a spawn start method, an unpickled law hashes like
+    one built there and finds the same sum table."""
+    law = make_distribution({"kind": "pmf", "table": {"0": 0.5, "2": 0.2, "1": 0.3}})
+    same = make_distribution({"kind": "pmf", "table": {1: 0.3, 0: 0.5, 2: 0.2}})
+    assert law == same and hash(law) == hash(same) and law._hash == hash(law)
+    for spec in SUBCRITICAL_SPECS:
+        assert hash(make_distribution(spec)) == hash(make_distribution(json.loads(json.dumps(spec))))
+    blob = pickle.dumps(law)
+    assert pickle.loads(blob)._hash is None
+    code = ("import pickle, sys; from branchlab.offspring import make_distribution, _sum_table; "
+            "law = pickle.loads(sys.stdin.buffer.read()); "
+            "built = make_distribution({'kind': 'pmf', 'table': {0: 0.5, 1: 0.3, 2: 0.2}}); "
+            "print(hash(law) == hash(built), _sum_table(law) is _sum_table(built), hash('pmf'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(branchlab.__file__).resolve().parents[1])}
+    seen = set()
+    for seed in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", code], input=blob, capture_output=True,
+                             env={**env, "PYTHONHASHSEED": seed}, check=True)
+        equal, shared, string_hash = out.stdout.decode().split()
+        assert equal == shared == "True"
+        seen.add(string_hash)
+    assert len(seen) == 2  # the string hash seed does change string hashes
 
 
 def _two_point(top):

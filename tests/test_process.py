@@ -24,6 +24,7 @@ from branchlab.process import (
     coupled_step,
     default_horizon,
     floor_level,
+    plain_batch,
     plain_sizes,
     simulate_coupled,
     simulate_path,
@@ -39,12 +40,17 @@ ZERO = make_distribution({"kind": "pmf", "table": {"0": 1.0}})
 FAMILIES = [make_distribution(spec) for spec in SUBCRITICAL_SPECS]
 
 
+def _step(sizes, floors, dist, gen):
+    """One coupled step of a one-batch stack drawing from ``gen``."""
+    return coupled_step(sizes, floors, dist, [gen], [len(sizes)])
+
+
 def test_step_of_zero_is_zero():
     gen = RandomnessSource(1).handle()
     floors = np.zeros(3, dtype=np.int64)
-    sizes, flags = coupled_step(np.zeros((4, 3), dtype=np.int64), floors, BERN, gen)
+    sizes, flags = _step(np.zeros((4, 3), dtype=np.int64), floors, BERN, gen)
     assert not sizes.any() and not flags.any()
-    sizes, _ = coupled_step(np.full((4, 3), 100, dtype=np.int64), floors, ZERO, gen)
+    sizes, _ = _step(np.full((4, 3), 100, dtype=np.int64), floors, ZERO, gen)
     assert not sizes.any()
 
 
@@ -53,7 +59,7 @@ def test_step_binomial_gof():
     gen = RandomnessSource(17).handle()
     K, n_rep = 50, 10_000
     floors = coupled_floors([0.2, 0.6], K)
-    sizes, _ = coupled_step(np.full((n_rep, 3), K, dtype=np.int64), floors, BERN, gen)
+    sizes, _ = _step(np.full((n_rep, 3), K, dtype=np.int64), floors, BERN, gen)
     draws = sizes[:, 0]
     pmf = st.binom.pmf(np.arange(K + 1), K, 0.5)
     keep = pmf * n_rep >= 10
@@ -75,7 +81,7 @@ def test_step_follows_closure_law(dist):
     base = np.array([9, 16, 25])
     n_rep = 20_000
     perms = np.argsort(rng.random((n_rep, 3)), axis=1)
-    sizes, _ = coupled_step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
+    sizes, _ = _step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
     for col, size in enumerate(base):
         draws = sizes[perms == col]
         upper = int(size * dist.mean + 12 * math.sqrt(size * dist.variance)) + 10
@@ -94,7 +100,7 @@ def test_joint_law_of_prefix_sums(dist):
     base = np.array([8, 14, 30])
     n_rep = 40_000
     perms = np.argsort(rng.random((n_rep, 3)), axis=1)
-    sizes, _ = coupled_step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
+    sizes, _ = _step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
     S = np.empty_like(sizes)
     np.put_along_axis(S, perms, sizes, axis=1)  # columns back in base order
 
@@ -133,8 +139,8 @@ def test_coupled_base_extinction_law(dist):
     """The coupled base path's extinction times follow exact.extinction_cdf."""
     K, paths = 12, 20_000
     horizon = default_horizon(K, dist.mean)
-    hist, censored, *_ = _coupled_batch(
-        0, layout=[(0, paths)], seed=31, dist=dist, K=K, levels=[0.25, 0.5],
+    [(hist, censored, *_)] = _coupled_batch(
+        range(1), layout=[(0, paths)], seed=31, dist=dist, K=K, levels=[0.25, 0.5],
         horizon=horizon, dump=False,
     )
     assert censored == 0
@@ -151,8 +157,8 @@ def test_plain_engine_extinction_law(dist, runner):
     K, paths = 12, 20_000
     horizon = default_horizon(K, dist.mean)
     dump = runner == "simulate"
-    hist, censored, text = _tau_hist_batch(0, seed=32 + dump, layout=[(0, paths)], dist=dist,
-                                           K=K, horizon=horizon, dump=dump)
+    [(hist, censored, text)] = _tau_hist_batch(range(1), seed=32 + dump, layout=[(0, paths)],
+                                               dist=dist, K=K, horizon=horizon, dump=dump)
     assert censored == 0
     _assert_extinction_cdf(hist, dist, K, paths)
     if dump:
@@ -166,11 +172,11 @@ def test_plain_sizes_stop_rule_and_floor():
     """The engine stops after the first generation in which every path is 0;
     a floor keeps every path live, at or above the floor, until the horizon."""
     gen = RandomnessSource(4).handle()
-    rows = list(plain_sizes(3, 50, ZERO, gen, 10))
+    rows = list(plain_sizes(3, [50], ZERO, [gen], 10))
     assert len(rows) == 1 and not rows[0][1].any()
-    rows = list(plain_sizes(40, 50, BERN, gen, 30))
+    rows = list(plain_sizes(40, [50], BERN, [gen], 30))
     assert not rows[-1][1].any() and all(sizes.any() for _, sizes in rows[:-1])
-    rows = list(plain_sizes(40, 50, BERN, gen, 30, floor=6))
+    rows = list(plain_sizes(40, [50], BERN, [gen], 30, floor=6))
     assert len(rows) == 30 and all(len(live) == 50 and (sizes >= 6).all() for live, sizes in rows)
 
 
@@ -204,7 +210,7 @@ def test_plain_sizes_match_full_width_loop(family, K, paths, floor, seed):
     ref_gen = RandomnessSource(seed).handle()
     gen = RandomnessSource(seed).handle()
     rows = []
-    for live, sizes in plain_sizes(K, paths, family, gen, horizon, floor):
+    for live, sizes in plain_sizes(K, [paths], family, [gen], horizon, floor):
         rows.append(np.zeros(paths, dtype=np.int64))
         rows[-1][live] = sizes
     ref = _full_width_sizes(K, paths, family, ref_gen, horizon, floor)
@@ -228,8 +234,8 @@ def test_plain_engine_draws_only_for_live_paths(monkeypatch, dist, cap):
 
     monkeypatch.setattr(OffspringDistribution, "closure_sums", spy)
     cap = cap or default_horizon(40, dist.mean)
-    hist, censored, _ = _tau_hist_batch(0, seed=8, layout=[(0, 500)], dist=dist, K=40,
-                                        horizon=cap)
+    [(hist, censored, _)] = _tau_hist_batch(range(1), seed=8, layout=[(0, 500)], dist=dist,
+                                            K=40, horizon=cap)
     assert all(sizes.all() for sizes in calls)
     assert sum(sizes.size for sizes in calls) == hist @ np.arange(hist.size) + censored * cap
     assert len(calls) == (cap if censored else hist.size - 1)
@@ -263,7 +269,7 @@ def test_batch_rows_match_write_trajectories(dist):
     gen = RandomnessSource(13).handle()
     rows, flags = [np.full((30, len(floors)), K, dtype=np.int64)], []
     for _ in range(horizon):
-        step, flag = coupled_step(rows[-1], floors, dist, gen)
+        step, flag = _step(rows[-1], floors, dist, gen)
         rows.append(step)
         flags.append(flag)
     rows, flags = np.stack(rows), np.stack(flags)
@@ -278,11 +284,11 @@ def test_step_truncated_floor_and_precondition():
     step below it; their indicator reads whether the sum beat the floor."""
     gen = RandomnessSource(2).handle()
     floors = coupled_floors([0.25, 0.5], 100)
-    sizes, flags = coupled_step(np.full((3, 3), 100, dtype=np.int64), floors, ZERO, gen)
+    sizes, flags = _step(np.full((3, 3), 100, dtype=np.int64), floors, ZERO, gen)
     assert (sizes == [0, 25, 50]).all() and not flags.any()
     sizes = np.full((500, 3), 100, dtype=np.int64)
     for _ in range(8):
-        sizes, flags = coupled_step(sizes, floors, BERN, gen)
+        sizes, flags = _step(sizes, floors, BERN, gen)
         assert (sizes >= floors).all()
         assert (flags == (sizes[:, 1:] > floors[1:])).all()
 
@@ -292,7 +298,7 @@ def test_step_truncated_at_level_zero_equals_step():
     sizes = np.full((200, 3), 40, dtype=np.int64)
     floors = coupled_floors([0.0, 0.3], 40)
     for _ in range(6):
-        sizes, _ = coupled_step(sizes, floors, POIS, gen)
+        sizes, _ = _step(sizes, floors, POIS, gen)
         assert (sizes[:, 1] == sizes[:, 0]).all()
 
 
@@ -477,8 +483,8 @@ def test_coupled_identities_hold_pathwise(family, K, levels, horizon, path):
     count=hs.integers(1, 40),
 )
 def test_coupled_batch_counts_no_violations(family, K, levels, horizon, count):
-    hist, censored, *bad, text = _coupled_batch(
-        0, layout=[(0, count)], seed=3, dist=family, K=K, levels=levels,
+    [(hist, censored, *bad, text)] = _coupled_batch(
+        range(1), layout=[(0, count)], seed=3, dist=family, K=K, levels=levels,
         horizon=horizon, dump=True,
     )
     sandwich, *others = bad
@@ -486,6 +492,132 @@ def test_coupled_batch_counts_no_violations(family, K, levels, horizon, count):
     assert sandwich == 0
     assert int(hist.sum()) + censored == count
     assert len(text.splitlines()) == count * (horizon + 1)
+
+
+def _layout(counts, first):
+    """A layout whose batches from ``first`` on hold ``counts`` paths."""
+    counts = [1] * first + list(counts)
+    return [(int(sum(counts[:b])), c) for b, c in enumerate(counts)]
+
+
+def _assert_parts_equal(part, want):
+    assert len(part) == len(want)
+    for got, expected in zip(part, want):
+        if isinstance(expected, np.ndarray):
+            assert got.shape == expected.shape and np.array_equal(got, expected)
+        else:
+            assert got == expected
+
+
+#: Paths per batch on both sides of the 256-draw table rule, coupled
+#: batches counting every column of a path as one size.
+_STACK_COUNTS = hs.integers(1, 40).flatmap(
+    lambda n: hs.lists(hs.sampled_from([1, 7, 90, 255, 256, 300]), min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    family=hs.sampled_from(FAMILIES),
+    counts=_STACK_COUNTS,
+    first=hs.integers(0, 3),
+    K=hs.sampled_from([2, 40, 300]),
+    floor=hs.sampled_from([0, 3]),
+    horizon=hs.integers(1, 25),
+    dump=hs.booleans(),
+    levels=hs.lists(_LEVEL, min_size=1, max_size=3, unique=True).map(sorted),
+)
+def test_stacked_batches_give_the_parts_of_batches_run_alone(family, counts, first, K, floor,
+                                                             horizon, dump, levels):
+    """Every batch of a stack, plain or coupled, gives the part it gives run
+    alone, and leaves its generator at the same draw: its extinction times,
+    size rows (floored or not), violation counts and trajectory text. Short
+    horizons leave paths censored."""
+    stack = range(first, first + len(counts))
+    layout = _layout(counts, first)
+    src = RandomnessSource(21)
+    gens = [src.handle(b) for b in stack]
+    stacked = plain_batch(K, counts, family, gens, horizon, floor, rows=dump)
+    for b, count, gen, (taus, rows) in zip(stack, counts, gens, stacked):
+        alone = src.handle(b)
+        [(want_taus, want_rows)] = plain_batch(K, [count], family, [alone], horizon, floor,
+                                               rows=dump)
+        assert np.array_equal(taus, want_taus)
+        assert (rows is None) == (not dump)
+        if dump:
+            assert rows.shape == want_rows.shape and np.array_equal(rows, want_rows)
+        assert (gen.random(4) == alone.random(4)).all()
+
+    plain = dict(seed=22, layout=layout, dist=family, K=K, horizon=horizon, dump=dump)
+    for b, part in zip(stack, _tau_hist_batch(stack, **plain)):
+        _assert_parts_equal(part, _tau_hist_batch(range(b, b + 1), **plain)[0])
+    coupled = dict(plain, levels=levels)
+    for b, part in zip(stack, _coupled_batch(stack, **coupled)):
+        _assert_parts_equal(part, _coupled_batch(range(b, b + 1), **coupled)[0])
+
+
+def _spy_calls(monkeypatch, gens):
+    """Record each ``closure_sums`` call as (batch of its generator, sizes)."""
+    calls, batch_of = [], {id(gen): b for b, gen in enumerate(gens)}
+    closure_sums = OffspringDistribution.closure_sums
+
+    def spy(self, counts, gen):
+        calls.append((batch_of[id(gen)], np.array(counts)))
+        return closure_sums(self, counts, gen)
+
+    monkeypatch.setattr(OffspringDistribution, "closure_sums", spy)
+    return calls
+
+
+def _interleaved(per_batch):
+    """Calls batch after batch within each generation, skipping dead batches."""
+    out = []
+    for n in range(max(len(calls) for calls in per_batch)):
+        out += [(b, calls[n]) for b, calls in enumerate(per_batch) if n < len(calls)]
+    return out
+
+
+@pytest.mark.parametrize("dist", [BERN, POIS, FAMILIES[-1]], ids=lambda d: d.kind)
+def test_stack_calls_closure_sums_once_per_live_batch_per_generation(monkeypatch, dist):
+    """Each generation of a stack calls ``closure_sums`` once per batch with a
+    live path, batch after batch, with exactly the sizes that batch draws
+    alone; coupled stacks draw for every batch at every generation. The
+    batches die out at different generations, some above the 256-draw
+    rule."""
+    counts, K, horizon = [3, 400, 1, 260, 50], 30, 40
+    src = RandomnessSource(23)
+    per_batch = []
+    for b, count in enumerate(counts):
+        gen = src.handle(b)
+        calls = _spy_calls(monkeypatch, [gen])
+        plain_batch(K, [count], dist, [gen], horizon)
+        per_batch.append([sizes for _, sizes in calls])
+        monkeypatch.undo()
+    assert len({len(calls) for calls in per_batch}) > 1
+    gens = [src.handle(b) for b in range(len(counts))]
+    calls = _spy_calls(monkeypatch, gens)
+    plain_batch(K, counts, dist, gens, horizon)
+    want = _interleaved(per_batch)
+    assert [b for b, _ in calls] == [b for b, _ in want]
+    assert all(np.array_equal(got, sizes) for (_, got), (_, sizes) in zip(calls, want))
+    monkeypatch.undo()
+
+    floors = coupled_floors([0.1, 0.5], K)
+    per_batch = []
+    for b, count in enumerate(counts):
+        gen, sizes = src.handle(b), np.full((count, 3), K, dtype=np.int64)
+        calls = _spy_calls(monkeypatch, [gen])
+        for _ in range(8):
+            sizes, _ = coupled_step(sizes, floors, dist, [gen], [count])
+        per_batch.append([gaps for _, gaps in calls])
+        monkeypatch.undo()
+    gens, sizes = [src.handle(b) for b in range(len(counts))], np.full((sum(counts), 3), K)
+    calls = _spy_calls(monkeypatch, gens)
+    for _ in range(8):
+        sizes, _ = coupled_step(sizes, floors, dist, gens, counts)
+    want = _interleaved(per_batch)
+    assert len(calls) == 8 * len(counts) == len(want)
+    assert [b for b, _ in calls] == [b for b, _ in want]
+    assert all(np.array_equal(got, gaps) for (_, got), (_, gaps) in zip(calls, want))
 
 
 def test_level_zero_degenerates_to_base():
