@@ -3,8 +3,8 @@
 The package is organised bottom-up:
 
 ``offspring``
-    Offspring-law objects (closed families and explicit tables) with
-    inverse-CDF sampling, closure fast paths and JSON descriptors.
+    Offspring-law objects (closed families and explicit tables), built
+    from JSON descriptors, with inverse-CDF sampling and closure sums.
 ``randomness``
     Counter-addressed random streams so every (path, generation) block
     is reproducible independently of execution order.
@@ -12,7 +12,7 @@ The package is organised bottom-up:
     Population trajectories, truncated/shifted companion processes and
     the coupled simulation used by the sandwich experiments.
 ``stopping``
-    Extinction/hitting times and the deterministic time-scale helpers.
+    Level-hitting times and their deterministic limits.
 ``exact``
     Small-case oracles: generating-function iteration and exhaustive
     enumeration, used to calibrate the Monte Carlo estimators.
@@ -69,7 +69,7 @@ from .process import (
     write_trajectories,
 )
 from .randomness import RandomnessSource
-from .stopping import LimitOracle, NeverHit, NotExtinct, boundary_warnings, limit_constant
+from .stopping import LimitOracle, NeverHit, boundary_warnings, limit_constant
 
 __all__ = [
     "ConfigError",
@@ -84,7 +84,6 @@ __all__ = [
     "LimitOracle",
     "NeverHit",
     "NonNormalizedPMF",
-    "NotExtinct",
     "NotPositiveSemiDefinite",
     "OffspringDistribution",
     "OutOfValidityRange",

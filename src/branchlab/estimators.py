@@ -33,8 +33,7 @@ import numpy as np
 
 from .exact import mean_m_tau as exact_mean_m_tau
 from .exact import tau_quantile
-from .gaussian_limit import (ThetaCovariance, covariance_matrix, is_positive_semidefinite,
-                             theta_covariance, theta_variance)
+from .gaussian_limit import MODES, ThetaCovariance, covariance_matrix, is_positive_semidefinite
 from .offspring import OffspringDistribution
 from .process import default_horizon, floor_level, plain_batch, trajectory_rows
 from .randomness import RandomnessSource
@@ -622,11 +621,10 @@ def clt_covariance_check(
     if not indices or indices[0] < 1:
         raise ValueError("indices must be positive generations")
     ad_critical = anderson_darling_critical(paths, ad_significance)
-    models = {mode: ThetaCovariance(dist.mean, mode=mode, a=a)
-              for mode in ("paper", "martingale")}
     # Built before simulating, so an index past ell(a) - 1 is refused at once.
-    psd = {mode: is_positive_semidefinite(covariance_matrix(model, indices))
-           for mode, model in models.items()}
+    # Cell [p, q] of a mode's matrix is the target of theta[j] and theta[k].
+    targets = {mode: covariance_matrix(ThetaCovariance(dist.mean, mode=mode, a=a), indices)
+               for mode in MODES}
     layout = batch_layout(paths, batches)
     fn = partial(_theta_batch, seed=seed, layout=layout, dist=dist, K=K,
                  indices=indices, a=a)
@@ -652,7 +650,7 @@ def clt_covariance_check(
         entries.append(entry_se(f"theta[{j}].mean", mean, se, 0.0, se_k))
         var = float(theta[:, p].var(ddof=1))
         se = batch_se(f"theta[{j}].var", lambda tb, p=p: tb[:, p].var(ddof=1))
-        target = theta_variance(models["martingale"], j)
+        target = float(targets["martingale"][p, p])
         entries.append(entry_se(f"theta[{j}].var", var, se, target, se_k))
 
     wins = 0
@@ -663,8 +661,7 @@ def clt_covariance_check(
             cov = float(np.cov(theta[:, p], theta[:, q], ddof=1)[0, 1])
             se = batch_se(f"cov[{j},{k}]",
                           lambda tb, p=p, q=q: np.cov(tb[:, p], tb[:, q], ddof=1)[0, 1])
-            t_paper = theta_covariance(models["paper"], j, k - j)
-            t_mart = theta_covariance(models["martingale"], j, k - j)
+            t_paper, t_mart = float(targets["paper"][p, q]), float(targets["martingale"][p, q])
             z_paper = abs(cov - t_paper) / se
             z_mart = abs(cov - t_mart) / se
             pairs += 1
@@ -684,8 +681,8 @@ def clt_covariance_check(
         entries.append(entry_info("adjudication.winner_is_martingale",
                                   1.0 if share > 0.5 else 0.0))
 
-    for mode, ok in psd.items():
-        entries.append(entry_info(f"psd.{mode}", 1.0 if ok else 0.0))
+    for mode, matrix in targets.items():
+        entries.append(entry_info(f"psd.{mode}", 1.0 if is_positive_semidefinite(matrix) else 0.0))
 
     for j, p in ((indices[0], 0), (indices[-1], len(indices) - 1)):
         stat = anderson_darling_statistic(theta[:, p])
@@ -950,6 +947,8 @@ def conditional_on_tau_from_arrays(
 # ---------------------------------------------------------------------------
 # experiment: invariance of the two conditionings
 
+INVARIANCE_U2 = 0.6
+
 
 def invariance_check(
     u1: float,
@@ -960,7 +959,7 @@ def invariance_check(
     paths: int,
     seed: int,
     *,
-    u2: float = 0.6,
+    u2: float = INVARIANCE_U2,
     window_rel: float = 0.02,
     rel_tol: float = 0.10,
     batches: int = 40,

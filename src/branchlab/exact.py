@@ -3,10 +3,10 @@
 Everything here is deterministic arithmetic, no sampling:
 
 * generating-function iteration gives the exact law of the extinction
-  time for any offspring family — P(extinct by n from one line) obeys
-  q_{n+1} = f(q_n) with q_0 = 0, and K independent lines give
-  P(tau_K <= n) = q_n^K;
-* exact summation of E m^tau_K from that law;
+  time for any offspring family — P(a single line is alive at n) obeys
+  s_{n+1} = 1 - f(1 - s_n) with s_0 = 1, and K independent lines give
+  P(tau_K <= n) = (1 - s_n)^K;
+* quantiles of tau_K and exact summation of E m^tau_K from that law;
 * exhaustive enumeration of every bernoulli trajectory for tiny K,
   with its exact probability, so estimator pipelines can be checked
   against closed-form conditional expectations path by path.
@@ -60,11 +60,6 @@ def line_survival_probs(dist: OffspringDistribution, horizon: int) -> np.ndarray
     return np.fromiter(itertools.islice(_survival(dist), horizon + 1), float, horizon + 1)
 
 
-def line_extinction_probs(dist: OffspringDistribution, horizon: int) -> np.ndarray:
-    """q_n = P(a single line is extinct by generation n), n = 0..horizon."""
-    return 1.0 - line_survival_probs(dist, horizon)
-
-
 def extinction_cdf(dist: OffspringDistribution, K: int, horizon: int) -> np.ndarray:
     """P(tau_K <= n) for n = 0..horizon, exact for any offspring law."""
     if K < 0:
@@ -89,20 +84,10 @@ def tau_quantile(dist: OffspringDistribution, K: int, prob: float = 0.5) -> int:
             return n
 
 
-def tau_mean(dist: OffspringDistribution, K: int, tol: float = 1e-13) -> float:
-    """E tau_K = sum_n P(tau_K > n), summed to absolute tail tol."""
-    if K == 0:
-        return 0.0
-    total = 0.0
-    for s in _survival(dist):
-        tail = _tail_from_survival(s, K)
-        total += tail
-        if tail < tol:
-            return total
-
-
 def mean_m_tau(dist: OffspringDistribution, K: int, tol: float = 1e-15) -> float:
-    """E[m^tau_K] by exact summation of m^n * P(tau_K = n)."""
+    """E[m^tau_K] by exact summation of m^n * P(tau_K = n), to a tail below
+    ``tol`` relative to the sum: E[m^tau_K] is about C / K, so an absolute
+    tol would let K E[m^tau_K] drift by up to K * tol."""
     m = dist.mean
     if not 0.0 < m < 1.0:
         raise ValueError(f"needs a strictly subcritical positive mean, got {m}")
@@ -113,7 +98,7 @@ def mean_m_tau(dist: OffspringDistribution, K: int, tol: float = 1e-15) -> float
         power *= m
         total += power * (_tail_from_survival(s_prev, K) - _tail_from_survival(s, K))
         # remaining mass contributes at most m^{n+1} * P(tau > n)
-        if power * m * _tail_from_survival(s, K) < tol:
+        if power * m * _tail_from_survival(s, K) < tol * total:
             return total
 
 

@@ -27,7 +27,8 @@ from typing import IO, Mapping
 import numpy as np
 
 from . import __version__, estimators, exact
-from .estimators import AD_SIGNIFICANCE_LEVELS, ExperimentReport, batch_layout, entry_info, entry_le
+from .estimators import (AD_SIGNIFICANCE_LEVELS, INVARIANCE_U2, ExperimentReport, batch_layout,
+                         entry_info, entry_le)
 from .estimators import _hist_rows, _median_from_hist, _run_batches, _stack_streams, _tau_hist_batch
 # extinction_scaling, conditional_moment_check, simulate_coupled, simulate_path and
 # write_trajectories are not called through this namespace; perfbench/spans.py traces
@@ -384,9 +385,9 @@ def _batch_rules(kind: str, cfg: dict, dist) -> list[Diagnostic]:
 
 
 def _u_order(kind: str, cfg: dict, dist) -> list[Diagnostic]:
-    """u1 < u2, where invariance_check's own default u2 = 0.6 stands in when u2 is unset."""
+    """u1 < u2, where invariance_check's own default u2 stands in when u2 is unset."""
     u1 = cfg["u1"]
-    u2 = 0.6 if cfg["u2"] is None and kind == "invariance" else cfg["u2"]
+    u2 = INVARIANCE_U2 if cfg["u2"] is None and kind == "invariance" else cfg["u2"]
     return _error("u1 < u2 required") if u1 is not None and u2 is not None and not u1 < u2 else []
 
 
@@ -581,7 +582,7 @@ def _dispatch_estimator(kind: str, cfg: dict, dist: OffspringDistribution) -> Ex
     """Call the kind's estimator with each key whose row names the kind.
 
     Unset keys are not passed, so the estimator's own default applies (this
-    is how invariance gets u2 = 0.6). The estimator is looked up by name on
+    is how invariance gets its default u2). The estimator is looked up by name on
     every call, so a wrapper set on the ``estimators`` module sees it.
     """
     kwargs = {row.param or key: cfg[key] for key, row in CONFIG_KEYS.items()

@@ -130,21 +130,11 @@ class OffspringDistribution:
             return self.params["p"] == 0.0
         return int(self._support.max()) <= 1
 
-    def descriptor(self) -> dict[str, Any]:
-        """JSON-serializable description that round-trips through
-        :func:`make_distribution`."""
-        out: dict[str, Any] = {"kind": self.kind}
-        out.update(self.params)
-        return out
-
     # -- sampling ---------------------------------------------------------
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in [0, 1) to offspring counts (int64)."""
         u = np.asarray(u)
-        if self.kind == "bernoulli":
-            # comparison beats table lookup; same mapping as the cdf table
-            return (u >= 1.0 - self.params["p"]).astype(np.int64)
         if self.kind == "geometric":
             p = self.params["p"]
             if p == 0.0:

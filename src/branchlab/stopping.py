@@ -1,11 +1,11 @@
 """Stopping times of realized paths and their deterministic limits.
 
-Realized quantities: the extinction time (first zero of a trajectory)
-and the level-hitting time tau_{a,K} = inf{l: X_l <= floor(a*K)}. Their
-deterministic counterparts for offspring mean m: the limit level index
+Realized quantity: the level-hitting time tau_{a,K} = inf{l: X_l <=
+floor(a*K)}, whose a = 0 case is the extinction time. Its deterministic
+counterparts for offspring mean m: the limit level index
 ell(a) = min{l: m^l <= a}, the step indicator chi_{n+1} = 1{m^{n+1} > a},
-the scaling constant c = -1/log m, and the mean time scale
-t_K = c * log K.
+and the scaling constant c = -1/log m, the extinction time being about
+c * log K.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .process import PathRecord, floor_level
-
-
-class NotExtinct(ValueError):
-    """The trajectory was censored by its cap before reaching zero."""
 
 
 class NeverHit(ValueError):
@@ -37,16 +33,6 @@ class LimitOracle:
     def __post_init__(self):
         if not 0.0 < self.m < 1.0:
             raise ValueError(f"offspring mean must be in (0, 1), got {self.m}")
-
-
-def extinction_time(path: PathRecord) -> int:
-    """Index of the first zero of the trajectory."""
-    if not path.extinct:
-        raise NotExtinct(
-            f"path did not reach zero within its {len(path.sizes) - 1}-step cap"
-        )
-    assert path.extinction_time is not None
-    return path.extinction_time
 
 
 def hitting_time(path: PathRecord, a: float, K: int) -> int:
@@ -90,13 +76,6 @@ def chi(oracle: LimitOracle, n: int, a: float) -> int:
 def limit_constant(oracle: LimitOracle) -> float:
     """Scaling constant c = -1/log m of the extinction-time law."""
     return -1.0 / math.log(oracle.m)
-
-
-def mean_time_scale(oracle: LimitOracle, K: int) -> float:
-    """Asymptotic time scale t_K = c * log K."""
-    if K < 1:
-        raise ValueError(f"initial size must be >= 1, got {K}")
-    return limit_constant(oracle) * math.log(K)
 
 
 def boundary_warnings(

@@ -38,6 +38,7 @@ from branchlab.estimators import (
 )
 from branchlab.estimators import _median_from_hist, _run_batches, _tau_hist_batch
 from branchlab.exact import enumerate_bernoulli_paths
+from branchlab.gaussian_limit import ThetaCovariance, theta_covariance, theta_variance
 from branchlab.offspring import make_distribution
 
 BERN = make_distribution({"kind": "bernoulli", "p": 0.5})
@@ -460,8 +461,21 @@ def test_batch_se_shrinks_with_replication():
 # Gaussian fluctuation check
 
 
+def _assert_clt_targets(report, indices, a):
+    """The printed targets are exactly the recursion values of each mode."""
+    paper, mart = (ThetaCovariance(POI.mean, mode=mode, a=a) for mode in ("paper", "martingale"))
+    for j in indices:
+        assert report.entry(f"theta[{j}].var").target == theta_variance(mart, j)
+    for p, j in enumerate(indices):
+        for k in indices[p + 1:]:
+            assert report.entry(f"cov[{j},{k}].z_paper").target == theta_covariance(paper, j, k - j)
+            assert (report.entry(f"cov[{j},{k}].z_martingale").target
+                    == theta_covariance(mart, j, k - j))
+
+
 def test_clt_check_small_population():
     report = clt_covariance_check(500, POI, (1, 2), 20_000, 33, batches=40)
+    _assert_clt_targets(report, (1, 2), 0.0)
     assert report.passed
     assert report.entry("theta[1].mean").verdict == "pass"
     assert report.entry("theta[2].var").verdict == "pass"
@@ -476,6 +490,7 @@ def test_clt_check_small_population():
 
 def test_clt_check_truncated_level_runs():
     report = clt_covariance_check(500, POI, (1, 2), 8000, 33, batches=40, a=0.2)
+    _assert_clt_targets(report, (1, 2), 0.2)
     assert report.entry("theta[1].mean").verdict == "pass"
 
 

@@ -446,15 +446,6 @@ def test_pgf_matches_series(spec):
     assert deriv == pytest.approx(dist.mean, abs=1e-4)
 
 
-@pytest.mark.parametrize("spec", SUBCRITICAL_SPECS, ids=lambda s: s["kind"])
-def test_descriptor_roundtrip(spec):
-    dist = make_distribution(spec)
-    desc = json.loads(json.dumps(dist.descriptor()))
-    rebuilt = make_distribution(desc)
-    assert rebuilt == dist
-    assert rebuilt.mean == dist.mean and rebuilt.variance == dist.variance
-
-
 @pytest.mark.parametrize("spec, expected", [
     ({"kind": "bernoulli", "p": 0.6}, True),
     ({"kind": "binomial", "n": 1, "p": 0.3}, True),

@@ -14,14 +14,11 @@ from branchlab.stopping import (
     InvalidLevel,
     LimitOracle,
     NeverHit,
-    NotExtinct,
     boundary_warnings,
     chi,
     ell,
-    extinction_time,
     hitting_time,
     limit_constant,
-    mean_time_scale,
 )
 
 BERN = make_distribution({"kind": "bernoulli", "p": 0.5})
@@ -32,13 +29,6 @@ def _record(sizes, extinct=True):
     return PathRecord(sizes[0], list(sizes), extinct, tau, not extinct)
 
 
-def test_extinction_time_basics():
-    assert extinction_time(_record([5, 2, 0])) == 2
-    assert extinction_time(_record([0])) == 0
-    with pytest.raises(NotExtinct):
-        extinction_time(_record([5, 3], extinct=False))
-
-
 def test_extinction_time_median_against_cdf_oracle():
     """Sample median of tau matches the median of (1 - m^n)^K."""
     K, paths = 10, 20_000
@@ -46,15 +36,16 @@ def test_extinction_time_median_against_cdf_oracle():
     exact_median = next(n for n in range(100) if cdf(n) >= 0.5)
     assert exact_median == 4  # 0.875^10 = 0.263, 0.9375^10 = 0.524
     src = RandomnessSource(301)
-    taus = np.array([extinction_time(simulate_path(K, BERN, src, p))
-                     for p in range(paths)])
+    records = [simulate_path(K, BERN, src, p) for p in range(paths)]
+    assert all(rec.extinct for rec in records)
+    taus = np.array([rec.extinction_time for rec in records])
     assert int(np.median(taus)) == exact_median
 
 
 def test_hitting_time_scan_and_reduction_to_extinction():
     path = _record([100, 30, 9, 0])
     assert hitting_time(path, 0.1, 100) == 2
-    assert hitting_time(path, 0.0, 100) == extinction_time(path) == 3
+    assert hitting_time(path, 0.0, 100) == path.extinction_time == 3
     assert hitting_time(path, 0.5, 100) == 1
     # nonincreasing in a along one path
     hits = [hitting_time(path, a, 100) for a in (0.0, 0.05, 0.1, 0.3, 0.5)]
@@ -145,15 +136,6 @@ def test_limit_constant_values():
     assert limit_constant(LimitOracle(0.5)) == pytest.approx(1.4426950408889634)
     assert limit_constant(LimitOracle(1 / math.e)) == pytest.approx(1.0)
     assert limit_constant(LimitOracle(0.8)) == pytest.approx(4.481420931536456)
-
-
-def test_mean_time_scale():
-    assert mean_time_scale(LimitOracle(0.5), 1) == 0.0
-    assert mean_time_scale(LimitOracle(0.5), 1024) == pytest.approx(10.0)
-    for m in (0.3, 0.7):
-        oracle = LimitOracle(m)
-        for K in (10, 1000, 10**6):
-            assert mean_time_scale(oracle, K) / math.log(K) == limit_constant(oracle)
 
 
 @pytest.mark.parametrize("m", [0.0, 1.0, 1.2, -0.5])
