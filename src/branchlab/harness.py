@@ -37,8 +37,9 @@ from .estimators import conditional_moment_check, extinction_scaling
 from .gaussian_limit import MODES, ThetaCovariance, covariance_matrix, is_positive_semidefinite
 from .offspring import (InvalidParameter, NonNormalizedPMF, OffspringDistribution,
                         SupercriticalWithoutOverride, make_distribution)
-from .process import (batch_slices, coupled_floors, coupled_step, default_horizon, simulate_coupled,
-                      simulate_path, trajectory_header, trajectory_rows, write_trajectories)
+from .process import (batch_slices, coupled_floors, coupled_step, default_horizon, level_label,
+                      simulate_coupled, simulate_path, trajectory_header, trajectory_rows,
+                      write_trajectories)
 from .stopping import LimitOracle, boundary_warnings, limit_constant
 
 SCHEMA_VERSION = 1
@@ -447,9 +448,28 @@ def _level_warnings(kind: str, cfg: dict, dist) -> list[Diagnostic]:
     return [Diagnostic("warning", text) for text in texts]
 
 
+def _level_columns(kind: str, cfg: dict, dist) -> list[Diagnostic]:
+    """A coupled dump names each level's columns by the level at 4 decimals
+    (``process.level_label``), so two distinct levels must print apart there:
+    otherwise a reader that goes by column name drops one of them."""
+    if kind != "coupled" or cfg["levels"] is None or not cfg["write_trajectories"]:
+        return []
+    seen: dict[str, float] = {}
+    diags = []
+    for a in sorted(set(float(a) for a in cfg["levels"])):
+        label = level_label(a)
+        if label not in seen:
+            seen[label] = a
+            continue
+        diags += _error(f"levels {seen[label]!r} and {a!r} both name the trajectory columns "
+                        f"Xa_{label}, Ya_{label} and I_{label}: levels must differ at 4 "
+                        "decimals, or set write_trajectories to false")
+    return diags
+
+
 #: The rules that tie keys together, run after every key passed its own row.
 _CROSS_KEY_RULES = (_mean_rules, _batch_rules, _u_order, _population_sizes, _oracle_reach,
-                    _level_warnings)
+                    _level_warnings, _level_columns)
 
 
 # ---------------------------------------------------------------------------

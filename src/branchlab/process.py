@@ -25,8 +25,9 @@ batch therefore draws exactly what it draws alone, and a one-batch stack
 is a plain batch. Every plain stack, a single path included, goes through
 :func:`plain_batch`, which scatters those steps back into each batch's
 extinction times and size matrix, and :func:`trajectory_rows` turns a
-plain or coupled batch's sizes into its trajectory CSV rows in one format
-call.
+plain or coupled batch's sizes into its trajectory CSV rows with
+:func:`csv_rows`, a numpy kernel that writes the digits of every integer
+of a batch at once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -324,10 +325,16 @@ def simulate_coupled(
     return coupled_record(K, levels, np.vstack(rows), np.vstack(flags), path)
 
 
+def level_label(a: float) -> str:
+    """The name level ``a`` gives its trajectory columns: ``a`` at 4 decimals,
+    with -0.0 written as 0.0000."""
+    return f"{a + 0.0:.4f}"  # -0.0 + 0.0 is 0.0
+
+
 def trajectory_header(levels: Sequence[float]) -> str:
     cols = ["path", "n", "X"]
-    for a in levels:
-        cols += [f"Xa_{a:.4f}", f"Ya_{a:.4f}", f"I_{a:.4f}"]
+    for a in map(level_label, levels):
+        cols += [f"Xa_{a}", f"Ya_{a}", f"I_{a}"]
     return ",".join(cols)
 
 
@@ -364,6 +371,45 @@ def write_trajectories(
                 out.write(f"{rec.path},{n},{x}\n")
 
 
+def csv_rows(columns: Sequence[np.ndarray], blank: Mapping[int, np.ndarray] | None = None) -> str:
+    """The ASCII CSV text of one or more equal-length columns of nonnegative integers.
+
+    Row j joins ``columns[c][j]`` as ``"%d"`` with commas and ends with a
+    newline; the cells where ``blank[c]`` is true are left empty. Each
+    column gets one byte slot per digit of its largest value and one for
+    its separator, in a (bytes, rows) uint8 matrix whose every slot is a
+    contiguous row. Repeated ``// 10`` fills the digit slots, in uint32
+    when the column's largest value fits, and a keep mask drops leading
+    zeros and blank cells. One ``np.compress`` of the transposed matrix
+    then leaves the text. Raises ValueError on a negative value.
+    """
+    if any(col.min(initial=0) < 0 for col in columns):
+        raise ValueError("csv_rows writes nonnegative integers only")
+    blank = blank or {}
+    tops = [int(col.max(initial=0)) for col in columns]
+    widths = [len(str(top)) for top in tops]
+    text = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint8)
+    keep = np.empty(text.shape, dtype=bool)
+    end = 0
+    for c, (col, top, width) in enumerate(zip(columns, tops, widths)):
+        start, end = end, end + width
+        q = col.astype(np.uint32 if top < 2**32 else np.int64)
+        for slot in range(end - 1, start - 1, -1):
+            np.greater(q, 0, out=keep[slot])
+            tens = q // 10
+            text[slot] = q - 10 * tens
+            q = tens
+        text[start:end] += ord("0")
+        keep[end - 1] = True
+        if c in blank:
+            keep[start:end] &= ~blank[c]
+        text[end] = ord(",")
+        keep[end] = True
+        end += 1
+    text[-1] = ord("\n")
+    return np.compress(keep.T.ravel(), text.T.ravel()).tobytes().decode("ascii")
+
+
 def trajectory_rows(
     sizes: np.ndarray,
     first_path: int,
@@ -378,26 +424,24 @@ def trajectory_rows(
     if they never reach 0. Coupled paths write every generation, with
     Y^(a) = X^(a) - b_a from ``floors`` = [0, b_1, ..., b_L] and the
     (generations-1, paths, L) indicators ``flags``, blank on the last row.
+    Both go through :func:`csv_rows`.
     """
-    # One format call over all rows runs about 1.7 times faster than an f-string per row.
     gens, paths, width = sizes.shape
     base = sizes[:, :, 0].T
     if width == 1:
         keep = np.ones(base.shape, dtype=bool)
         keep[:, 1:] = base[:, :-1] > 0
         path, n = np.nonzero(keep)
-        fields = np.column_stack([path + first_path, n, base[keep]])
-        return "%d,%d,%d\n" * len(fields) % tuple(fields.ravel().tolist())
-    fields = np.empty((paths, gens, 3 * width), dtype=np.int64)
-    fields[:, :, 0] = np.arange(first_path, first_path + paths)[:, None]
-    fields[:, :, 1] = np.arange(gens)
-    fields[:, :, 2] = base
-    upper = sizes[:, :, 1:].transpose(1, 0, 2)
-    fields[:, :, 3::3] = upper
-    fields[:, :, 4::3] = upper - floors[1:]
-    fields[:, :-1, 5::3] = flags.transpose(1, 0, 2)
-    blank = np.zeros((gens, 3 * width), dtype=bool)
-    blank[-1, 5::3] = True
-    row = "%d,%d,%d" + ",%d,%d,%d" * (width - 1) + "\n"
-    last = "%d,%d,%d" + ",%d,%d," * (width - 1) + "\n"
-    return (row * (gens - 1) + last) * paths % tuple(fields[:, ~blank].ravel().tolist())
+        return csv_rows([path + first_path, n, base[keep]])
+    path = np.repeat(np.arange(first_path, first_path + paths), gens)
+    n = np.tile(np.arange(gens), paths)
+    upper = sizes[:, :, 1:].transpose(2, 1, 0).reshape(width - 1, -1)
+    shifted = upper - floors[1:, None]
+    indicators = np.zeros((width - 1, paths, gens), dtype=np.uint8)
+    indicators[:, :, :-1] = flags.transpose(2, 1, 0)
+    last = np.zeros((paths, gens), dtype=bool)
+    last[:, -1] = True
+    columns = [path, n, base.ravel()]
+    for i in range(width - 1):
+        columns += [upper[i], shifted[i], indicators[i].ravel()]
+    return csv_rows(columns, {5 + 3 * i: last.ravel() for i in range(width - 1)})

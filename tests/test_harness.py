@@ -139,6 +139,56 @@ def test_validate_kind_errors(kind, overrides, fragment):
     assert any(fragment in e for e in errors(cfg)), errors(cfg)
 
 
+@pytest.mark.parametrize("levels, dump, refused", [
+    ([0.1, 0.10001], True, True),
+    ([0.5, 0.1, 0.10001, 0.3], True, True),
+    ([0.0, 0.00001], True, True),
+    ([0.1, 0.10001], False, False),
+    ([0.1, 0.1001], True, False),
+    ([0.1, 0.1], True, False),
+    ([-0.0, 0.0], True, False),
+])
+def test_validate_refuses_levels_that_name_the_same_columns(levels, dump, refused):
+    """A coupled dump names each level's columns by the level at 4 decimals;
+    two distinct levels that print alike there would share their column
+    names, so validate refuses them unless no trajectories are written.
+    Equal levels collapse to one and only warn."""
+    cfg = {"experiment": "coupled", "offspring": BERN, "seed": 1, "K": 100_000,
+           "levels": levels, "write_trajectories": dump}
+    clashes = [e for e in errors(cfg) if "both name the trajectory columns" in e]
+    assert len(clashes) == refused, errors(cfg)
+    if refused:
+        assert "Xa_0.1000" in clashes[0] or "Xa_0.0000" in clashes[0]
+
+
+def test_cli_refuses_levels_that_name_the_same_columns(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": "coupled", "offspring": BERN, "seed": 1,
+                                  "K": 100_000, "levels": [0.1, 0.10001], "paths": 40,
+                                  "batches": 40, "out": str(tmp_path / "runs")})
+    assert main(["coupled", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: levels 0.1 and 0.10001 both name the trajectory columns "
+            "Xa_0.1000, Ya_0.1000 and I_0.1000") in captured.err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_writes_a_negative_zero_level_as_zero(tmp_path):
+    """A level of -0.0 is level 0: its columns are named Xa_0.0000, like those
+    of 0.0, and the base path repeats in them."""
+    cfg = write_config(tmp_path, {"experiment": "coupled", "offspring": BERN, "seed": 1,
+                                  "K": 20, "levels": [-0.0, 0.5], "paths": 40, "batches": 40,
+                                  "out": str(tmp_path / "runs")})
+    assert "-0.0" in Path(cfg).read_text()
+    assert main(["coupled", "--config", cfg]) == 0
+    [run_dir] = (tmp_path / "runs").iterdir()
+    with open(run_dir / "trajectories.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["path", "n", "X", "Xa_0.0000", "Ya_0.0000", "I_0.0000",
+                             "Xa_0.5000", "Ya_0.5000", "I_0.5000"]
+    assert all(row["Xa_0.0000"] == row["Ya_0.0000"] == row["X"] for row in rows)
+
+
 NEAR_ONE = {"kind": "bernoulli", "p": 0.9999999}
 
 

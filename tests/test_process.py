@@ -22,6 +22,7 @@ from branchlab.process import (
     coupled_floors,
     coupled_record,
     coupled_step,
+    csv_rows,
     default_horizon,
     floor_level,
     plain_batch,
@@ -248,35 +249,85 @@ def _reference_text(records) -> str:
     return buf.getvalue()
 
 
+#: (K, first path, horizon) of each plain and coupled case, per law: each
+#: horizon leaves some paths extinct and some alive. The wide cases have
+#: sizes from 5 digits down to 1 and path ids that cross 99 -> 100.
+_ROW_CASES = {
+    "bernoulli": [(20, 3, 7), (99_990, 95, 18)],
+    "pmf": [(20, 3, 7), (99_990, 95, 34)],
+}
+_COUPLED_CASES = {
+    "bernoulli": [(20, [0.0, 0.15, 0.5], 7), (10_000, [0.0, 0.05, 0.3], 14)],
+    "pmf": [(20, [0.0, 0.15, 0.5], 7), (10_000, [0.0, 0.05, 0.3], 27)],
+}
+
+
 @pytest.mark.parametrize("dist", [BERN, FAMILIES[-1]], ids=lambda d: d.kind)
 def test_batch_rows_match_write_trajectories(dist):
     """The batch formatter writes the same bytes as write_trajectories for
     plain paths run on their closure streams, some extinct at different
     times and some censored at the horizon, and for coupled paths at levels
     that include 0, whose base dies out before the horizon in some paths and
-    not in others."""
-    horizon, first = 7, 3
-    src = RandomnessSource(12)
-    recs = [simulate_path(20, dist, src, p, horizon=horizon) for p in range(first, first + 30)]
-    assert {rec.extinct for rec in recs} == {True, False}
-    sizes = np.zeros((horizon + 1, len(recs), 1), dtype=np.int64)
-    for i, rec in enumerate(recs):
-        sizes[:len(rec.sizes), i, 0] = rec.sizes
-    assert "path,n,X\n" + trajectory_rows(sizes, first) == _reference_text(recs)
+    not in others; at K = 20 and at a K whose sizes and path ids cross
+    powers of ten."""
+    for K, first, horizon in _ROW_CASES[dist.kind]:
+        src = RandomnessSource(12)
+        recs = [simulate_path(K, dist, src, p, horizon=horizon) for p in range(first, first + 30)]
+        assert {rec.extinct for rec in recs} == {True, False}
+        sizes = np.zeros((horizon + 1, len(recs), 1), dtype=np.int64)
+        for i, rec in enumerate(recs):
+            sizes[:len(rec.sizes), i, 0] = rec.sizes
+        assert "path,n,X\n" + trajectory_rows(sizes, first) == _reference_text(recs)
 
-    K, levels = 20, [0.0, 0.15, 0.5]
-    floors = coupled_floors(levels, K)
-    gen = RandomnessSource(13).handle()
-    rows, flags = [np.full((30, len(floors)), K, dtype=np.int64)], []
-    for _ in range(horizon):
-        step, flag = _step(rows[-1], floors, dist, gen)
-        rows.append(step)
-        flags.append(flag)
-    rows, flags = np.stack(rows), np.stack(flags)
-    coupled = [coupled_record(K, levels, rows[:, i], flags[:, i], first + i) for i in range(30)]
-    assert {rec.extinct for rec in coupled} == {True, False}
-    text = trajectory_rows(rows, first, floors, flags)
-    assert trajectory_header(levels) + "\n" + text == _reference_text(coupled)
+    first = 95
+    for K, levels, horizon in _COUPLED_CASES[dist.kind]:
+        floors = coupled_floors(levels, K)
+        gen = RandomnessSource(13).handle()
+        rows, flags = [np.full((30, len(floors)), K, dtype=np.int64)], []
+        for _ in range(horizon):
+            step, flag = _step(rows[-1], floors, dist, gen)
+            rows.append(step)
+            flags.append(flag)
+        rows, flags = np.stack(rows), np.stack(flags)
+        coupled = [coupled_record(K, levels, rows[:, i], flags[:, i], first + i) for i in range(30)]
+        assert {rec.extinct for rec in coupled} == {True, False}
+        text = trajectory_rows(rows, first, floors, flags)
+        assert trajectory_header(levels) + "\n" + text == _reference_text(coupled)
+
+
+#: Values at every digit-count boundary, at the uint32 and 2^53 edges, and random ones.
+_FIELDS = hs.one_of(
+    hs.sampled_from([0, 2**32 - 1, 2**32, 2**53 - 1, 2**63 - 1]
+                    + [10**k - 1 for k in range(1, 19)] + [10**k for k in range(1, 19)]),
+    hs.integers(0, 2**63 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    table=hs.integers(1, 4).flatmap(lambda cols: hs.lists(
+        hs.tuples(*[hs.tuples(_FIELDS, hs.booleans())] * cols), min_size=1, max_size=25)),
+    masked=hs.lists(hs.booleans(), min_size=4, max_size=4),
+    negative=hs.booleans(),
+)
+def test_csv_rows_writes_what_percent_d_writes(table, masked, negative):
+    """csv_rows writes each row as its fields in "%d", joined by commas and
+    ended by a newline, and leaves a cell empty where its column's blank mask
+    is set; a column without a mask has no empty cell. A negative field
+    raises ValueError."""
+    cols = len(table[0])
+    columns = [np.array([row[c][0] for row in table], dtype=np.int64) for c in range(cols)]
+    blank = {c: np.array([row[c][1] for row in table]) for c in range(cols) if masked[c]}
+    if negative:
+        columns[-1][len(table) // 2] = -1 - columns[-1][len(table) // 2] // 2
+        with pytest.raises(ValueError, match="nonnegative"):
+            csv_rows(columns, blank)
+        return
+    expected = "".join(
+        ",".join("" if c in blank and blank[c][j] else "%d" % columns[c][j]
+                 for c in range(cols)) + "\n"
+        for j in range(len(table)))
+    assert csv_rows(columns, blank) == expected
 
 
 def test_step_truncated_floor_and_precondition():
