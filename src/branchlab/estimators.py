@@ -35,7 +35,7 @@ from .exact import mean_m_tau as exact_mean_m_tau
 from .exact import tau_quantile
 from .gaussian_limit import MODES, ThetaCovariance, covariance_matrix, is_positive_semidefinite
 from .offspring import OffspringDistribution
-from .process import default_horizon, floor_level, plain_batch, trajectory_rows
+from .process import coupled_floors, default_horizon, floor_level, plain_batch, trajectory_rows
 from .randomness import RandomnessSource
 from .stopping import LimitOracle, limit_constant
 
@@ -103,32 +103,29 @@ def entry_info(name, estimate, *, stderr=None, target=None) -> StatEntry:
                      _ratio_to(estimate, target), "info", "")
 
 
+def _gated(name, estimate, ok, tolerance, stderr, target) -> StatEntry:
+    """An entry that passes if ``ok``, under the gate ``tolerance`` spells out."""
+    return StatEntry(name, float(estimate), stderr, target, _ratio_to(estimate, target),
+                     "pass" if ok else "fail", tolerance)
+
+
 def entry_se(name, estimate, stderr, target, k=4.0) -> StatEntry:
-    ok = abs(estimate - target) <= k * stderr
-    return StatEntry(name, float(estimate), float(stderr), float(target),
-                     _ratio_to(estimate, target), "pass" if ok else "fail",
-                     f"|estimate - target| <= {k:g} * stderr")
+    return _gated(name, estimate, abs(estimate - target) <= k * stderr,
+                  f"|estimate - target| <= {k:g} * stderr", float(stderr), float(target))
 
 
 def entry_rel(name, estimate, target, rel_tol, *, stderr=None) -> StatEntry:
-    ok = abs(estimate / target - 1.0) <= rel_tol
-    return StatEntry(name, float(estimate), stderr, float(target),
-                     _ratio_to(estimate, target), "pass" if ok else "fail",
-                     f"|estimate/target - 1| <= {rel_tol:g}")
+    return _gated(name, estimate, abs(estimate / target - 1.0) <= rel_tol,
+                  f"|estimate/target - 1| <= {rel_tol:g}", stderr, float(target))
 
 
 def entry_band(name, estimate, lo, hi, *, stderr=None, target=1.0) -> StatEntry:
-    ok = lo <= estimate <= hi
-    return StatEntry(name, float(estimate), stderr, target,
-                     _ratio_to(estimate, target), "pass" if ok else "fail",
-                     f"{lo:g} <= estimate <= {hi:g}")
+    return _gated(name, estimate, lo <= estimate <= hi, f"{lo:g} <= estimate <= {hi:g}",
+                  stderr, target)
 
 
 def entry_le(name, estimate, bound, *, target=None, stderr=None) -> StatEntry:
-    ok = estimate <= bound
-    return StatEntry(name, float(estimate), stderr, target,
-                     _ratio_to(estimate, target), "pass" if ok else "fail",
-                     f"estimate <= {bound:g}")
+    return _gated(name, estimate, estimate <= bound, f"estimate <= {bound:g}", stderr, target)
 
 
 def _ratio_entry(name, estimate, stderr, band) -> StatEntry:
@@ -139,10 +136,7 @@ def _ratio_entry(name, estimate, stderr, band) -> StatEntry:
 
 
 def entry_ge(name, estimate, bound, *, target=None, stderr=None) -> StatEntry:
-    ok = estimate >= bound
-    return StatEntry(name, float(estimate), stderr, target,
-                     _ratio_to(estimate, target), "pass" if ok else "fail",
-                     f"estimate >= {bound:g}")
+    return _gated(name, estimate, estimate >= bound, f"estimate >= {bound:g}", stderr, target)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +206,12 @@ def _run_batches(fns: Sequence[Callable[[range], list]], layout: list[tuple[int,
     return [parts[i * batches:(i + 1) * batches] for i in reversed(range(len(fns)))]
 
 
+def _batch_se(batch_values: np.ndarray) -> float:
+    """The standard error of a mean from one value per batch: their spread
+    over sqrt(batches)."""
+    return float(batch_values.std(ddof=1) / math.sqrt(len(batch_values)))
+
+
 def _batch_ids(layout: list[tuple[int, int]]) -> np.ndarray:
     return np.repeat(np.arange(len(layout)), [c for _, c in layout])
 
@@ -245,15 +245,22 @@ def _stack_streams(stack: range, seed: int, layout, slot: int = 0):
 
 
 def _tau_hist_batch(stack: range, *, seed: int, layout, dist, K: int, horizon: int,
-                    slot: int = 0, dump: bool = False) -> list[tuple[np.ndarray, int, str | None]]:
-    """Per batch of the stack: the histogram of its extinction times, its
-    count of paths alive at the horizon, and its trajectory rows when
-    ``dump``."""
+                    levels: Sequence[float] = (), slot: int = 0, dump: bool = False) -> list[tuple]:
+    """The batch worker of simulate, coupled and extinction-scaling.
+
+    Per batch of the stack: the histogram of its extinction times, its
+    count of paths alive at the horizon, with ``levels`` (sorted and
+    distinct) its four gate-violation counts, and its trajectory rows when
+    ``dump``. Generation 0 is the common start K, where every gate holds
+    by construction.
+    """
     gens, counts = _stack_streams(stack, seed, layout, slot)
+    floors = coupled_floors(levels, K)
     parts = []
-    for b, (taus, rows) in zip(stack, plain_batch(K, counts, dist, gens, horizon, rows=dump)):
-        text = trajectory_rows(rows[:, :, None], layout[b][0]) if dump else None
-        parts.append((np.bincount(taus[taus >= 0]), int(np.count_nonzero(taus < 0)), text))
+    for b, (taus, sizes, flags, bad) in zip(stack, plain_batch(K, counts, dist, gens, horizon,
+                                                                floors, rows=dump)):
+        text = trajectory_rows(sizes, layout[b][0], floors, flags) if dump else None
+        parts.append((np.bincount(taus[taus >= 0]), int(np.count_nonzero(taus < 0)), *bad, text))
     return parts
 
 
@@ -268,8 +275,8 @@ def _values_batch(stack: range, *, seed: int, layout, dist, K: int, u1: float,
     """
     gens, counts = _stack_streams(stack, seed, layout)
     parts = []
-    for taus, M in plain_batch(K, counts, dist, gens, cap, rows=True):
-        cols = np.arange(len(taus))
+    for taus, sizes, _, _ in plain_batch(K, counts, dist, gens, cap, rows=True):
+        M, cols = sizes[:, :, 0], np.arange(len(taus))
         s1 = np.floor(u1 * np.maximum(taus, 0)).astype(np.int64)
         s2 = np.floor(u2 * np.maximum(taus, 0)).astype(np.int64)
         x1 = M[s1, cols]
@@ -289,10 +296,11 @@ def _theta_batch(stack: range, *, seed: int, layout, dist, K: int,
     gens, counts = _stack_streams(stack, seed, layout)
     rows = np.array(indices)
     parts = []
-    for _, M in plain_batch(K, counts, dist, gens, indices[-1], floor_level(a, K), rows=True):
+    for _, M, _, _ in plain_batch(K, counts, dist, gens, indices[-1], [floor_level(a, K)],
+                                  rows=True):
         kept = rows < len(M)
         X = np.zeros((len(rows), M.shape[1]), dtype=M.dtype)
-        X[kept] = M[rows[kept]]
+        X[kept] = M[rows[kept], :, 0]
         parts.append(X.T)
     return parts
 
@@ -364,7 +372,7 @@ class Ensemble:
         if ok.sum() < 2:
             return mean, None
         means = np.bincount(ids, weights=values)[ok] / counts[ok]
-        return mean, float(means.std(ddof=1) / math.sqrt(ok.sum()))
+        return mean, _batch_se(means)
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +514,17 @@ def extinction_scaling(
         pre = f"K={K}"
         entries.append(entry_info(f"{pre}.paths", total))
         entries.append(entry_le(f"{pre}.censored_paths", censored, 0))
-        se_med = float(med_b.std(ddof=1) / math.sqrt(batches))
+        se_med = _batch_se(med_b)
         if median_rel_tol is not None and K == K_list[-1]:
             entries.append(entry_rel(f"{pre}.median_tau_over_logK", med, c,
                                      median_rel_tol, stderr=se_med))
         else:
             entries.append(entry_info(f"{pre}.median_tau_over_logK", med,
                                       stderr=se_med, target=c))
-        se_mean = float(mean_b.std(ddof=1) / math.sqrt(batches))
+        se_mean = _batch_se(mean_b)
         entries.append(entry_info(f"{pre}.mean_tau_over_logK", mean,
                                   stderr=se_mean, target=c))
-        se_kem = float(kem_b.std(ddof=1) / math.sqrt(batches))
+        se_kem = _batch_se(kem_b)
         entries.append(entry_info(f"{pre}.K_mean_m_tau", kem,
                                   stderr=se_kem, target=1.0))
         if exact_oracle:
@@ -638,7 +646,7 @@ def clt_covariance_check(
 
     def batch_se(label, col_fn):
         vals = np.array([col_fn(tb) for tb in theta_batches])
-        se = float(vals.std(ddof=1) / math.sqrt(batches))
+        se = _batch_se(vals)
         if se == 0.0:
             raise DegenerateSample(f"every batch gives {label} = {vals[0]:g}, so its standard "
                                    "error is 0; raise K or lower the indices")

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, estimators, exact
 from .estimators import (AD_SIGNIFICANCE_LEVELS, INVARIANCE_U2, ExperimentReport, batch_layout,
                          entry_info, entry_le)
-from .estimators import _hist_rows, _median_from_hist, _run_batches, _stack_streams, _tau_hist_batch
+from .estimators import _hist_rows, _median_from_hist, _run_batches, _tau_hist_batch
 # extinction_scaling, conditional_moment_check, simulate_coupled, simulate_path and
 # write_trajectories are not called through this namespace; perfbench/spans.py traces
 # them through it.
@@ -37,9 +37,8 @@ from .estimators import conditional_moment_check, extinction_scaling
 from .gaussian_limit import MODES, ThetaCovariance, covariance_matrix, is_positive_semidefinite
 from .offspring import (InvalidParameter, NonNormalizedPMF, OffspringDistribution,
                         SupercriticalWithoutOverride, make_distribution)
-from .process import (batch_slices, coupled_floors, coupled_step, default_horizon, level_label,
-                      simulate_coupled, simulate_path, trajectory_header, trajectory_rows,
-                      write_trajectories)
+from .process import (default_horizon, level_label, simulate_coupled, simulate_path,
+                      trajectory_header, write_trajectories)
 from .stopping import LimitOracle, boundary_warnings, limit_constant
 
 SCHEMA_VERSION = 1
@@ -473,63 +472,7 @@ _CROSS_KEY_RULES = (_mean_rules, _batch_rules, _u_order, _population_sizes, _ora
 
 
 # ---------------------------------------------------------------------------
-# the coupled batch worker (module level so it pickles); simulate batches run
-# estimators._tau_hist_batch
-
-
-def _coupled_batch(stack: range, *, layout, seed: int, dist, K: int, levels, horizon: int,
-                   dump: bool) -> list[tuple]:
-    """Run a stack of coupled batches on the gap-closure engine.
-
-    Keeps the current (paths, 1+L) state of the whole stack, each path's
-    four gate-violation counts over every generation and level, and the
-    base extinction times; the full trajectories only when they are
-    dumped. Generation 0 is the common start K, where every gate holds by
-    construction. Returns one part per batch: its extinction-time
-    histogram, censored count, four violation counts and trajectory rows.
-    """
-    gens, counts = _stack_streams(stack, seed, layout)
-    floors = coupled_floors(levels, K)
-    sizes = np.full((sum(counts), len(floors)), K, dtype=np.int64)
-    taus = np.zeros(len(sizes), dtype=np.int64)
-    bad = np.zeros((len(sizes), 4), dtype=np.int64)
-    rows, flags = [sizes], []
-    for n in range(1, horizon + 1):
-        sizes, flag = coupled_step(sizes, floors, dist, gens, counts)
-        taus[(sizes[:, 0] == 0) & (taus == 0)] = n
-        bad += _violations(sizes, flag, floors, dist.single_child)
-        if dump:
-            rows.append(sizes)
-            flags.append(flag)
-    if dump:
-        rows, flags = np.stack(rows), np.stack(flags)
-    parts = []
-    for b, batch in zip(stack, batch_slices(counts)):
-        first = layout[b][0]
-        text = trajectory_rows(rows[:, batch], first, floors, flags[:, batch]) if dump else None
-        tau = taus[batch]
-        parts.append((np.bincount(tau[tau > 0], minlength=1), int(np.count_nonzero(tau == 0)),
-                      *bad[batch].sum(axis=0).tolist(), text))
-    return parts
-
-
-def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
-                single_child: bool) -> np.ndarray:
-    """Sandwich, shift-identity, indicator and level-monotonicity violations
-    of one generation of a coupled stack, as a (paths, 4) count matrix.
-
-    The sandwich gates X <= X^(a) for every law, and Y^(a) <= X only when no
-    individual has more than one child: otherwise the b_a individuals that
-    X^(a) has on top of X may have more than b_a children.
-    """
-    base, upper = sizes[:, :1], sizes[:, 1:]
-    shifted = upper - floors[1:]
-    return np.column_stack([
-        np.count_nonzero(((shifted > base) & single_child) | (base > upper), axis=1),
-        np.count_nonzero(shifted + floors[1:] != upper, axis=1),
-        np.count_nonzero(flags != (shifted > 0), axis=1),
-        np.count_nonzero(np.diff(upper, axis=1) < 0, axis=1),
-    ])
+# per-kind runners
 
 
 def _tau_entries(hist: np.ndarray, extinct: int, K: int, mean: float) -> list:
@@ -545,29 +488,26 @@ def _tau_entries(hist: np.ndarray, extinct: int, K: int, mean: float) -> list:
     ]
 
 
-# ---------------------------------------------------------------------------
-# per-kind runners
-
-
 #: The gate counts a coupled batch returns after its histogram and censored count.
 COUPLED_GATES = ("sandwich_violations", "shift_identity_violations",
                  "indicator_violations", "level_monotonicity_violations")
 
 
-def _run_pathwise(kind: str, cfg: dict, dist: OffspringDistribution, batch_fn, gates=(), **extra):
-    """Run a simulate or coupled config batch by batch.
+def _run_pathwise(kind: str, cfg: dict, dist: OffspringDistribution):
+    """Run a simulate or coupled config batch by batch on ``_tau_hist_batch``.
 
-    ``batch_fn`` takes a stack of batches and returns, per batch, its
-    extinction-time histogram, its censored count, one count per entry of
-    ``gates``, and its trajectory rows (or None); ``extra`` holds the
-    kind's own batch arguments.
+    A coupled run steps its truncation levels along with the base process
+    and gates their violation counts; simulate ignores ``levels``.
     """
     K, paths, batches = cfg["K"], cfg["paths"], cfg["batches"]
+    # float() because the levels name trajectory columns: 0 and 0.0 must print alike.
+    levels = sorted(set(float(a) for a in cfg["levels"])) if kind == "coupled" else []
+    gates = COUPLED_GATES if levels else ()
     horizon = cfg["horizon"] or default_horizon(K, dist.mean, cfg["cap_multiplier"])
     dump = cfg["write_trajectories"]
     layout = batch_layout(paths, batches)
-    fn = partial(batch_fn, layout=layout, seed=cfg["seed"], dist=dist, K=K, horizon=horizon,
-                 dump=dump, **extra)
+    fn = partial(_tau_hist_batch, layout=layout, seed=cfg["seed"], dist=dist, K=K, horizon=horizon,
+                 levels=levels, dump=dump)
     [parts] = _run_batches([fn], layout, cfg["workers"])
     hist = _hist_rows([p[0] for p in parts]).sum(axis=0)
     censored = sum(p[1] for p in parts)
@@ -579,7 +519,7 @@ def _run_pathwise(kind: str, cfg: dict, dist: OffspringDistribution, batch_fn, g
     entries += [entry_le(name, sum(p[2 + i] for p in parts), 0) for i, name in enumerate(gates)]
     entries += _tau_entries(hist, paths - censored, K, dist.mean)
     report = ExperimentReport(kind, entries, batches=batches, total_paths=paths)
-    header = trajectory_header(extra.get("levels", []))
+    header = trajectory_header(levels)
     text = header + "\n" + "".join(p[-1] for p in parts) if dump else None
     return report, text
 
@@ -750,12 +690,8 @@ def run(config: Mapping, *, stderr: IO[str] | None = None) -> RunResult:
     started = time.perf_counter()
     traj_text = None
     matrix = None
-    if kind == "simulate":
-        report, traj_text = _run_pathwise(kind, cfg, dist, _tau_hist_batch)
-    elif kind == "coupled":
-        # float() because the levels name trajectory columns: 0 and 0.0 must print alike.
-        levels = sorted(set(float(a) for a in cfg["levels"]))
-        report, traj_text = _run_pathwise(kind, cfg, dist, _coupled_batch, COUPLED_GATES, levels=levels)
+    if kind in _PATHWISE:
+        report, traj_text = _run_pathwise(kind, cfg, dist)
     elif kind == "gaussian-cov":
         report, matrix = _run_gaussian_cov(cfg, dist)
     else:

@@ -12,22 +12,28 @@ law of S at those points. Because offspring counts are nonnegative, S is
 nondecreasing, so the pathwise sandwich Y_n^(a) <= X_n <= X_n^(a) and the
 pre-decoupling agreement between levels are checkable sample by sample,
 not just in law (the lower half, Y_n^(a) <= X_n, only for offspring in
-{0, 1}). Plain paths run on :func:`plain_sizes`, which steps the live
-paths with one progeny-sum draw per batch per generation: a path is
-dropped once it reaches 0, so extinct paths cost nothing.
+{0, 1}).
 
-Both engines step a *stack*: consecutive batches, each with its own
+One engine steps every kind of path. :func:`coupled_step` is the one
+generation step: each path is a row of sizes with one floor per column,
+the plain chain being the one-column row [X] with floor 0 (or the chain
+floored at b with floor b), for which the gap is the size itself.
+:func:`plain_sizes` is the one generation loop: it steps only the live
+paths, and drops a path once every column of its row is 0, so extinct
+paths cost nothing.
+
+The engine steps a *stack*: consecutive batches, each with its own
 generator and path count, held in one matrix whose paths are numbered
 batch after batch. The numpy work of a generation (the sort, scatter and
 compaction) runs once over the stack, and each batch draws its sums with
 one ``closure_sums`` call on its own contiguous slice and generator. A
 batch therefore draws exactly what it draws alone, and a one-batch stack
-is a plain batch. Every plain stack, a single path included, goes through
+is a plain batch. Every stack, a single path included, goes through
 :func:`plain_batch`, which scatters those steps back into each batch's
-extinction times and size matrix, and :func:`trajectory_rows` turns a
-plain or coupled batch's sizes into its trajectory CSV rows with
-:func:`csv_rows`, a numpy kernel that writes the digits of every integer
-of a batch at once.
+extinction times, size and indicator matrices and gate-violation counts,
+and :func:`trajectory_rows` turns a plain or coupled batch's sizes into
+its trajectory CSV rows with :func:`csv_rows`, a numpy kernel that writes
+the digits of every integer of a batch at once.
 """
 
 from __future__ import annotations
@@ -133,39 +139,35 @@ def plain_sizes(
     dist: OffspringDistribution,
     gens: Sequence[np.random.Generator],
     horizon: int,
-    floor: int = 0,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Step a stack of plain batches from X_0 = K, one generation per yield.
+    floors: Sequence[int] = (0,),
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Step a stack of batches from K, one generation per yield.
 
-    Batch i has ``counts[i]`` paths and draws from ``gens[i]``; the
-    stack's paths are numbered batch after batch. Yields ``(live, sizes)``
-    at generations 1, 2, ..., horizon: ``live`` holds the stack indices of
-    the paths alive before the step and ``sizes`` their new sizes, floored
-    at ``floor``. Each batch with a live path draws its sizes with one
-    ``closure_sums`` call on its own slice, in path order. Zero is
-    absorbing, so a path whose size is 0 is dropped after the yield, and
-    the generator stops once none is left. ``closure_sums`` draws nothing
-    for a size of 0, so dropping the dead paths changes no draw of the
-    live ones.
+    A path is a row of one size per entry of ``floors`` (see
+    :func:`coupled_step`), every size starting at K. Batch i has
+    ``counts[i]`` paths and draws from ``gens[i]``; the stack's paths are
+    numbered batch after batch. Yields ``(live, sizes, flags)`` at
+    generations 1, 2, ..., horizon: ``live`` holds the stack indices of the
+    paths alive before the step, and ``sizes`` and ``flags`` their next
+    sizes and indicators. Zero is absorbing, so a path whose sizes are all
+    0 is dropped after the yield, and the generator stops once none is
+    left. ``closure_sums`` draws nothing for a size of 0, so dropping the
+    dead paths changes no draw of the live ones.
     """
+    floors = np.asarray(floors, dtype=np.int64)
     live = np.arange(sum(counts))
-    sizes = np.full(live.size, K, dtype=np.int64)
+    sizes = np.full((live.size, floors.size), K, dtype=np.int64)
     ends = np.cumsum(counts)  # each batch's end among the live paths
     for _ in range(horizon):
-        drawn = np.empty_like(sizes)
-        lo = 0
-        for gen, hi in zip(gens, ends.tolist()):
-            if hi > lo:
-                drawn[lo:hi] = dist.closure_sums(sizes[lo:hi], gen)
-            lo = hi
-        sizes = np.maximum(drawn, floor) if floor else drawn
-        yield live, sizes
-        alive = np.flatnonzero(sizes)
-        if alive.size < sizes.size:
+        sizes, flags = coupled_step(sizes, floors, dist, gens, counts)
+        yield live, sizes, flags
+        alive = np.flatnonzero(sizes.any(axis=1))
+        if alive.size < len(sizes):
             if not alive.size:
                 return
-            live, sizes = live[alive], sizes[alive]
+            live, sizes = live[alive], np.take(sizes, alive, axis=0)
             ends = np.searchsorted(alive, ends)
+            counts = [hi - lo for lo, hi in zip([0, *ends.tolist()], ends.tolist())]
 
 
 def plain_batch(
@@ -174,34 +176,57 @@ def plain_batch(
     dist: OffspringDistribution,
     gens: Sequence[np.random.Generator],
     horizon: int,
-    floor: int = 0,
+    floors: Sequence[int] = (0,),
     *,
     rows: bool = False,
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Run a stack of plain batches on :func:`plain_sizes`.
+) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray | None, list[int]]]:
+    """Run a stack of batches on :func:`plain_sizes`.
 
-    Returns one ``(taus, matrix)`` per batch: each path's extinction time,
-    -1 for a path alive at the horizon, and with ``rows`` the (generations,
-    paths) size matrix from X_0 = K on, one row per generation the batch
-    stepped, 0 after a path's extinction. A batch's rows stop with the last
-    generation it stepped, so a batch that dies out early keeps no rows up
-    to the horizon, whatever the other batches of its stack do.
+    Returns one ``(taus, sizes, flags, bad)`` per batch. ``taus`` holds
+    each path's extinction time, the first generation at which its first
+    column is 0, or -1 if that column is alive at the horizon. With
+    ``rows``, ``sizes`` is the (generations, paths, 1+L) size matrix from K
+    on, 0 after a path died out, and ``flags`` the (generations-1, paths, L)
+    indicators; else both are None. With levels (L > 0), ``bad`` holds the
+    batch's four gate-violation counts over every generation (see
+    :func:`_violations`); else it is empty. A plain batch's rows stop with
+    the last generation it stepped, so a batch that dies out early keeps no
+    rows up to the horizon, whatever the other batches of its stack do. A
+    batch with levels keeps every generation up to the horizon, with zeros
+    after all its sizes reached 0.
     """
-    total = sum(counts)
+    floors = np.asarray(floors, dtype=np.int64)
+    total, levels = sum(counts), len(floors) - 1
     taus = np.full(total, -1, dtype=np.int64)
-    matrix = [np.full(total, K, dtype=np.int64)] if rows else None
-    for n, (live, sizes) in enumerate(plain_sizes(K, counts, dist, gens, horizon, floor), 1):
-        taus[live[sizes == 0]] = n
-        if rows:
-            matrix.append(np.zeros(total, dtype=np.int64))
-            matrix[-1][live] = sizes
+    bad = np.zeros((total, 4 if levels else 0), dtype=np.int64)
+    matrix, marks = [np.full((total, 1 + levels), K, dtype=np.int64)], []
+    for n, (live, sizes, flags) in enumerate(plain_sizes(K, counts, dist, gens, horizon, floors), 1):
+        dead = live[sizes[:, 0] == 0]
+        if levels:  # a row with levels outlives its base
+            dead = dead[taus[dead] < 0]
+            found = _violations(sizes, flags, floors, dist.single_child)
+            if found.any():  # a correct run finds none, so the scatter is rare
+                bad[live] += found
+        taus[dead] = n
+        if rows:  # the step's own matrices until a path dies, then scattered among zeros
+            scattered = len(live) < total
+            matrix.append(np.zeros((total, 1 + levels), dtype=np.int64) if scattered else sizes)
+            marks.append(np.zeros((total, levels), dtype=bool) if scattered else flags)
+            if scattered:
+                matrix[-1][live], marks[-1][live] = sizes, flags
     if not rows:
-        return [(taus[batch], None) for batch in batch_slices(counts)]
-    matrix = np.vstack(matrix)
+        return [(taus[batch], None, None, bad[batch].sum(axis=0).tolist())
+                for batch in batch_slices(counts)]
+    if levels:  # every generation up to the horizon
+        pad = horizon + 1 - len(matrix)
+        matrix += [np.zeros_like(matrix[0])] * pad
+        marks += [np.zeros_like(marks[0])] * pad
+    matrix, marks = np.stack(matrix), np.stack(marks)
     parts = []
     for batch in batch_slices(counts):
-        last = horizon if (taus[batch] < 0).any() else int(taus[batch].max())
-        parts.append((taus[batch], matrix[:last + 1, batch]))
+        last = horizon if levels or (taus[batch] < 0).any() else int(taus[batch].max())
+        parts.append((taus[batch], matrix[:last + 1, batch], marks[:last, batch],
+                      bad[batch].sum(axis=0).tolist()))
     return parts
 
 
@@ -227,10 +252,12 @@ def simulate_path(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    [(taus, sizes)] = plain_batch(K, [1], dist, [src.closure_generator(path)], horizon, rows=True)
+    [(taus, sizes, _, _)] = plain_batch(K, [1], dist, [src.closure_generator(path)], horizon,
+                                        rows=True)
     tau = int(taus[0])
     extinct = tau >= 0
-    return PathRecord(K, sizes[:, 0].tolist(), extinct, tau if extinct else None, not extinct, path)
+    return PathRecord(K, sizes[:, 0, 0].tolist(), extinct, tau if extinct else None, not extinct,
+                      path)
 
 
 def coupled_step(
@@ -240,26 +267,57 @@ def coupled_step(
     gens: Sequence[np.random.Generator],
     counts: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One generation of X and every X^(a) for a stack of coupled batches.
+    """One generation of a stack of batches: the engine's only step.
 
-    ``sizes`` is a (paths, 1+L) matrix of current sizes [X, X^(a_1), ...,
-    X^(a_L)], its rows batch after batch with ``counts[i]`` rows drawn
-    from ``gens[i]``, and ``floors`` the matching [0, b_1, ..., b_L]. Each
-    row is sorted; the gaps between consecutive sizes (the first gap being
-    the smallest size) are drawn as independent progeny sums, one
-    ``closure_sums`` call per batch on its own rows, and their running
-    sums, scattered back to the columns, are the progeny prefix sums S(.)
-    at the current sizes. Returns the next sizes max(floor, S) and the
-    (paths, L) indicators 1{S(X^(a)) > b_a}.
+    ``sizes`` is a (paths, 1+L) matrix of current sizes, its rows batch
+    after batch with ``counts[i]`` rows drawn from ``gens[i]``, and
+    ``floors`` the matching (1+L) floors. A coupled row is [X, X^(a_1),
+    ..., X^(a_L)] with floors [0, b_1, ..., b_L]; a plain row is [X] with
+    floor 0, or the chain floored at b with floor b. Each row is sorted;
+    the gaps between consecutive sizes (the first gap being the smallest
+    size) are drawn as independent progeny sums, one ``closure_sums`` call
+    per batch with a row, and their running sums, scattered back to the
+    columns, are the progeny prefix sums S(.) at the current sizes. A
+    one-column row's gap is its size, so it needs no sort or scatter.
+    Returns the next sizes max(floor, S) and the (paths, L) indicators
+    1{S(X^(a)) > b_a}.
     """
-    order = np.argsort(sizes, axis=1)
-    gaps = np.diff(np.sort(sizes, axis=1), axis=1, prepend=0)
+    width = sizes.shape[1]
+    if width > 1:
+        order = np.argsort(sizes, axis=1)
+        gaps = np.diff(np.sort(sizes, axis=1), axis=1, prepend=0)
+    else:  # drawn as a vector: numpy's samplers are slower on an (n, 1) matrix
+        gaps = sizes[:, 0]
     sums = np.empty_like(gaps)
     for gen, batch in zip(gens, batch_slices(counts)):
-        sums[batch] = dist.closure_sums(gaps[batch], gen)
-    progeny = np.empty_like(sizes)
-    progeny[np.arange(len(sizes))[:, None], order] = np.cumsum(sums, axis=1)
-    return np.maximum(progeny, floors), progeny[:, 1:] > floors[1:]
+        if batch.start < batch.stop:
+            sums[batch] = dist.closure_sums(gaps[batch], gen)
+    if width > 1:
+        progeny = np.empty_like(sizes)
+        progeny[np.arange(len(sizes))[:, None], order] = np.cumsum(sums, axis=1)
+    else:
+        progeny = sums[:, None]
+    flags = progeny[:, 1:] > floors[1:]
+    return (np.maximum(progeny, floors) if floors.any() else progeny), flags
+
+
+def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
+                single_child: bool) -> np.ndarray:
+    """Sandwich, shift-identity, indicator and level-monotonicity violations
+    of one generation of coupled rows, as a (paths, 4) count matrix.
+
+    The sandwich gates X <= X^(a) for every law, and Y^(a) <= X only when no
+    individual has more than one child: otherwise the b_a individuals that
+    X^(a) has on top of X may have more than b_a children.
+    """
+    base, upper = sizes[:, :1], sizes[:, 1:]
+    shifted = upper - floors[1:]
+    return np.column_stack([
+        np.count_nonzero(((shifted > base) & single_child) | (base > upper), axis=1),
+        np.count_nonzero(shifted + floors[1:] != upper, axis=1),
+        np.count_nonzero(flags != (shifted > 0), axis=1),
+        np.count_nonzero(np.diff(upper, axis=1) < 0, axis=1),
+    ])
 
 
 def coupled_floors(levels: Sequence[float], K: int) -> np.ndarray:
@@ -300,11 +358,12 @@ def simulate_coupled(
 ) -> CoupledPaths:
     """Drive the base process and every truncation level on shared sums.
 
-    Runs :func:`coupled_step` on a stack of one one-path batch fed by the
-    path's closure stream: the base next size is S(X_n), the level-a next
-    size is max{floor_a, S(X_n^(a))}, and the indicator is
-    1{S(X_n^(a)) > floor_a}.
-    The level 0 process coincides with the base path identically.
+    Runs :func:`plain_batch` on a stack of one one-path batch with one
+    column per level, fed by the path's closure stream: the base next size
+    is S(X_n), the level-a next size is max{floor_a, S(X_n^(a))}, and the
+    indicator is 1{S(X_n^(a)) > floor_a}.
+    The level 0 process coincides with the base path identically. Without
+    levels the path is a plain one, whose sizes end at its extinction.
     """
     if K < 0:
         raise ValueError(f"initial size must be >= 0, got {K}")
@@ -315,14 +374,9 @@ def simulate_coupled(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    gens = [src.closure_generator(path)]
-    sizes = np.full((1, len(floors)), K, dtype=np.int64)
-    rows, flags = [sizes], []
-    for _ in range(horizon):
-        sizes, flag = coupled_step(sizes, floors, dist, gens, [1])
-        rows.append(sizes)
-        flags.append(flag)
-    return coupled_record(K, levels, np.vstack(rows), np.vstack(flags), path)
+    [(_, sizes, flags, _)] = plain_batch(K, [1], dist, [src.closure_generator(path)], horizon,
+                                         floors, rows=True)
+    return coupled_record(K, levels, sizes[:, 0], flags[:, 0], path)
 
 
 def level_label(a: float) -> str:

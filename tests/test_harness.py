@@ -299,6 +299,23 @@ def test_simulate_degenerate_law(tmp_path):
     assert lines == ["path,n,X", "0,0,5", "0,1,0"]
 
 
+def test_simulate_ignores_levels(tmp_path):
+    """simulate and coupled share one batch worker, yet simulate with levels
+    set steps and writes the plain paths: the same entries and
+    trajectories.csv as without them. Only the config echo differs."""
+    cfg = {"experiment": "simulate", "offspring": {"kind": "geometric", "p": 0.4}, "seed": 9,
+           "K": 50, "horizon": 6, "paths": 90, "batches": 9, "out": str(tmp_path)}
+    plain = run(cfg, stderr=io.StringIO())
+    leveled = run({**cfg, "levels": [0.0, 0.2]}, stderr=io.StringIO())
+    assert leveled.run_dir != plain.run_dir
+    assert plain.report.entry("censored_paths").estimate > 0
+    assert leveled.payload["config"]["levels"] == [0.0, 0.2]
+    assert {**leveled.payload, "config": None} == {**plain.payload, "config": None}
+    text = (plain.run_dir / "trajectories.csv").read_text()
+    assert text.startswith("path,n,X\n")
+    assert (leveled.run_dir / "trajectories.csv").read_text() == text
+
+
 def test_coupled_gates_and_worker_identity(tmp_path):
     cfg = {"experiment": "coupled", "offspring": BERN, "seed": 3, "K": 64,
            "levels": [0.1, 0.4], "paths": 60, "batches": 6, "out": str(tmp_path)}

@@ -166,9 +166,9 @@ def test_closure_sums_follow_sum_law_across_table_limit(spec, offset):
 
 
 def test_closure_sums_keep_the_input_shape():
-    """A (paths, 1+L) matrix of sizes, as the coupled engine passes it,
-    comes back as a matrix of sums of the same shape, on the table path
-    and on the named sampler alike."""
+    """A (paths, 1+L) matrix of gaps, as coupled_step passes it for rows
+    with levels, comes back as a matrix of sums of the same shape, on the
+    table path and on the named sampler alike."""
     dist = make_distribution({"kind": "binomial", "n": 3, "p": 0.25})
     rng = np.random.default_rng(3)
     for paths in (4, 400):

@@ -13,9 +13,9 @@ from hypothesis import strategies as hs
 
 from test_offspring import SUBCRITICAL_SPECS, _chisquare_gof, _sum_law_pmf
 
+from branchlab import process
 from branchlab.estimators import _tau_hist_batch
 from branchlab.exact import extinction_cdf
-from branchlab.harness import _coupled_batch
 from branchlab.offspring import OffspringDistribution, make_distribution
 from branchlab.process import (
     PathRecord,
@@ -140,7 +140,7 @@ def test_coupled_base_extinction_law(dist):
     """The coupled base path's extinction times follow exact.extinction_cdf."""
     K, paths = 12, 20_000
     horizon = default_horizon(K, dist.mean)
-    [(hist, censored, *_)] = _coupled_batch(
+    [(hist, censored, *_)] = _tau_hist_batch(
         range(1), layout=[(0, paths)], seed=31, dist=dist, K=K, levels=[0.25, 0.5],
         horizon=horizon, dump=False,
     )
@@ -176,9 +176,10 @@ def test_plain_sizes_stop_rule_and_floor():
     rows = list(plain_sizes(3, [50], ZERO, [gen], 10))
     assert len(rows) == 1 and not rows[0][1].any()
     rows = list(plain_sizes(40, [50], BERN, [gen], 30))
-    assert not rows[-1][1].any() and all(sizes.any() for _, sizes in rows[:-1])
-    rows = list(plain_sizes(40, [50], BERN, [gen], 30, floor=6))
-    assert len(rows) == 30 and all(len(live) == 50 and (sizes >= 6).all() for live, sizes in rows)
+    assert not rows[-1][1].any() and all(sizes.any() for _, sizes, _ in rows[:-1])
+    rows = list(plain_sizes(40, [50], BERN, [gen], 30, [6]))
+    assert len(rows) == 30 and all(len(live) == 50 and (sizes >= 6).all()
+                                   for live, sizes, _ in rows)
 
 
 def _full_width_sizes(K, paths, dist, gen, horizon, floor):
@@ -211,9 +212,9 @@ def test_plain_sizes_match_full_width_loop(family, K, paths, floor, seed):
     ref_gen = RandomnessSource(seed).handle()
     gen = RandomnessSource(seed).handle()
     rows = []
-    for live, sizes in plain_sizes(K, [paths], family, [gen], horizon, floor):
+    for live, sizes, _ in plain_sizes(K, [paths], family, [gen], horizon, [floor]):
         rows.append(np.zeros(paths, dtype=np.int64))
-        rows[-1][live] = sizes
+        rows[-1][live] = sizes[:, 0]
     ref = _full_width_sizes(K, paths, family, ref_gen, horizon, floor)
     assert len(rows) == len(ref)
     assert all((row == want).all() for row, want in zip(rows, ref))
@@ -223,9 +224,12 @@ def test_plain_sizes_match_full_width_loop(family, K, paths, floor, seed):
 @pytest.mark.parametrize("cap", [6, None], ids=["censored", "extinct"])
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.kind)
 def test_plain_engine_draws_only_for_live_paths(monkeypatch, dist, cap):
-    """No size of 0 reaches ``closure_sums``, there is one call per
-    generation, and the entries drawn are the batch's live path-generations:
-    tau for a path extinct at tau, the cap for a censored one."""
+    """No dead path reaches ``closure_sums``, there is one call per
+    generation and none after the last path dies, and the rows drawn are
+    the batch's live path-generations: tau for a path extinct at tau, the
+    cap for a censored one. Plain paths draw one size per row, none of them
+    0; coupled paths at level 0 draw their two gaps [X, 0] per row, and die
+    with their base."""
     calls = []
     closure_sums = OffspringDistribution.closure_sums
 
@@ -235,12 +239,16 @@ def test_plain_engine_draws_only_for_live_paths(monkeypatch, dist, cap):
 
     monkeypatch.setattr(OffspringDistribution, "closure_sums", spy)
     cap = cap or default_horizon(40, dist.mean)
-    [(hist, censored, _)] = _tau_hist_batch(range(1), seed=8, layout=[(0, 500)], dist=dist,
-                                            K=40, horizon=cap)
-    assert all(sizes.all() for sizes in calls)
-    assert sum(sizes.size for sizes in calls) == hist @ np.arange(hist.size) + censored * cap
-    assert len(calls) == (cap if censored else hist.size - 1)
-    assert (censored > 0) == (cap == 6)
+    for levels in ([], [0.0]):
+        calls.clear()
+        [(hist, censored, *bad, _)] = _tau_hist_batch(range(1), seed=8, layout=[(0, 500)],
+                                                      dist=dist, K=40, horizon=cap, levels=levels)
+        assert bad == ([0, 0, 0, 0] if levels else [])
+        rows = [gaps.reshape(len(gaps), -1) for gaps in calls]
+        assert all(row.shape[1] == 1 + len(levels) and row[:, 0].all() for row in rows)
+        assert sum(map(len, rows)) == hist @ np.arange(hist.size) + censored * cap
+        assert len(calls) == (cap if censored else hist.size - 1)
+        assert (censored > 0) == (cap == 6)
 
 
 def _reference_text(records) -> str:
@@ -257,8 +265,8 @@ _ROW_CASES = {
     "pmf": [(20, 3, 7), (99_990, 95, 34)],
 }
 _COUPLED_CASES = {
-    "bernoulli": [(20, [0.0, 0.15, 0.5], 7), (10_000, [0.0, 0.05, 0.3], 14)],
-    "pmf": [(20, [0.0, 0.15, 0.5], 7), (10_000, [0.0, 0.05, 0.3], 27)],
+    "bernoulli": [(20, [0.0, 0.15, 0.5], 7), (10_000, [0.0, 0.05, 0.3], 14), (20, [0.0], 40)],
+    "pmf": [(20, [0.0, 0.15, 0.5], 7), (10_000, [0.0, 0.05, 0.3], 27), (20, [0.0], 40)],
 }
 
 
@@ -269,7 +277,10 @@ def test_batch_rows_match_write_trajectories(dist):
     times and some censored at the horizon, and for coupled paths at levels
     that include 0, whose base dies out before the horizon in some paths and
     not in others; at K = 20 and at a K whose sizes and path ids cross
-    powers of ten."""
+    powers of ten. The coupled reference steps every path to the horizon,
+    and the formatter gets the engine's rows: at level 0 alone every path
+    dies out well before the horizon, where the engine stops early and
+    still keeps every generation."""
     for K, first, horizon in _ROW_CASES[dist.kind]:
         src = RandomnessSource(12)
         recs = [simulate_path(K, dist, src, p, horizon=horizon) for p in range(first, first + 30)]
@@ -290,8 +301,11 @@ def test_batch_rows_match_write_trajectories(dist):
             flags.append(flag)
         rows, flags = np.stack(rows), np.stack(flags)
         coupled = [coupled_record(K, levels, rows[:, i], flags[:, i], first + i) for i in range(30)]
-        assert {rec.extinct for rec in coupled} == {True, False}
-        text = trajectory_rows(rows, first, floors, flags)
+        assert {rec.extinct for rec in coupled} == ({True} if levels == [0.0] else {True, False})
+        assert rows[horizon - 1].any() == (levels != [0.0])
+        [(_, sizes, marks, _)] = plain_batch(K, [30], dist, [RandomnessSource(13).handle()],
+                                             horizon, floors, rows=True)
+        text = trajectory_rows(sizes, first, floors, marks)
         assert trajectory_header(levels) + "\n" + text == _reference_text(coupled)
 
 
@@ -534,7 +548,7 @@ def test_coupled_identities_hold_pathwise(family, K, levels, horizon, path):
     count=hs.integers(1, 40),
 )
 def test_coupled_batch_counts_no_violations(family, K, levels, horizon, count):
-    [(hist, censored, *bad, text)] = _coupled_batch(
+    [(hist, censored, *bad, text)] = _tau_hist_batch(
         range(1), layout=[(0, count)], seed=3, dist=family, K=K, levels=levels,
         horizon=horizon, dump=True,
     )
@@ -543,6 +557,19 @@ def test_coupled_batch_counts_no_violations(family, K, levels, horizon, count):
     assert sandwich == 0
     assert int(hist.sum()) + censored == count
     assert len(text.splitlines()) == count * (horizon + 1)
+
+
+def test_plain_batch_adds_up_each_batchs_violations(monkeypatch):
+    """Each generation's violation counts go to the live rows of their own
+    batch: with a stand-in that finds one of each kind per live row, a
+    batch reports its live path-generations four times over. At level 0 a
+    row lives until its base dies, so that is the sum of its taus."""
+    monkeypatch.setattr(process, "_violations",
+                        lambda sizes, *_: np.ones((len(sizes), 4), dtype=np.int64))
+    counts, K, horizon = [3, 5], 6, 40
+    gens = [RandomnessSource(24).handle(b) for b in range(len(counts))]
+    for taus, _, _, bad in plain_batch(K, counts, BERN, gens, horizon, coupled_floors([0.0], K)):
+        assert (taus > 0).all() and bad == [int(taus.sum())] * 4
 
 
 def _layout(counts, first):
@@ -587,11 +614,11 @@ def test_stacked_batches_give_the_parts_of_batches_run_alone(family, counts, fir
     layout = _layout(counts, first)
     src = RandomnessSource(21)
     gens = [src.handle(b) for b in stack]
-    stacked = plain_batch(K, counts, family, gens, horizon, floor, rows=dump)
-    for b, count, gen, (taus, rows) in zip(stack, counts, gens, stacked):
+    stacked = plain_batch(K, counts, family, gens, horizon, [floor], rows=dump)
+    for b, count, gen, (taus, rows, _, _) in zip(stack, counts, gens, stacked):
         alone = src.handle(b)
-        [(want_taus, want_rows)] = plain_batch(K, [count], family, [alone], horizon, floor,
-                                               rows=dump)
+        [(want_taus, want_rows, _, _)] = plain_batch(K, [count], family, [alone], horizon,
+                                                     [floor], rows=dump)
         assert np.array_equal(taus, want_taus)
         assert (rows is None) == (not dump)
         if dump:
@@ -602,8 +629,8 @@ def test_stacked_batches_give_the_parts_of_batches_run_alone(family, counts, fir
     for b, part in zip(stack, _tau_hist_batch(stack, **plain)):
         _assert_parts_equal(part, _tau_hist_batch(range(b, b + 1), **plain)[0])
     coupled = dict(plain, levels=levels)
-    for b, part in zip(stack, _coupled_batch(stack, **coupled)):
-        _assert_parts_equal(part, _coupled_batch(range(b, b + 1), **coupled)[0])
+    for b, part in zip(stack, _tau_hist_batch(stack, **coupled)):
+        _assert_parts_equal(part, _tau_hist_batch(range(b, b + 1), **coupled)[0])
 
 
 def _spy_calls(monkeypatch, gens):
