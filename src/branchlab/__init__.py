@@ -27,7 +27,7 @@ The package is organised bottom-up:
 
 from __future__ import annotations
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .estimators import (
     DegenerateSample,
@@ -69,7 +69,7 @@ from .process import (
     write_trajectories,
 )
 from .randomness import RandomnessSource
-from .stopping import LimitOracle, NeverHit, boundary_warnings, limit_constant
+from .stopping import NeverHit, boundary_warnings, limit_constant
 
 __all__ = [
     "ConfigError",
@@ -81,7 +81,6 @@ __all__ = [
     "InsufficientBinMass",
     "InvalidParameter",
     "IoError",
-    "LimitOracle",
     "NeverHit",
     "NonNormalizedPMF",
     "NotPositiveSemiDefinite",

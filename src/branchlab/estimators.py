@@ -1,13 +1,14 @@
 """Monte Carlo experiments confronting simulation with the asymptotic laws.
 
 Every experiment is a deterministic function of (config, seed): paths are
-partitioned into contiguous equal batches, each batch simulates on its own
-addressed stream (so the worker count cannot change any draw), per-batch
-summaries merge in batch order, and standard errors come from the spread
-of batch means. Batch simulation runs the process module's batch engine
-across the paths of a batch on a handle stream keyed by (batch, slot);
-small batches are stepped together as a stack, which draws exactly what
-its batches draw one by one.
+partitioned into contiguous equal batches, consecutive batches are grouped
+into stacks by a rule of the batch layout alone, each stack simulates on
+its own addressed stream (so neither the worker count nor the job order
+can change any draw), per-batch summaries merge in batch order, and
+standard errors come from the spread of batch means. A stack runs the
+process module's batch engine on the handle stream keyed by (its first
+batch, slot); its batches draw disjoint uniforms, so they are independent,
+and a stack of one batch draws what that batch draws alone.
 
 The conditional experiments average over an ``Ensemble`` of paths. A
 Monte Carlo sample and an exact enumeration (probability weights, one
@@ -37,7 +38,7 @@ from .gaussian_limit import MODES, ThetaCovariance, covariance_matrix, is_positi
 from .offspring import OffspringDistribution
 from .process import coupled_floors, default_horizon, floor_level, plain_batch, trajectory_rows
 from .randomness import RandomnessSource
-from .stopping import LimitOracle, limit_constant
+from .stopping import limit_constant
 
 
 class InsufficientBinMass(ValueError):
@@ -159,7 +160,8 @@ def batch_layout(total: int, batches: int) -> list[tuple[int, int]]:
 
 
 #: A stack is consecutive batches with at most this many paths in all; a
-#: larger batch runs alone.
+#: larger batch runs alone. Each stack draws from one stream, so changing this
+#: changes the draws of every layout whose batches stack.
 _STACK_PATHS = 4096
 
 
@@ -191,8 +193,9 @@ def _run_batches(fns: Sequence[Callable[[range], list]], layout: list[tuple[int,
     All the jobs go through one pool, the last function's stacks first, so
     a grid listed by growing K starts its longest batches first. The pool
     gets at most one process per job and per CPU; with one, the jobs run
-    in this process. Each batch draws from its own addressed stream, so
-    neither the stacks, the order nor the process count changes a part.
+    in this process. Each stack draws from its own addressed stream, so
+    neither the order nor the process count changes a part; the stacks,
+    which depend only on the layout, do.
     """
     jobs = [(fn, stack) for fn in reversed(fns) for stack in _stacks(layout)]
     procs = min(workers, len(jobs), os.cpu_count() or 1)
@@ -238,10 +241,9 @@ def _median_from_hist(hist: np.ndarray, total: int) -> float:
 # vectorized batch simulation
 
 
-def _stack_streams(stack: range, seed: int, layout, slot: int = 0):
-    """Each batch's handle stream and path count, for a stack of batches."""
-    src = RandomnessSource(seed)
-    return [src.handle(b, slot) for b in stack], [layout[b][1] for b in stack]
+def _stack_stream(stack: range, seed: int, layout, slot: int = 0):
+    """A stack's one stream, that of its first batch, and its batches' path counts."""
+    return RandomnessSource(seed).handle(stack.start, slot), [layout[b][1] for b in stack]
 
 
 def _tau_hist_batch(stack: range, *, seed: int, layout, dist, K: int, horizon: int,
@@ -254,10 +256,10 @@ def _tau_hist_batch(stack: range, *, seed: int, layout, dist, K: int, horizon: i
     ``dump``. Generation 0 is the common start K, where every gate holds
     by construction.
     """
-    gens, counts = _stack_streams(stack, seed, layout, slot)
+    gen, counts = _stack_stream(stack, seed, layout, slot)
     floors = coupled_floors(levels, K)
     parts = []
-    for b, (taus, sizes, flags, bad) in zip(stack, plain_batch(K, counts, dist, gens, horizon,
+    for b, (taus, sizes, flags, bad) in zip(stack, plain_batch(K, counts, dist, gen, horizon,
                                                                 floors, rows=dump)):
         text = trajectory_rows(sizes, layout[b][0], floors, flags) if dump else None
         parts.append((np.bincount(taus[taus >= 0]), int(np.count_nonzero(taus < 0)), *bad, text))
@@ -273,9 +275,9 @@ def _values_batch(stack: range, *, seed: int, layout, dist, K: int, u1: float,
     size vectors, then reads each path's values at its realized times.
     Censored paths get tau = -1 and are skipped downstream.
     """
-    gens, counts = _stack_streams(stack, seed, layout)
+    gen, counts = _stack_stream(stack, seed, layout)
     parts = []
-    for taus, sizes, _, _ in plain_batch(K, counts, dist, gens, cap, rows=True):
+    for taus, sizes, _, _ in plain_batch(K, counts, dist, gen, cap, rows=True):
         M, cols = sizes[:, :, 0], np.arange(len(taus))
         s1 = np.floor(u1 * np.maximum(taus, 0)).astype(np.int64)
         s2 = np.floor(u2 * np.maximum(taus, 0)).astype(np.int64)
@@ -293,10 +295,10 @@ def _theta_batch(stack: range, *, seed: int, layout, dist, K: int,
 
     Generations after the whole batch died out read 0.
     """
-    gens, counts = _stack_streams(stack, seed, layout)
+    gen, counts = _stack_stream(stack, seed, layout)
     rows = np.array(indices)
     parts = []
-    for _, M, _, _ in plain_batch(K, counts, dist, gens, indices[-1], [floor_level(a, K)],
+    for _, M, _, _ in plain_batch(K, counts, dist, gen, indices[-1], [floor_level(a, K)],
                                   rows=True):
         kept = rows < len(M)
         X = np.zeros((len(rows), M.shape[1]), dtype=M.dtype)
@@ -480,7 +482,7 @@ def extinction_scaling(
     batched trajectories on its own handle slot, for every offspring family.
     """
     m = dist.mean
-    c = limit_constant(LimitOracle(m))
+    c = limit_constant(m)
     K_list = sorted(dict.fromkeys(int(K) for K in K_list))
     layout = batch_layout(paths, batches)
     entries: list[StatEntry] = []
@@ -991,7 +993,7 @@ def invariance_check(
         if abs(eps) > 0.2:
             raise ValueError(f"|eps| must be <= 0.2, got {eps}")
     m = dist.mean
-    c = limit_constant(LimitOracle(m))
+    c = limit_constant(m)
     ens = _collect_values(dist, K, u1, u2, paths, seed, batches, workers, cap_multiplier, 1)
     tau, x2 = ens.tau, ens.x2
     extinct = tau >= 0

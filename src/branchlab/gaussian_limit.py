@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .stopping import LimitOracle, ell
+from .stopping import ell
 
 MODES = ("paper", "martingale")
 
@@ -63,7 +63,7 @@ class ThetaCovariance:
         """Largest valid index, ell(a) - 1; None means unbounded (a = 0)."""
         if self.a == 0.0:
             return None
-        return ell(LimitOracle(self.m), self.a) - 1
+        return ell(self.m, self.a) - 1
 
     def _check_index(self, top: int):
         limit = self.max_index

@@ -39,7 +39,7 @@ from .offspring import (InvalidParameter, NonNormalizedPMF, OffspringDistributio
                         SupercriticalWithoutOverride, make_distribution)
 from .process import (default_horizon, level_label, simulate_coupled, simulate_path,
                       trajectory_header, write_trajectories)
-from .stopping import LimitOracle, boundary_warnings, limit_constant
+from .stopping import boundary_warnings, limit_constant
 
 SCHEMA_VERSION = 1
 
@@ -481,7 +481,7 @@ def _tau_entries(hist: np.ndarray, extinct: int, K: int, mean: float) -> list:
     mean_tau = float((np.arange(hist.size) * hist).sum() / extinct)
     target = None
     if 0.0 < mean < 1.0 and K >= 2:
-        target = limit_constant(LimitOracle(mean)) * math.log(K)
+        target = limit_constant(mean) * math.log(K)
     return [
         entry_info("mean_tau", mean_tau, target=target),
         entry_info("median_tau", _median_from_hist(hist, extinct), target=target),

@@ -22,18 +22,18 @@ floored at b with floor b), for which the gap is the size itself.
 paths, and drops a path once every column of its row is 0, so extinct
 paths cost nothing.
 
-The engine steps a *stack*: consecutive batches, each with its own
-generator and path count, held in one matrix whose paths are numbered
-batch after batch. The numpy work of a generation (the sort, scatter and
-compaction) runs once over the stack, and each batch draws its sums with
-one ``closure_sums`` call on its own contiguous slice and generator. A
-batch therefore draws exactly what it draws alone, and a one-batch stack
-is a plain batch. Every stack, a single path included, goes through
-:func:`plain_batch`, which scatters those steps back into each batch's
-extinction times, size and indicator matrices and gate-violation counts,
-and :func:`trajectory_rows` turns a plain or coupled batch's sizes into
-its trajectory CSV rows with :func:`csv_rows`, a numpy kernel that writes
-the digits of every integer of a batch at once.
+The engine steps a *stack*: consecutive batches held in one matrix whose
+paths are numbered batch after batch, all drawing from one generator. A
+generation is one sort, one ``closure_sums`` call over the whole stack and
+one compaction, so a batch's draws depend on which batches share its
+stack; the uniforms of distinct paths are disjoint, so the batches stay
+independent. A one-batch stack is a plain batch. Every stack, a single
+path included, goes through :func:`plain_batch`, which scatters those
+steps back into each batch's extinction times, size and indicator
+matrices and gate-violation counts, and :func:`trajectory_rows` turns a
+plain or coupled batch's sizes into its trajectory CSV rows with
+:func:`csv_rows`, a numpy kernel that writes the digits of every integer
+of a batch at once.
 """
 
 from __future__ import annotations
@@ -135,72 +135,70 @@ def batch_slices(counts: Sequence[int]) -> list[slice]:
 
 def plain_sizes(
     K: int,
-    counts: Sequence[int],
+    paths: int,
     dist: OffspringDistribution,
-    gens: Sequence[np.random.Generator],
+    gen: np.random.Generator,
     horizon: int,
     floors: Sequence[int] = (0,),
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Step a stack of batches from K, one generation per yield.
+    """Step ``paths`` paths from K on the one generator ``gen``, one
+    generation per yield.
 
     A path is a row of one size per entry of ``floors`` (see
-    :func:`coupled_step`), every size starting at K. Batch i has
-    ``counts[i]`` paths and draws from ``gens[i]``; the stack's paths are
-    numbered batch after batch. Yields ``(live, sizes, flags)`` at
-    generations 1, 2, ..., horizon: ``live`` holds the stack indices of the
-    paths alive before the step, and ``sizes`` and ``flags`` their next
-    sizes and indicators. Zero is absorbing, so a path whose sizes are all
-    0 is dropped after the yield, and the generator stops once none is
+    :func:`coupled_step`), every size starting at K. Yields ``(live, sizes,
+    flags)`` at generations 1, 2, ..., horizon: ``live`` holds the indices
+    of the paths alive before the step, and ``sizes`` and ``flags`` their
+    next sizes and indicators. Zero is absorbing, so a path whose sizes are
+    all 0 is dropped after the yield, and the generator stops once none is
     left. ``closure_sums`` draws nothing for a size of 0, so dropping the
     dead paths changes no draw of the live ones.
     """
     floors = np.asarray(floors, dtype=np.int64)
-    live = np.arange(sum(counts))
-    sizes = np.full((live.size, floors.size), K, dtype=np.int64)
-    ends = np.cumsum(counts)  # each batch's end among the live paths
+    live = np.arange(paths)
+    sizes = np.full((paths, floors.size), K, dtype=np.int64)
     for _ in range(horizon):
-        sizes, flags = coupled_step(sizes, floors, dist, gens, counts)
+        sizes, flags = coupled_step(sizes, floors, dist, gen)
         yield live, sizes, flags
         alive = np.flatnonzero(sizes.any(axis=1))
         if alive.size < len(sizes):
             if not alive.size:
                 return
             live, sizes = live[alive], np.take(sizes, alive, axis=0)
-            ends = np.searchsorted(alive, ends)
-            counts = [hi - lo for lo, hi in zip([0, *ends.tolist()], ends.tolist())]
 
 
 def plain_batch(
     K: int,
     counts: Sequence[int],
     dist: OffspringDistribution,
-    gens: Sequence[np.random.Generator],
+    gen: np.random.Generator,
     horizon: int,
     floors: Sequence[int] = (0,),
     *,
     rows: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray | None, list[int]]]:
-    """Run a stack of batches on :func:`plain_sizes`.
+    """Run a stack of batches on :func:`plain_sizes`, all drawing from ``gen``.
 
-    Returns one ``(taus, sizes, flags, bad)`` per batch. ``taus`` holds
-    each path's extinction time, the first generation at which its first
-    column is 0, or -1 if that column is alive at the horizon. With
-    ``rows``, ``sizes`` is the (generations, paths, 1+L) size matrix from K
-    on, 0 after a path died out, and ``flags`` the (generations-1, paths, L)
-    indicators; else both are None. With levels (L > 0), ``bad`` holds the
-    batch's four gate-violation counts over every generation (see
-    :func:`_violations`); else it is empty. A plain batch's rows stop with
-    the last generation it stepped, so a batch that dies out early keeps no
-    rows up to the horizon, whatever the other batches of its stack do. A
-    batch with levels keeps every generation up to the horizon, with zeros
-    after all its sizes reached 0.
+    Batch i holds ``counts[i]`` paths, numbered batch after batch; the
+    counts only split the results. Returns one ``(taus, sizes, flags,
+    bad)`` per batch. ``taus`` holds each path's extinction time, the first
+    generation at which its first column is 0, or -1 if that column is
+    alive at the horizon. With ``rows``, ``sizes`` is the (generations,
+    paths, 1+L) size matrix from K on, 0 after a path died out, and
+    ``flags`` the (generations-1, paths, L) indicators; else both are None.
+    With levels (L > 0), ``bad`` holds the batch's four gate-violation
+    counts over every generation (see :func:`_violations`); else it is
+    empty. A plain batch's rows stop with the last generation it stepped,
+    so a batch that dies out early keeps no rows up to the horizon,
+    whatever the other batches of its stack do. A batch with levels keeps
+    every generation up to the horizon, with zeros after all its sizes
+    reached 0.
     """
     floors = np.asarray(floors, dtype=np.int64)
     total, levels = sum(counts), len(floors) - 1
     taus = np.full(total, -1, dtype=np.int64)
     bad = np.zeros((total, 4 if levels else 0), dtype=np.int64)
     matrix, marks = [np.full((total, 1 + levels), K, dtype=np.int64)], []
-    for n, (live, sizes, flags) in enumerate(plain_sizes(K, counts, dist, gens, horizon, floors), 1):
+    for n, (live, sizes, flags) in enumerate(plain_sizes(K, total, dist, gen, horizon, floors), 1):
         dead = live[sizes[:, 0] == 0]
         if levels:  # a row with levels outlives its base
             dead = dead[taus[dead] < 0]
@@ -252,7 +250,7 @@ def simulate_path(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    [(taus, sizes, _, _)] = plain_batch(K, [1], dist, [src.closure_generator(path)], horizon,
+    [(taus, sizes, _, _)] = plain_batch(K, [1], dist, src.closure_generator(path), horizon,
                                         rows=True)
     tau = int(taus[0])
     extinct = tau >= 0
@@ -264,39 +262,29 @@ def coupled_step(
     sizes: np.ndarray,
     floors: np.ndarray,
     dist: OffspringDistribution,
-    gens: Sequence[np.random.Generator],
-    counts: Sequence[int],
+    gen: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One generation of a stack of batches: the engine's only step.
+    """One generation of a stack of paths: the engine's only step.
 
-    ``sizes`` is a (paths, 1+L) matrix of current sizes, its rows batch
-    after batch with ``counts[i]`` rows drawn from ``gens[i]``, and
-    ``floors`` the matching (1+L) floors. A coupled row is [X, X^(a_1),
-    ..., X^(a_L)] with floors [0, b_1, ..., b_L]; a plain row is [X] with
-    floor 0, or the chain floored at b with floor b. Each row is sorted;
-    the gaps between consecutive sizes (the first gap being the smallest
-    size) are drawn as independent progeny sums, one ``closure_sums`` call
-    per batch with a row, and their running sums, scattered back to the
-    columns, are the progeny prefix sums S(.) at the current sizes. A
-    one-column row's gap is its size, so it needs no sort or scatter.
-    Returns the next sizes max(floor, S) and the (paths, L) indicators
-    1{S(X^(a)) > b_a}.
+    ``sizes`` is a (paths, 1+L) matrix of current sizes and ``floors`` the
+    matching (1+L) floors. A coupled row is [X, X^(a_1), ..., X^(a_L)] with
+    floors [0, b_1, ..., b_L]; a plain row is [X] with floor 0, or the
+    chain floored at b with floor b. Each row is sorted; the gaps between
+    consecutive sizes (the first gap being the smallest size) are drawn as
+    independent progeny sums in one ``closure_sums`` call on ``gen``, and
+    their running sums, scattered back to the columns, are the progeny
+    prefix sums S(.) at the current sizes. A one-column row's gap is its
+    size, so it needs no sort or scatter. Returns the next sizes
+    max(floor, S) and the (paths, L) indicators 1{S(X^(a)) > b_a}.
     """
-    width = sizes.shape[1]
-    if width > 1:
+    if sizes.shape[1] > 1:
         order = np.argsort(sizes, axis=1)
         gaps = np.diff(np.sort(sizes, axis=1), axis=1, prepend=0)
-    else:  # drawn as a vector: numpy's samplers are slower on an (n, 1) matrix
-        gaps = sizes[:, 0]
-    sums = np.empty_like(gaps)
-    for gen, batch in zip(gens, batch_slices(counts)):
-        if batch.start < batch.stop:
-            sums[batch] = dist.closure_sums(gaps[batch], gen)
-    if width > 1:
         progeny = np.empty_like(sizes)
-        progeny[np.arange(len(sizes))[:, None], order] = np.cumsum(sums, axis=1)
-    else:
-        progeny = sums[:, None]
+        progeny[np.arange(len(sizes))[:, None], order] = np.cumsum(
+            dist.closure_sums(gaps, gen), axis=1)
+    else:  # drawn as a vector: numpy's samplers are slower on an (n, 1) matrix
+        progeny = dist.closure_sums(sizes[:, 0], gen)[:, None]
     flags = progeny[:, 1:] > floors[1:]
     return (np.maximum(progeny, floors) if floors.any() else progeny), flags
 
@@ -374,7 +362,7 @@ def simulate_coupled(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    [(_, sizes, flags, _)] = plain_batch(K, [1], dist, [src.closure_generator(path)], horizon,
+    [(_, sizes, flags, _)] = plain_batch(K, [1], dist, src.closure_generator(path), horizon,
                                          floors, rows=True)
     return coupled_record(K, levels, sizes[:, 0], flags[:, 0], path)
 

@@ -17,9 +17,9 @@ Addressed uniform blocks live on the ``UNIFORMS`` stream. No simulation
 reads it; ``uniforms`` stays because the benchmark's tracer names it.
 Simulations draw progeny sums, never individual offspring: a single path
 (plain or coupled) consumes its free-running ``CLOSURE`` stream in
-generation order, and batch loops consume a ``HANDLE`` stream rooted at
-(batch, slot). The coupled processes share block sums drawn from these
-streams, not addressed individual draws.
+generation order, and a stack of batches consumes the ``HANDLE`` stream
+rooted at (its first batch, slot). The coupled processes share block sums
+drawn from these streams, not addressed individual draws.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ c * log K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .process import PathRecord, floor_level
 
@@ -22,17 +21,6 @@ class NeverHit(ValueError):
 
 class InvalidLevel(ValueError):
     """Level argument outside (0, 1)."""
-
-
-@dataclass(frozen=True)
-class LimitOracle:
-    """Deterministic limit quantities for a subcritical mean m."""
-
-    m: float
-
-    def __post_init__(self):
-        if not 0.0 < self.m < 1.0:
-            raise ValueError(f"offspring mean must be in (0, 1), got {self.m}")
 
 
 def hitting_time(path: PathRecord, a: float, K: int) -> int:
@@ -46,16 +34,23 @@ def hitting_time(path: PathRecord, a: float, K: int) -> int:
     )
 
 
-def ell(oracle: LimitOracle, a: float) -> int:
-    """Smallest positive integer l with m^l <= a.
+def _subcritical(m: float) -> float:
+    """``m`` itself; ValueError unless it is a subcritical mean in (0, 1)."""
+    if not 0.0 < m < 1.0:
+        raise ValueError(f"offspring mean must be in (0, 1), got {m}")
+    return m
+
+
+def ell(m: float, a: float) -> int:
+    """Smallest positive integer l with m^l <= a, for mean m.
 
     The log-ratio candidate ceil(log a / log m) can land one off when
     m^l sits within float error of a, so the candidate is fixed up by
     exact comparison against powers built by repeated multiplication.
     """
+    _subcritical(m)
     if not 0.0 < a < 1.0:
         raise InvalidLevel(f"level must be in (0, 1), got {a}")
-    m = oracle.m
     candidate = max(1, math.ceil(math.log(a) / math.log(m)))
     while _power(m, candidate) > a:
         candidate += 1
@@ -64,18 +59,19 @@ def ell(oracle: LimitOracle, a: float) -> int:
     return candidate
 
 
-def chi(oracle: LimitOracle, n: int, a: float) -> int:
+def chi(m: float, n: int, a: float) -> int:
     """Limit indicator of generation n surviving level a: 1{m^{n+1} > a}."""
+    _subcritical(m)
     if n < 0:
         raise ValueError(f"generation must be >= 0, got {n}")
     if a < 0.0:
         raise InvalidLevel(f"level must be >= 0, got {a}")
-    return 1 if _power(oracle.m, n + 1) > a else 0
+    return 1 if _power(m, n + 1) > a else 0
 
 
-def limit_constant(oracle: LimitOracle) -> float:
+def limit_constant(m: float) -> float:
     """Scaling constant c = -1/log m of the extinction-time law."""
-    return -1.0 / math.log(oracle.m)
+    return -1.0 / math.log(_subcritical(m))
 
 
 def boundary_warnings(

@@ -77,20 +77,6 @@ def _tau_hist_parts(K: int):
     return partial(_tau_hist_batch, seed=3, layout=layout, dist=POI, K=K, horizon=60)
 
 
-def test_run_batches_gives_each_function_its_parts_at_any_worker_count():
-    """Two functions through one pool give the parts each gives alone, in
-    batch order, at workers 1 and 2."""
-    fns = [_tau_hist_parts(10), _tau_hist_parts(500)]
-    alone = [[fn(range(b, b + 1))[0] for b in range(6)] for fn in fns]
-    for workers in (1, 2):
-        runs = _run_batches(fns, batch_layout(600, 6), workers)
-        assert len(runs) == 2
-        for parts, want in zip(runs, alone):
-            assert len(parts) == 6
-            for (hist, censored, _), (want_hist, want_censored, _) in zip(parts, want):
-                assert np.array_equal(hist, want_hist) and censored == want_censored
-
-
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records ``max_workers`` and every
     job it maps, and maps them in-process."""
@@ -111,6 +97,37 @@ class _RecordingPool:
         jobs = list(jobs)
         self.jobs.extend(jobs)
         return map(fn, jobs)
+
+
+class _ReversedPool(_RecordingPool):
+    """A recording pool that runs its jobs last to first, and returns their
+    results in job order."""
+
+    def map(self, fn, jobs):
+        return reversed([fn(job) for job in reversed(list(jobs))])
+
+
+def test_run_batches_parts_do_not_depend_on_workers_or_job_order(monkeypatch):
+    """Two functions through one pool give each batch the part of its stack
+    run alone, in batch order, at workers 1 and 2 and when the pool runs
+    the jobs in reverse order. The layout holds three stacks of two
+    batches."""
+    monkeypatch.setattr(estimators, "_STACK_PATHS", 250)
+    layout = batch_layout(600, 6)
+    stacks = estimators._stacks(layout)
+    assert len(stacks) == 3
+    fns = [_tau_hist_parts(10), _tau_hist_parts(500)]
+    want = [[part for stack in stacks for part in fn(stack)] for fn in fns]
+    runs = [_run_batches(fns, layout, workers) for workers in (1, 2)]
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", _ReversedPool)
+    monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
+    runs.append(_run_batches(fns, layout, 2))
+    for run in runs:
+        assert len(run) == 2
+        for parts, alone in zip(run, want):
+            assert len(parts) == 6
+            for (hist, censored, _), (want_hist, want_censored, _) in zip(parts, alone):
+                assert np.array_equal(hist, want_hist) and censored == want_censored
 
 
 def _powers(base: int, stack: range) -> list[int]:

@@ -362,6 +362,13 @@ def test_report_json_shape(tmp_path):
     assert [row.split(",")[0] for row in series[1:]] == ["30", "60"]
 
 
+def test_package_version_is_the_pyproject_version():
+    """``branchlab.__version__``, which manifests record as ``code_version``,
+    is the version pyproject.toml declares."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]*)"$', text, flags=re.M) == [branchlab.__version__]
+
+
 def test_invariance_plot_series(tmp_path):
     cfg = {"experiment": "invariance", "offspring": POI, "seed": 3, "K": 1000,
            "u1": 0.3, "u2": 0.6, "eps_grid": [-0.05, 0.0, 0.05], "paths": 12000,
@@ -529,9 +536,9 @@ def test_cli_refuses_before_simulating(tmp_path, capsys, kind, payload, fragment
     ("invariance", {"offspring": POI, "K": 10, "u1": 0.3, "paths": 60, "batches": 30,
                     "eps_grid": [0.0]}, "no path puts X at floor(u2 tau)"),
     ("gaussian-cov", {"offspring": BERN, "a": 0.999, "indices": [1]}, "index 1 exceeds ell(a) - 1"),
-    ("extinction-scaling", {"offspring": POI, "K_list": [10], "paths": 30, "batches": 30,
-                            "cap_multiplier": 1}, "K=10: batch 0 has no path extinct"),
-    ("clt-check", {"offspring": BERN, "seed": 0, "K": 2, "indices": [1, 6], "paths": 60,
+    ("extinction-scaling", {"offspring": POI, "seed": 8, "K_list": [10], "paths": 30,
+                            "batches": 30, "cap_multiplier": 1}, "K=10: batch 0 has no path extinct"),
+    ("clt-check", {"offspring": BERN, "seed": 6, "K": 2, "indices": [1, 6], "paths": 60,
                    "batches": 30}, "every batch gives cov[1,6] = 0"),
 ])
 def test_cli_refuses_data_it_cannot_estimate(tmp_path, capsys, kind, payload, fragment):

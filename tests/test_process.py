@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import strategies as hs
 
 from test_offspring import SUBCRITICAL_SPECS, _chisquare_gof, _sum_law_pmf
 
-from branchlab import process
-from branchlab.estimators import _tau_hist_batch
+from branchlab import estimators, process
+from branchlab.estimators import _hist_rows, _tau_hist_batch, batch_layout
 from branchlab.exact import extinction_cdf
 from branchlab.offspring import OffspringDistribution, make_distribution
 from branchlab.process import (
@@ -41,17 +42,12 @@ ZERO = make_distribution({"kind": "pmf", "table": {"0": 1.0}})
 FAMILIES = [make_distribution(spec) for spec in SUBCRITICAL_SPECS]
 
 
-def _step(sizes, floors, dist, gen):
-    """One coupled step of a one-batch stack drawing from ``gen``."""
-    return coupled_step(sizes, floors, dist, [gen], [len(sizes)])
-
-
 def test_step_of_zero_is_zero():
     gen = RandomnessSource(1).handle()
     floors = np.zeros(3, dtype=np.int64)
-    sizes, flags = _step(np.zeros((4, 3), dtype=np.int64), floors, BERN, gen)
+    sizes, flags = coupled_step(np.zeros((4, 3), dtype=np.int64), floors, BERN, gen)
     assert not sizes.any() and not flags.any()
-    sizes, _ = _step(np.full((4, 3), 100, dtype=np.int64), floors, ZERO, gen)
+    sizes, _ = coupled_step(np.full((4, 3), 100, dtype=np.int64), floors, ZERO, gen)
     assert not sizes.any()
 
 
@@ -60,7 +56,7 @@ def test_step_binomial_gof():
     gen = RandomnessSource(17).handle()
     K, n_rep = 50, 10_000
     floors = coupled_floors([0.2, 0.6], K)
-    sizes, _ = _step(np.full((n_rep, 3), K, dtype=np.int64), floors, BERN, gen)
+    sizes, _ = coupled_step(np.full((n_rep, 3), K, dtype=np.int64), floors, BERN, gen)
     draws = sizes[:, 0]
     pmf = st.binom.pmf(np.arange(K + 1), K, 0.5)
     keep = pmf * n_rep >= 10
@@ -82,7 +78,7 @@ def test_step_follows_closure_law(dist):
     base = np.array([9, 16, 25])
     n_rep = 20_000
     perms = np.argsort(rng.random((n_rep, 3)), axis=1)
-    sizes, _ = _step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
+    sizes, _ = coupled_step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
     for col, size in enumerate(base):
         draws = sizes[perms == col]
         upper = int(size * dist.mean + 12 * math.sqrt(size * dist.variance)) + 10
@@ -101,7 +97,7 @@ def test_joint_law_of_prefix_sums(dist):
     base = np.array([8, 14, 30])
     n_rep = 40_000
     perms = np.argsort(rng.random((n_rep, 3)), axis=1)
-    sizes, _ = _step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
+    sizes, _ = coupled_step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
     S = np.empty_like(sizes)
     np.put_along_axis(S, perms, sizes, axis=1)  # columns back in base order
 
@@ -173,11 +169,11 @@ def test_plain_sizes_stop_rule_and_floor():
     """The engine stops after the first generation in which every path is 0;
     a floor keeps every path live, at or above the floor, until the horizon."""
     gen = RandomnessSource(4).handle()
-    rows = list(plain_sizes(3, [50], ZERO, [gen], 10))
+    rows = list(plain_sizes(3, 50, ZERO, gen, 10))
     assert len(rows) == 1 and not rows[0][1].any()
-    rows = list(plain_sizes(40, [50], BERN, [gen], 30))
+    rows = list(plain_sizes(40, 50, BERN, gen, 30))
     assert not rows[-1][1].any() and all(sizes.any() for _, sizes, _ in rows[:-1])
-    rows = list(plain_sizes(40, [50], BERN, [gen], 30, [6]))
+    rows = list(plain_sizes(40, 50, BERN, gen, 30, [6]))
     assert len(rows) == 30 and all(len(live) == 50 and (sizes >= 6).all()
                                    for live, sizes, _ in rows)
 
@@ -212,7 +208,7 @@ def test_plain_sizes_match_full_width_loop(family, K, paths, floor, seed):
     ref_gen = RandomnessSource(seed).handle()
     gen = RandomnessSource(seed).handle()
     rows = []
-    for live, sizes, _ in plain_sizes(K, [paths], family, [gen], horizon, [floor]):
+    for live, sizes, _ in plain_sizes(K, paths, family, gen, horizon, [floor]):
         rows.append(np.zeros(paths, dtype=np.int64))
         rows[-1][live] = sizes[:, 0]
     ref = _full_width_sizes(K, paths, family, ref_gen, horizon, floor)
@@ -296,14 +292,14 @@ def test_batch_rows_match_write_trajectories(dist):
         gen = RandomnessSource(13).handle()
         rows, flags = [np.full((30, len(floors)), K, dtype=np.int64)], []
         for _ in range(horizon):
-            step, flag = _step(rows[-1], floors, dist, gen)
+            step, flag = coupled_step(rows[-1], floors, dist, gen)
             rows.append(step)
             flags.append(flag)
         rows, flags = np.stack(rows), np.stack(flags)
         coupled = [coupled_record(K, levels, rows[:, i], flags[:, i], first + i) for i in range(30)]
         assert {rec.extinct for rec in coupled} == ({True} if levels == [0.0] else {True, False})
         assert rows[horizon - 1].any() == (levels != [0.0])
-        [(_, sizes, marks, _)] = plain_batch(K, [30], dist, [RandomnessSource(13).handle()],
+        [(_, sizes, marks, _)] = plain_batch(K, [30], dist, RandomnessSource(13).handle(),
                                              horizon, floors, rows=True)
         text = trajectory_rows(sizes, first, floors, marks)
         assert trajectory_header(levels) + "\n" + text == _reference_text(coupled)
@@ -349,11 +345,11 @@ def test_step_truncated_floor_and_precondition():
     step below it; their indicator reads whether the sum beat the floor."""
     gen = RandomnessSource(2).handle()
     floors = coupled_floors([0.25, 0.5], 100)
-    sizes, flags = _step(np.full((3, 3), 100, dtype=np.int64), floors, ZERO, gen)
+    sizes, flags = coupled_step(np.full((3, 3), 100, dtype=np.int64), floors, ZERO, gen)
     assert (sizes == [0, 25, 50]).all() and not flags.any()
     sizes = np.full((500, 3), 100, dtype=np.int64)
     for _ in range(8):
-        sizes, flags = _step(sizes, floors, BERN, gen)
+        sizes, flags = coupled_step(sizes, floors, BERN, gen)
         assert (sizes >= floors).all()
         assert (flags == (sizes[:, 1:] > floors[1:])).all()
 
@@ -363,7 +359,7 @@ def test_step_truncated_at_level_zero_equals_step():
     sizes = np.full((200, 3), 40, dtype=np.int64)
     floors = coupled_floors([0.0, 0.3], 40)
     for _ in range(6):
-        sizes, _ = _step(sizes, floors, POIS, gen)
+        sizes, _ = coupled_step(sizes, floors, POIS, gen)
         assert (sizes[:, 1] == sizes[:, 0]).all()
 
 
@@ -395,16 +391,25 @@ def test_simulate_path_absorbs_and_ends_at_zero():
         assert rec.extinction_time == len(rec.sizes) - 1
 
 
+def _batched_hist(dist, K, paths, seed, horizon=None, levels=()):
+    """The extinction-time histogram and censored count of ``paths`` paths
+    from K, run as 40 batches through the batch worker and its stacks."""
+    layout = batch_layout(paths, 40)
+    fn = partial(_tau_hist_batch, seed=seed, layout=layout, dist=dist, K=K,
+                 horizon=horizon or default_horizon(K, dist.mean), levels=levels)
+    [parts] = estimators._run_batches([fn], layout, 1)
+    return _hist_rows([part[0] for part in parts]).sum(axis=0), sum(part[1] for part in parts)
+
+
 def test_extinction_cdf_matches_closed_form():
     """bernoulli(m): P(tau <= n) = (1 - m^n)^K, independent lines."""
     K, paths = 10, 20_000
-    src = RandomnessSource(101)
-    taus = np.array([simulate_path(K, BERN, src, p).extinction_time
-                     for p in range(paths)])
+    hist, censored = _batched_hist(BERN, K, paths, 101)
+    assert censored == 0
     for n in (1, 2, 3, 5, 8):
         target = (1.0 - 0.5**n) ** K
         se = math.sqrt(target * (1.0 - target) / paths)
-        assert abs((taus <= n).mean() - target) < 4 * se, f"n={n}"
+        assert abs(hist[:n + 1].sum() / paths - target) < 4 * se, f"n={n}"
 
 
 def test_mean_law():
@@ -422,12 +427,12 @@ def test_mean_law():
 
 
 def test_simulate_path_and_coupled_base_share_law():
-    taus_p = [simulate_path(64, BERN, RandomnessSource(31), p).extinction_time
-              for p in range(2000)]
-    taus_c = [simulate_coupled(64, BERN, [0.2, 0.5], RandomnessSource(32), p,
-                               horizon=30).extinction_time
-              for p in range(2000)]
-    assert None not in taus_c
+    """Plain paths and the base of coupled paths, each run as batches, have
+    extinction times of one law."""
+    plain, censored = _batched_hist(BERN, 64, 2000, 31)
+    coupled, coupled_censored = _batched_hist(BERN, 64, 2000, 32, horizon=30, levels=[0.2, 0.5])
+    assert censored == coupled_censored == 0
+    taus_p, taus_c = (np.repeat(np.arange(hist.size), hist) for hist in (plain, coupled))
     assert st.ks_2samp(taus_p, taus_c).pvalue > 1e-3
 
 
@@ -567,14 +572,13 @@ def test_plain_batch_adds_up_each_batchs_violations(monkeypatch):
     monkeypatch.setattr(process, "_violations",
                         lambda sizes, *_: np.ones((len(sizes), 4), dtype=np.int64))
     counts, K, horizon = [3, 5], 6, 40
-    gens = [RandomnessSource(24).handle(b) for b in range(len(counts))]
-    for taus, _, _, bad in plain_batch(K, counts, BERN, gens, horizon, coupled_floors([0.0], K)):
+    gen = RandomnessSource(24).handle()
+    for taus, _, _, bad in plain_batch(K, counts, BERN, gen, horizon, coupled_floors([0.0], K)):
         assert (taus > 0).all() and bad == [int(taus.sum())] * 4
 
 
-def _layout(counts, first):
-    """A layout whose batches from ``first`` on hold ``counts`` paths."""
-    counts = [1] * first + list(counts)
+def _layout(counts):
+    """The layout whose batches hold ``counts`` paths."""
     return [(int(sum(counts[:b])), c) for b, c in enumerate(counts)]
 
 
@@ -587,115 +591,119 @@ def _assert_parts_equal(part, want):
             assert got == expected
 
 
-#: Paths per batch on both sides of the 256-draw table rule, coupled
-#: batches counting every column of a path as one size.
-_STACK_COUNTS = hs.integers(1, 40).flatmap(
-    lambda n: hs.lists(hs.sampled_from([1, 7, 90, 255, 256, 300]), min_size=n, max_size=n))
+#: A stack budget small enough for a short layout to hold several stacks.
+_BUDGET = 300
+
+#: Paths per batch: stacks whose sizes fall on both sides of the 256-draw
+#: table rule (coupled rows count every column as one size), and a batch
+#: over the budget, which runs alone.
+_COUNTS = hs.lists(hs.sampled_from([1, 7, 90, 256, 301]), min_size=1, max_size=8)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     family=hs.sampled_from(FAMILIES),
-    counts=_STACK_COUNTS,
-    first=hs.integers(0, 3),
+    counts=_COUNTS,
+    tails=hs.tuples(_COUNTS, _COUNTS),
     K=hs.sampled_from([2, 40, 300]),
-    floor=hs.sampled_from([0, 3]),
     horizon=hs.integers(1, 25),
     dump=hs.booleans(),
-    levels=hs.lists(_LEVEL, min_size=1, max_size=3, unique=True).map(sorted),
+    levels=hs.one_of(hs.just([]),
+                     hs.lists(_LEVEL, min_size=1, max_size=3, unique=True).map(sorted)),
 )
-def test_stacked_batches_give_the_parts_of_batches_run_alone(family, counts, first, K, floor,
-                                                             horizon, dump, levels):
-    """Every batch of a stack, plain or coupled, gives the part it gives run
-    alone, and leaves its generator at the same draw: its extinction times,
-    size rows (floored or not), violation counts and trajectory text. Short
-    horizons leave paths censored."""
-    stack = range(first, first + len(counts))
-    layout = _layout(counts, first)
-    src = RandomnessSource(21)
-    gens = [src.handle(b) for b in stack]
-    stacked = plain_batch(K, counts, family, gens, horizon, [floor], rows=dump)
-    for b, count, gen, (taus, rows, _, _) in zip(stack, counts, gens, stacked):
-        alone = src.handle(b)
-        [(want_taus, want_rows, _, _)] = plain_batch(K, [count], family, [alone], horizon,
-                                                     [floor], rows=dump)
-        assert np.array_equal(taus, want_taus)
-        assert (rows is None) == (not dump)
-        if dump:
-            assert rows.shape == want_rows.shape and np.array_equal(rows, want_rows)
-        assert (gen.random(4) == alone.random(4)).all()
-
-    plain = dict(seed=22, layout=layout, dist=family, K=K, horizon=horizon, dump=dump)
-    for b, part in zip(stack, _tau_hist_batch(stack, **plain)):
-        _assert_parts_equal(part, _tau_hist_batch(range(b, b + 1), **plain)[0])
-    coupled = dict(plain, levels=levels)
-    for b, part in zip(stack, _tau_hist_batch(stack, **coupled)):
-        _assert_parts_equal(part, _tau_hist_batch(range(b, b + 1), **coupled)[0])
+def test_a_stacks_parts_do_not_depend_on_the_other_stacks(family, counts, tails, K, horizon,
+                                                          dump, levels):
+    """Run through ``_run_batches`` among every stack of its layout, a stack
+    gives the parts ``_tau_hist_batch`` gives on it alone, plain or coupled:
+    extinction times, violation counts and trajectory text. Two layouts that
+    share their first batches and then differ (a batch at the budget ends
+    the shared stacks in both) give those shared batches the same parts.
+    Short horizons leave paths censored."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_STACK_PATHS", _BUDGET)
+        runs = []
+        for tail in tails:
+            layout = _layout(counts + [_BUDGET] + tail)
+            fn = partial(_tau_hist_batch, seed=22, layout=layout, dist=family, K=K,
+                         horizon=horizon, levels=levels, dump=dump)
+            [parts] = estimators._run_batches([fn], layout, 1)
+            alone = [part for stack in estimators._stacks(layout) for part in fn(stack)]
+            assert len(parts) == len(alone) == len(layout)
+            for part, want in zip(parts, alone):
+                _assert_parts_equal(part, want)
+            runs.append(parts)
+    for part, want in zip(*(parts[:len(counts)] for parts in runs)):
+        _assert_parts_equal(part, want)
 
 
-def _spy_calls(monkeypatch, gens):
-    """Record each ``closure_sums`` call as (batch of its generator, sizes)."""
-    calls, batch_of = [], {id(gen): b for b, gen in enumerate(gens)}
-    closure_sums = OffspringDistribution.closure_sums
+def test_stacks_draw_from_distinct_streams(monkeypatch):
+    """Stacks of one shape, and one stack at two slots, give different size
+    rows: a stack draws from the handle stream of its first batch and its
+    slot."""
+    monkeypatch.setattr(estimators, "_STACK_PATHS", 40)
+    layout = batch_layout(160, 8)
+    stacks = estimators._stacks(layout)
+    assert stacks == [range(b, b + 2) for b in range(0, 8, 2)]
+    kw = dict(seed=5, layout=layout, dist=POIS, K=40, horizon=30, dump=True)
 
-    def spy(self, counts, gen):
-        calls.append((batch_of[id(gen)], np.array(counts)))
-        return closure_sums(self, counts, gen)
+    def rows(stack, slot):  # the trajectory rows without their path numbers
+        texts = [part[-1] for part in _tau_hist_batch(stack, slot=slot, **kw)]
+        return [line.split(",", 1)[1] for text in texts for line in text.splitlines()]
 
-    monkeypatch.setattr(OffspringDistribution, "closure_sums", spy)
-    return calls
+    drawn = [rows(stack, 0) for stack in stacks] + [rows(stacks[0], 1)]
+    assert all(a != b for i, a in enumerate(drawn) for b in drawn[i + 1:])
 
 
-def _interleaved(per_batch):
-    """Calls batch after batch within each generation, skipping dead batches."""
-    out = []
-    for n in range(max(len(calls) for calls in per_batch)):
-        out += [(b, calls[n]) for b, calls in enumerate(per_batch) if n < len(calls)]
-    return out
+@pytest.mark.parametrize("levels", [[], [0.1, 0.5]], ids=["plain", "coupled"])
+def test_a_one_batch_stack_draws_on_its_batchs_handle(levels):
+    """A stack of one batch gives the parts of ``plain_batch`` on that batch
+    alone, fed by the batch's own handle stream at the slot."""
+    layout, K, horizon, seed = batch_layout(90, 3), 40, 12, 6
+    dist, floors = FAMILIES[0], coupled_floors(levels, K)
+    for b, slot in [(0, 0), (2, 0), (1, 3)]:
+        [part] = _tau_hist_batch(range(b, b + 1), seed=seed, layout=layout, dist=dist, K=K,
+                                 horizon=horizon, levels=levels, slot=slot, dump=True)
+        gen = RandomnessSource(seed).handle(b, slot)
+        [(taus, sizes, flags, bad)] = plain_batch(K, [layout[b][1]], dist, gen, horizon,
+                                                  floors, rows=True)
+        want = (np.bincount(taus[taus >= 0]), int(np.count_nonzero(taus < 0)), *bad,
+                trajectory_rows(sizes, layout[b][0], floors, flags))
+        _assert_parts_equal(part, want)
 
 
 @pytest.mark.parametrize("dist", [BERN, POIS, FAMILIES[-1]], ids=lambda d: d.kind)
-def test_stack_calls_closure_sums_once_per_live_batch_per_generation(monkeypatch, dist):
-    """Each generation of a stack calls ``closure_sums`` once per batch with a
-    live path, batch after batch, with exactly the sizes that batch draws
-    alone; coupled stacks draw for every batch at every generation. The
-    batches die out at different generations, some above the 256-draw
-    rule."""
-    counts, K, horizon = [3, 400, 1, 260, 50], 30, 40
-    src = RandomnessSource(23)
-    per_batch = []
-    for b, count in enumerate(counts):
-        gen = src.handle(b)
-        calls = _spy_calls(monkeypatch, [gen])
-        plain_batch(K, [count], dist, [gen], horizon)
-        per_batch.append([sizes for _, sizes in calls])
-        monkeypatch.undo()
-    assert len({len(calls) for calls in per_batch}) > 1
-    gens = [src.handle(b) for b in range(len(counts))]
-    calls = _spy_calls(monkeypatch, gens)
-    plain_batch(K, counts, dist, gens, horizon)
-    want = _interleaved(per_batch)
-    assert [b for b, _ in calls] == [b for b, _ in want]
-    assert all(np.array_equal(got, sizes) for (_, got), (_, sizes) in zip(calls, want))
-    monkeypatch.undo()
+def test_each_generation_calls_closure_sums_once_on_the_live_gaps(monkeypatch, dist):
+    """A generation of a stack is one ``closure_sums`` call: on the sizes of
+    the rows alive before the step for plain rows, and on the gaps of their
+    sorted sizes for coupled rows, in stack order. Batches of a stack that
+    die out at different generations, some above the 256-draw rule, still
+    make one call per generation until the last path dies."""
+    calls = []
+    closure_sums = OffspringDistribution.closure_sums
 
-    floors = coupled_floors([0.1, 0.5], K)
-    per_batch = []
-    for b, count in enumerate(counts):
-        gen, sizes = src.handle(b), np.full((count, 3), K, dtype=np.int64)
-        calls = _spy_calls(monkeypatch, [gen])
-        for _ in range(8):
-            sizes, _ = coupled_step(sizes, floors, dist, [gen], [count])
-        per_batch.append([gaps for _, gaps in calls])
-        monkeypatch.undo()
-    gens, sizes = [src.handle(b) for b in range(len(counts))], np.full((sum(counts), 3), K)
-    calls = _spy_calls(monkeypatch, gens)
-    for _ in range(8):
-        sizes, _ = coupled_step(sizes, floors, dist, gens, counts)
-    want = _interleaved(per_batch)
-    assert len(calls) == 8 * len(counts) == len(want)
-    assert [b for b, _ in calls] == [b for b, _ in want]
-    assert all(np.array_equal(got, gaps) for (_, got), (_, gaps) in zip(calls, want))
+    def spy(self, counts, gen):
+        calls.append(np.array(counts))
+        return closure_sums(self, counts, gen)
+
+    monkeypatch.setattr(OffspringDistribution, "closure_sums", spy)
+    counts, K, horizon = [3, 400, 1, 260, 50], 30, 40
+    for floors in (np.zeros(1, dtype=np.int64), coupled_floors([0.1, 0.5], K)):
+        calls.clear()
+        prev = np.full((sum(counts), len(floors)), K, dtype=np.int64)
+        steps = plain_sizes(K, sum(counts), dist, RandomnessSource(23).handle(), horizon, floors)
+        for n, (live, sizes, _) in enumerate(steps, 1):
+            rows = prev[live]
+            want = (rows[:, 0] if len(floors) == 1
+                    else np.diff(np.sort(rows, axis=1), axis=1, prepend=0))
+            assert len(calls) == n and calls[-1].shape == want.shape
+            assert np.array_equal(calls[-1], want)
+            prev[live] = sizes
+        assert len(live) < sum(counts) if len(floors) == 1 else n == horizon
+    calls.clear()
+    parts = plain_batch(K, counts, dist, RandomnessSource(23).handle(), horizon)
+    taus = np.concatenate([part[0] for part in parts])
+    assert len({int(part[0].max()) for part in parts}) > 1
+    assert len(calls) == (int(taus.max()) if (taus >= 0).all() else horizon)
 
 
 def test_level_zero_degenerates_to_base():
