@@ -168,13 +168,18 @@ class OffspringDistribution:
         """
         counts = np.asarray(counts, dtype=np.int64)
         table = _sum_table(self) if counts.size >= _SUM_TABLE_MIN_DRAWS else None
-        if table is not None:
-            small = (counts > 0) & (counts <= table.max_count)
+        if table is None:
+            return self._named_sums(counts, gen)
+        lo, hi, top = counts.min(), counts.max(), table.max_count
+        if lo > 0 and hi <= top:  # every size in 1..C
+            return table.draw(counts.ravel(), gen).reshape(counts.shape)
+        if hi > 0 and lo <= top:  # some size may lie in 1..C
+            small = (counts > 0) & (counts <= top)
             if np.count_nonzero(small) >= _SUM_TABLE_MIN_DRAWS:
                 out = np.zeros(counts.shape, dtype=np.int64)
                 out[small] = table.draw(counts[small], gen)
-                large = counts > table.max_count
-                if large.any():
+                if hi > top:
+                    large = counts > top
                     out[large] = self._named_sums(counts[large], gen)
                 return out
         return self._named_sums(counts, gen)

@@ -6,7 +6,7 @@ floored at b = floor(a*K) each step, X_{n+1}^(a) = max{b, progeny sum},
 and its shifted version is Y_n^(a) = X_n^(a) - b. All processes are
 driven by one progeny prefix sum S(s) = sum_{j<=s} xi_{n,j} per
 generation, read at their current sizes. Only those 1+L values are ever
-drawn: the gaps between the sorted sizes are independent progeny sums
+drawn: the gaps between the ascending sizes are independent progeny sums
 (shared block sums, not individual draws), which gives the exact joint
 law of S at those points. Because offspring counts are nonnegative, S is
 nondecreasing, so the pathwise sandwich Y_n^(a) <= X_n <= X_n^(a) and the
@@ -17,23 +17,22 @@ not just in law (the lower half, Y_n^(a) <= X_n, only for offspring in
 One engine steps every kind of path. :func:`coupled_step` is the one
 generation step: each path is a row of sizes with one floor per column,
 the plain chain being the one-column row [X] with floor 0 (or the chain
-floored at b with floor b), for which the gap is the size itself.
-:func:`plain_sizes` is the one generation loop: it steps only the live
-paths, and drops a path once every column of its row is 0, so extinct
-paths cost nothing.
+floored at b with floor b), for which the gap is the size itself. Rows
+ascend from column to column, as S and the floors do, so their gaps need
+no sort. :func:`plain_sizes` is the one generation loop: it steps only
+the live paths, and drops a path once every column of its row is 0, so
+extinct paths cost nothing.
 
-The engine steps a *stack*: consecutive batches held in one matrix whose
-paths are numbered batch after batch, all drawing from one generator. A
-generation is one sort, one ``closure_sums`` call over the whole stack and
-one compaction, so a batch's draws depend on which batches share its
-stack; the uniforms of distinct paths are disjoint, so the batches stay
-independent. A one-batch stack is a plain batch. Every stack, a single
-path included, goes through :func:`plain_batch`, which scatters those
-steps back into each batch's extinction times, size and indicator
-matrices and gate-violation counts, and :func:`trajectory_rows` turns a
-plain or coupled batch's sizes into its trajectory CSV rows with
-:func:`csv_rows`, a numpy kernel that writes the digits of every integer
-of a batch at once.
+The engine steps a *stack*: consecutive batches in one matrix, paths
+numbered batch after batch, all drawing from one generator. A generation
+is one ``closure_sums`` call over the whole stack and one compaction, so
+a batch's draws depend on which batches share its stack; distinct paths
+draw disjoint uniforms, so the batches stay independent. Every stack, a
+single path included, goes through :func:`plain_batch`, which scatters
+its steps into each batch's extinction times, size and indicator
+matrices and gate-violation counts; :func:`trajectory_rows` writes a
+batch's trajectory CSV rows with :func:`csv_rows`, a numpy kernel that
+writes the digits of every integer of a batch at once.
 """
 
 from __future__ import annotations
@@ -159,7 +158,7 @@ def plain_sizes(
     for _ in range(horizon):
         sizes, flags = coupled_step(sizes, floors, dist, gen)
         yield live, sizes, flags
-        alive = np.flatnonzero(sizes.any(axis=1))
+        alive = np.flatnonzero(sizes[:, -1] > 0)  # rows ascend: all 0 when the last size is
         if alive.size < len(sizes):
             if not alive.size:
                 return
@@ -203,7 +202,7 @@ def plain_batch(
         if levels:  # a row with levels outlives its base
             dead = dead[taus[dead] < 0]
             found = _violations(sizes, flags, floors, dist.single_child)
-            if found.any():  # a correct run finds none, so the scatter is rare
+            if found is not None:  # a correct run finds none, so the scatter is rare
                 bad[live] += found
         taus[dead] = n
         if rows:  # the step's own matrices until a path dies, then scattered among zeros
@@ -267,22 +266,19 @@ def coupled_step(
     """One generation of a stack of paths: the engine's only step.
 
     ``sizes`` is a (paths, 1+L) matrix of current sizes and ``floors`` the
-    matching (1+L) floors. A coupled row is [X, X^(a_1), ..., X^(a_L)] with
-    floors [0, b_1, ..., b_L]; a plain row is [X] with floor 0, or the
-    chain floored at b with floor b. Each row is sorted; the gaps between
-    consecutive sizes (the first gap being the smallest size) are drawn as
-    independent progeny sums in one ``closure_sums`` call on ``gen``, and
-    their running sums, scattered back to the columns, are the progeny
-    prefix sums S(.) at the current sizes. A one-column row's gap is its
-    size, so it needs no sort or scatter. Returns the next sizes
-    max(floor, S) and the (paths, L) indicators 1{S(X^(a)) > b_a}.
+    matching (1+L) floors: [0, b_1 <= ... <= b_L] for a coupled row [X,
+    X^(a_1), ..., X^(a_L)], and 0 or b for a plain row [X] or a chain
+    floored at b. Rows arrive ascending and leave so, as S and the floors
+    ascend along a row; a decreasing row raises ValueError. The gaps between
+    neighbouring sizes (the first is the first size) are independent progeny
+    sums, drawn in one ``closure_sums`` call on ``gen``; their running sums
+    are S(.). Returns max(floor, S) and the (paths, L) flags 1{S(X^(a)) > b_a}.
     """
     if sizes.shape[1] > 1:
-        order = np.argsort(sizes, axis=1)
-        gaps = np.diff(np.sort(sizes, axis=1), axis=1, prepend=0)
-        progeny = np.empty_like(sizes)
-        progeny[np.arange(len(sizes))[:, None], order] = np.cumsum(
-            dist.closure_sums(gaps, gen), axis=1)
+        gaps = np.diff(sizes, axis=1, prepend=0)
+        if gaps.min(initial=0) < 0:
+            raise ValueError("coupled_step takes rows whose sizes do not decrease")
+        progeny = np.cumsum(dist.closure_sums(gaps, gen), axis=1)
     else:  # drawn as a vector: numpy's samplers are slower on an (n, 1) matrix
         progeny = dist.closure_sums(sizes[:, 0], gen)[:, None]
     flags = progeny[:, 1:] > floors[1:]
@@ -290,9 +286,9 @@ def coupled_step(
 
 
 def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
-                single_child: bool) -> np.ndarray:
+                single_child: bool) -> np.ndarray | None:
     """Sandwich, shift-identity, indicator and level-monotonicity violations
-    of one generation of coupled rows, as a (paths, 4) count matrix.
+    of one generation of coupled rows: (paths, 4) counts, or None if none fires.
 
     The sandwich gates X <= X^(a) for every law, and Y^(a) <= X only when no
     individual has more than one child: otherwise the b_a individuals that
@@ -300,12 +296,11 @@ def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
     """
     base, upper = sizes[:, :1], sizes[:, 1:]
     shifted = upper - floors[1:]
-    return np.column_stack([
-        np.count_nonzero(((shifted > base) & single_child) | (base > upper), axis=1),
-        np.count_nonzero(shifted + floors[1:] != upper, axis=1),
-        np.count_nonzero(flags != (shifted > 0), axis=1),
-        np.count_nonzero(np.diff(upper, axis=1) < 0, axis=1),
-    ])
+    gates = [((shifted > base) & single_child) | (base > upper), shifted + floors[1:] != upper,
+             flags != (shifted > 0), upper[:, 1:] < upper[:, :-1]]
+    if any(gate.any() for gate in gates):
+        return np.column_stack([np.count_nonzero(gate, axis=1) for gate in gates])
+    return None
 
 
 def coupled_floors(levels: Sequence[float], K: int) -> np.ndarray:

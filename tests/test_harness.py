@@ -14,6 +14,7 @@ import time
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
@@ -35,6 +36,7 @@ from branchlab.harness import (
     run,
     validate,
 )
+from branchlab.offspring import OffspringDistribution
 
 BERN = {"kind": "bernoulli", "p": 0.5}
 POI = {"kind": "poisson", "lambda": 0.7}
@@ -536,14 +538,27 @@ def test_cli_refuses_before_simulating(tmp_path, capsys, kind, payload, fragment
     ("invariance", {"offspring": POI, "K": 10, "u1": 0.3, "paths": 60, "batches": 30,
                     "eps_grid": [0.0]}, "no path puts X at floor(u2 tau)"),
     ("gaussian-cov", {"offspring": BERN, "a": 0.999, "indices": [1]}, "index 1 exceeds ell(a) - 1"),
-    ("extinction-scaling", {"offspring": POI, "seed": 8, "K_list": [10], "paths": 30,
-                            "batches": 30, "cap_multiplier": 1}, "K=10: batch 0 has no path extinct"),
-    ("clt-check", {"offspring": BERN, "seed": 6, "K": 2, "indices": [1, 6], "paths": 60,
-                   "batches": 30}, "every batch gives cov[1,6] = 0"),
+    ("extinction-scaling", {"offspring": POI, "K_list": [10], "paths": 30, "batches": 30,
+                            "cap_multiplier": 1}, "K=10: batch 0 has no path extinct"),
+    ("clt-check", {"offspring": BERN, "K": 2, "indices": [1, 6], "paths": 60, "batches": 30},
+     "every batch gives cov[1,6] = 0"),
 ])
-def test_cli_refuses_data_it_cannot_estimate(tmp_path, capsys, kind, payload, fragment):
+def test_cli_refuses_data_it_cannot_estimate(tmp_path, capsys, monkeypatch, kind, payload,
+                                             fragment):
     """A valid config whose simulated data or limit model holds nothing to
-    estimate exits with code 2 and a message, like an invalid config."""
+    estimate exits with code 2 and a message, like an invalid config.
+
+    Two cases are degenerate whatever the draws, through stand-ins: under a
+    law where every individual has one child no path dies out, and clt-check
+    gets batches of two paths that share X_1 or X_6 (in turn), so each
+    batch's cov[1,6] is exactly 0 while the batch means and variances
+    differ."""
+    if kind == "extinction-scaling":
+        monkeypatch.setattr(OffspringDistribution, "closure_sums",
+                            lambda self, counts, gen: np.asarray(counts, dtype=np.int64))
+    if kind == "clt-check":
+        monkeypatch.setattr(estimators, "_theta_batch", lambda stack, **_: [
+            np.array([[1, 0], [1, 1]] if b % 2 else [[0, 0], [1, 0]]) for b in stack])
     cfg = write_config(tmp_path, {"seed": 1, **payload, "out": str(tmp_path / "runs")})
     assert main([kind, "--config", cfg]) == 2
     captured = capsys.readouterr()

@@ -179,6 +179,29 @@ def test_closure_sums_keep_the_input_shape():
         assert (sums <= 3 * sizes).all()
 
 
+@pytest.mark.parametrize("spec", SUBCRITICAL_SPECS, ids=lambda s: s["kind"])
+def test_closure_sums_without_masks_draw_as_the_table_or_the_sampler(spec):
+    """A call of at least 256 sizes that all lie in 1..C, C the law's number
+    of tabulated sizes, draws what the table draws on them in array order,
+    and a call with every size above C, or above C and 0, what the named
+    sampler draws; each leaves its generator where a twin generator that
+    ran the table or the sampler alone is left. A call of 255 sizes in
+    1..C uses the sampler."""
+    dist = make_distribution(spec)
+    table = _sum_table(dist)
+    rng = np.random.default_rng(12)
+    for shape in [(256,), (300,), (100, 3)]:
+        small = rng.integers(1, table.max_count + 1, shape)
+        large = small + table.max_count
+        for counts, draw in [(small, lambda c, g: table.draw(c.ravel(), g).reshape(c.shape)),
+                             (large, dist._named_sums),
+                             (large * (rng.random(shape) < 0.5), dist._named_sums),
+                             (small.ravel()[:255], dist._named_sums)]:
+            gen, twin = np.random.default_rng(13), np.random.default_rng(13)
+            assert np.array_equal(dist.closure_sums(counts, gen), draw(counts, twin))
+            assert gen.random() == twin.random()
+
+
 class _FixedUniforms:
     """Stands in for a Generator whose ``random`` returns given uniforms."""
 

@@ -68,19 +68,16 @@ def test_step_binomial_gof():
 
 @pytest.mark.parametrize("dist", FAMILIES[1:], ids=lambda d: d.kind)
 def test_step_follows_closure_law(dist):
-    """Every column of one engine step is the exact sum law of its own size.
-
-    Rows hold the sizes 9, 16, 25 in shuffled column orders, so a gap
-    scattered back to the wrong column shows as a wrong marginal.
-    """
-    rng = np.random.default_rng(5)
+    """Every column of one engine step is the exact sum law of its own size,
+    on rows that hold the sizes 9, 16, 25 in ascending column order, so a
+    running sum of gaps that lands on the wrong column shows as a wrong
+    marginal."""
     gen = RandomnessSource(18).handle()
     base = np.array([9, 16, 25])
     n_rep = 20_000
-    perms = np.argsort(rng.random((n_rep, 3)), axis=1)
-    sizes, _ = coupled_step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
+    sizes, _ = coupled_step(np.tile(base, (n_rep, 1)), np.zeros(3, dtype=np.int64), dist, gen)
     for col, size in enumerate(base):
-        draws = sizes[perms == col]
+        draws = sizes[:, col]
         upper = int(size * dist.mean + 12 * math.sqrt(size * dist.variance)) + 10
         pmf, tail = _sum_law_pmf(dist, int(size), upper)
         stat, pvalue = _chisquare_gof(draws, pmf, tail)
@@ -90,16 +87,12 @@ def test_step_follows_closure_law(dist):
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.kind)
 def test_joint_law_of_prefix_sums(dist):
     """For s0 < s1: Cov(S(s0), S(s1)) = s0 sigma^2, and S(s1) - S(s0) is
-    uncorrelated with S(s0); z-tests on one engine step with shuffled
-    column orders."""
-    rng = np.random.default_rng(6)
+    uncorrelated with S(s0); z-tests on one engine step of rows in
+    ascending column order."""
     gen = RandomnessSource(19).handle()
     base = np.array([8, 14, 30])
     n_rep = 40_000
-    perms = np.argsort(rng.random((n_rep, 3)), axis=1)
-    sizes, _ = coupled_step(base[perms], np.zeros(3, dtype=np.int64), dist, gen)
-    S = np.empty_like(sizes)
-    np.put_along_axis(S, perms, sizes, axis=1)  # columns back in base order
+    S, _ = coupled_step(np.tile(base, (n_rep, 1)), np.zeros(3, dtype=np.int64), dist, gen)
 
     def z_cov(x, y, target):
         prod = (x - x.mean()) * (y - y.mean())
@@ -114,6 +107,57 @@ def test_joint_law_of_prefix_sums(dist):
             assert abs(z) < 4, f"Cov(S({s0}), S({base[j]})): z = {z:.2f}"
             z = z_cov(S[:, i], S[:, j] - S[:, i], 0.0)
             assert abs(z) < 4, f"Cov(S({s0}), increment to {base[j]}): z = {z:.2f}"
+
+
+def _sorting_step(sizes, floors, dist, gen):
+    """The engine step as it was when rows came in any column order: sort
+    each row, draw the gaps of the sorted sizes and scatter their running
+    sums back to the columns."""
+    if sizes.shape[1] > 1:
+        order = np.argsort(sizes, axis=1)
+        gaps = np.diff(np.sort(sizes, axis=1), axis=1, prepend=0)
+        progeny = np.empty_like(sizes)
+        progeny[np.arange(len(sizes))[:, None], order] = np.cumsum(
+            dist.closure_sums(gaps, gen), axis=1)
+    else:
+        progeny = dist.closure_sums(sizes[:, 0], gen)[:, None]
+    flags = progeny[:, 1:] > floors[1:]
+    return (np.maximum(progeny, floors) if floors.any() else progeny), flags
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    family=hs.sampled_from(FAMILIES),
+    paths=hs.sampled_from([1, 3, 70, 300]),
+    cols=hs.integers(1, 4),
+    top=hs.sampled_from([1, 4, 40, 3000]),
+    zeros=hs.sampled_from([0.0, 0.5, 0.9]),
+    seed=hs.integers(0, 2**16),
+)
+def test_step_on_ascending_rows_matches_the_sorting_step(family, paths, cols, top, zeros, seed):
+    """On rows whose sizes do not decrease, with ties and zero gaps, and
+    nondecreasing floors, coupled_step gives the sizes and flags of the
+    sort-and-scatter step and leaves its generator at the same next draw;
+    calls of 300 rows or more cross the 256-draw table rule."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.integers(0, top + 1, (paths, cols)) * (rng.random((paths, cols)) >= zeros)
+    sizes = np.cumsum(gaps, axis=1)
+    floors = np.cumsum(rng.integers(0, top + 1, cols) * (rng.random(cols) >= zeros))
+    floors[0] = 0
+    gen, twin = RandomnessSource(seed).handle(), RandomnessSource(seed).handle()
+    got, want = coupled_step(sizes, floors, family, gen), _sorting_step(sizes, floors, family, twin)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert np.array_equal(gen.random(4), twin.random(4))
+
+
+def test_step_refuses_a_decreasing_row():
+    """A row whose sizes decrease raises ValueError before anything is drawn."""
+    gen, twin = RandomnessSource(4).handle(), RandomnessSource(4).handle()
+    sizes = np.array([[3, 5, 5], [2, 7, 6]])
+    with pytest.raises(ValueError, match="do not decrease"):
+        coupled_step(sizes, np.zeros(3, dtype=np.int64), BERN, gen)
+    assert gen.random() == twin.random()
 
 
 def _assert_extinction_cdf(hist: np.ndarray, dist, K: int, paths: int) -> None:
@@ -564,6 +608,22 @@ def test_coupled_batch_counts_no_violations(family, K, levels, horizon, count):
     assert len(text.splitlines()) == count * (horizon + 1)
 
 
+def test_violations_count_each_gate_and_are_none_when_clean():
+    """Rows with floors [0, 2, 5]: a clean row with tied levels, X > X^(a),
+    a wrong indicator, and decreasing levels whose shifted size also
+    exceeds X, which counts as a sandwich violation only when no individual
+    has more than one child. The count matrix has one row per path; clean
+    rows alone give None."""
+    floors = np.array([0, 2, 5])
+    sizes = np.array([[3, 5, 5], [4, 3, 5], [3, 3, 5], [1, 6, 5]])
+    flags = np.array([[True, False], [True, False], [False, False], [True, False]])
+    for single_child, sandwich in [(False, [0, 1, 0, 0]), (True, [0, 1, 0, 1])]:
+        found = process._violations(sizes, flags, floors, single_child)
+        assert found.tolist() == [[s, 0, i, m] for s, i, m in
+                                  zip(sandwich, [0, 0, 1, 0], [0, 0, 0, 1])]
+        assert process._violations(sizes[:1], flags[:1], floors, single_child) is None
+
+
 def test_plain_batch_adds_up_each_batchs_violations(monkeypatch):
     """Each generation's violation counts go to the live rows of their own
     batch: with a stand-in that finds one of each kind per live row, a
@@ -675,7 +735,7 @@ def test_a_one_batch_stack_draws_on_its_batchs_handle(levels):
 def test_each_generation_calls_closure_sums_once_on_the_live_gaps(monkeypatch, dist):
     """A generation of a stack is one ``closure_sums`` call: on the sizes of
     the rows alive before the step for plain rows, and on the gaps of their
-    sorted sizes for coupled rows, in stack order. Batches of a stack that
+    ascending sizes for coupled rows, in stack order. Batches of a stack that
     die out at different generations, some above the 256-draw rule, still
     make one call per generation until the last path dies."""
     calls = []
@@ -693,8 +753,7 @@ def test_each_generation_calls_closure_sums_once_on_the_live_gaps(monkeypatch, d
         steps = plain_sizes(K, sum(counts), dist, RandomnessSource(23).handle(), horizon, floors)
         for n, (live, sizes, _) in enumerate(steps, 1):
             rows = prev[live]
-            want = (rows[:, 0] if len(floors) == 1
-                    else np.diff(np.sort(rows, axis=1), axis=1, prepend=0))
+            want = rows[:, 0] if len(floors) == 1 else np.diff(rows, axis=1, prepend=0)
             assert len(calls) == n and calls[-1].shape == want.shape
             assert np.array_equal(calls[-1], want)
             prev[live] = sizes
