@@ -19,10 +19,11 @@ The package is organised bottom-up:
 ``gaussian_limit``
     The limiting Gaussian sequence: covariance models and sampling.
 ``estimators``
-    Monte Carlo experiments with batch means, standard errors and
-    pass/fail verdicts.
+    One function per experiment kind: deterministic parallel batch runs,
+    batch means, standard errors and pass/fail verdicts.
 ``harness``
-    Config handling, deterministic parallel execution and report files.
+    The config table, validation, dispatch to each kind's function, and
+    report files.
 """
 
 from __future__ import annotations

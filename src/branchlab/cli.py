@@ -54,8 +54,8 @@ def main(argv=None) -> int:
             InsufficientBinMass, OutOfValidityRange, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    if result.matrix is not None:
-        print(json.dumps(result.matrix))
+    if result.report.matrix is not None:
+        print(json.dumps(result.report.matrix))
     else:
         sys.stdout.write(render_json(result.payload))
     return 0 if result.report.passed else 1

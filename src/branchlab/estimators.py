@@ -1,6 +1,9 @@
-"""Monte Carlo experiments confronting simulation with the asymptotic laws.
+"""The experiments, one function per kind, which the harness calls by name.
 
-Every experiment is a deterministic function of (config, seed): paths are
+``pathwise_check`` runs ``simulate`` and ``coupled``, ``gaussian_cov``
+computes the Gaussian limit's covariance matrix, and the five Monte Carlo
+kinds confront simulation with the asymptotic laws. Every simulated
+experiment is a deterministic function of (config, seed): paths are
 partitioned into contiguous equal batches, consecutive batches are grouped
 into stacks by a rule of the batch layout alone, each stack simulates on
 its own addressed stream (so neither the worker count nor the job order
@@ -36,7 +39,8 @@ from .exact import mean_m_tau as exact_mean_m_tau
 from .exact import tau_quantile
 from .gaussian_limit import MODES, ThetaCovariance, covariance_matrix, is_positive_semidefinite
 from .offspring import OffspringDistribution
-from .process import coupled_floors, default_horizon, floor_level, plain_batch, trajectory_rows
+from .process import (COUPLED_GATES, coupled_floors, default_horizon, floor_level, plain_batch,
+                      trajectory_header, trajectory_rows)
 from .randomness import RandomnessSource
 from .stopping import limit_constant
 
@@ -76,11 +80,16 @@ class StatEntry:
 
 @dataclass
 class ExperimentReport:
+    """One run's entries, with a dump's trajectory CSV text or gaussian-cov's
+    matrix to be written next to the report, never into it."""
+
     experiment: str
     entries: list[StatEntry] = field(default_factory=list)
     batches: int = 1
     total_paths: int = 0
     wall_time: float = 0.0
+    trajectories: str | None = None
+    matrix: list[list[float]] | None = None
 
     @property
     def passed(self) -> bool:
@@ -438,6 +447,51 @@ def invariance_target(K: int, power: int, u1: float, eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# experiments: simulate and coupled
+
+
+def pathwise_check(K: int, dist: OffspringDistribution, paths: int, seed: int, *,
+                   batches: int = 40, workers: int = 1, horizon: int | None = None,
+                   cap_multiplier: int = 10, write_trajectories: bool = True,
+                   levels: Sequence[float] = ()) -> ExperimentReport:
+    """Extinct and censored path counts and the mean and median of tau,
+    against c log K for a subcritical law: a ``coupled`` report, which steps
+    ``levels`` along and gates their violation counts at 0, when levels are
+    given, else a ``simulate`` one. With ``write_trajectories`` the report
+    carries every path's trajectory CSV text."""
+    # float() because the levels name trajectory columns: 0 and 0.0 must print alike.
+    levels = sorted(set(float(a) for a in levels))
+    horizon = horizon or default_horizon(K, dist.mean, cap_multiplier)
+    layout = batch_layout(paths, batches)
+    fn = partial(_tau_hist_batch, layout=layout, seed=seed, dist=dist, K=K, horizon=horizon,
+                 levels=levels, dump=write_trajectories)
+    [parts] = _run_batches([fn], layout, workers)
+    hist = _hist_rows([p[0] for p in parts]).sum(axis=0)
+    censored = sum(p[1] for p in parts)
+    extinct = paths - censored
+    entries = [
+        entry_info("paths", paths),
+        entry_info("extinct_paths", extinct),
+        entry_info("censored_paths", censored),
+    ]
+    gates = COUPLED_GATES if levels else ()
+    entries += [entry_le(name, sum(p[2 + i] for p in parts), 0) for i, name in enumerate(gates)]
+    if extinct:
+        target = None
+        if 0.0 < dist.mean < 1.0 and K >= 2:
+            target = limit_constant(dist.mean) * math.log(K)
+        entries += [
+            entry_info("mean_tau", float((np.arange(hist.size) * hist).sum() / extinct),
+                       target=target),
+            entry_info("median_tau", _median_from_hist(hist, extinct), target=target),
+        ]
+    report = ExperimentReport("coupled" if levels else "simulate", entries, batches, paths)
+    if write_trajectories:
+        report.trajectories = "".join([trajectory_header(levels), "\n", *(p[-1] for p in parts)])
+    return report
+
+
+# ---------------------------------------------------------------------------
 # experiment: extinction-time scaling
 
 
@@ -547,7 +601,21 @@ def extinction_scaling(
 
 
 # ---------------------------------------------------------------------------
-# experiment: Gaussian fluctuation check
+# experiments: the Gaussian limit's covariance, and the fluctuation check
+
+
+def gaussian_cov(indices: Sequence[int], dist: OffspringDistribution, *, a: float = 0.0,
+                 mode: str = "paper") -> ExperimentReport:
+    """The ``mode`` covariance of the limit theta at ``indices`` for the
+    chain truncated at ``a``: one entry per cell on and above the diagonal,
+    and whether the matrix is positive semidefinite. The report carries the
+    matrix."""
+    matrix = covariance_matrix(ThetaCovariance(dist.mean, mode=mode, a=a), indices)
+    entries = [entry_info(f"cov[{i},{j}]", float(matrix[p, q]))
+               for p, i in enumerate(indices) for q, j in enumerate(indices) if q >= p]
+    entries.append(entry_info("psd", 1.0 if is_positive_semidefinite(matrix) else 0.0))
+    return ExperimentReport("gaussian-cov", entries, 1, 0, matrix=matrix.tolist())
+
 
 # Stephens (1974) asymptotic critical values of the Anderson-Darling A^2
 # for normality with mean and variance estimated (his case 3), by
@@ -801,7 +869,6 @@ def conditional_moment_check(
     min_group_count: int = 200,
     ratio_band: tuple[float, float] | None = None,
     cap_multiplier: int = 10,
-    max_bins_reported: int = 12,
 ) -> ExperimentReport:
     """Two-time conditional moment ratios at per-path times u1 tau, u2 tau.
 
@@ -826,7 +893,7 @@ def conditional_moment_check(
     entries = _path_entries(paths, ens) + _conditional_moment_core(
         ens, u1=u1, u2=u2, power=power, m=dist.mean, min_bin_count=min_bin_count,
         bin_mode=bin_mode, min_group_count=min_group_count, ratio_band=ratio_band,
-        max_bins_reported=max_bins_reported)
+        max_bins_reported=12)
     return ExperimentReport("conditional-moments", entries, batches, paths)
 
 
@@ -899,7 +966,6 @@ def conditional_on_tau_check(
     min_group_count: int = 200,
     ratio_band: tuple[float, float] | None = None,
     cap_multiplier: int = 10,
-    max_groups_reported: int = 10,
     se_k: float = 4.0,
 ) -> ExperimentReport:
     """Moments at floor(u1 tau) conditioned on tau, against K^l m^(l s1).
@@ -918,7 +984,7 @@ def conditional_on_tau_check(
     ens = _collect_values(dist, K, u1, u1, paths, seed, batches, workers, cap_multiplier, fixed_n)
     entries = _path_entries(paths, ens) + _on_tau_core(
         ens, u1=u1, power=power, K=K, m=m, min_group_count=min_group_count,
-        ratio_band=ratio_band, max_groups_reported=max_groups_reported)
+        ratio_band=ratio_band, max_groups_reported=10)
 
     extinct = np.flatnonzero(ens.tau >= 0)
     entries.append(entry_info("wald.n", fixed_n))

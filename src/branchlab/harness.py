@@ -1,12 +1,14 @@
 """Experiment configuration, dispatch, and reproducible result files.
 
-One JSON config fully determines every report byte. The seed is
-mandatory (there is no entropy fallback); the output directory, worker
-count, and plot flag are excluded from both the config hash and the
-persisted report, so reruns and different parallelism levels produce
-identical artifacts. All writers emit canonical text — sorted JSON
-keys, shortest-roundtrip float repr — to keep run directories
-diff-friendly.
+One JSON config fully determines every report byte. ``run`` validates it
+against ``CONFIG_KEYS``, calls the kind's function in ``estimators`` with
+the keys whose rows name the kind, and writes the report, with any
+trajectory dump or matrix next to it. The seed is mandatory (there is no
+entropy fallback); the output directory, worker count, and plot flag are
+excluded from both the config hash and the persisted report, so reruns
+and different parallelism levels produce identical artifacts. All
+writers emit canonical text — sorted JSON keys, shortest-roundtrip float
+repr — to keep run directories diff-friendly.
 """
 
 from __future__ import annotations
@@ -20,43 +22,25 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 from typing import IO, Mapping
 
-import numpy as np
-
 from . import __version__, estimators, exact
-from .estimators import (AD_SIGNIFICANCE_LEVELS, INVARIANCE_U2, ExperimentReport, batch_layout,
-                         entry_info, entry_le)
-from .estimators import _hist_rows, _median_from_hist, _run_batches, _tau_hist_batch
+from .estimators import AD_SIGNIFICANCE_LEVELS, INVARIANCE_U2, ExperimentReport
 # extinction_scaling, conditional_moment_check, simulate_coupled, simulate_path and
 # write_trajectories are not called through this namespace; perfbench/spans.py traces
 # them through it.
 from .estimators import conditional_moment_check, extinction_scaling
-from .gaussian_limit import MODES, ThetaCovariance, covariance_matrix, is_positive_semidefinite
+from .gaussian_limit import MODES
 from .offspring import (InvalidParameter, NonNormalizedPMF, OffspringDistribution,
                         SupercriticalWithoutOverride, make_distribution)
-from .process import (default_horizon, level_label, simulate_coupled, simulate_path,
-                      trajectory_header, write_trajectories)
-from .stopping import boundary_warnings, limit_constant
+from .process import level_label, simulate_coupled, simulate_path, write_trajectories
+from .stopping import boundary_warnings
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = (
-    "simulate",
-    "coupled",
-    "extinction-scaling",
-    "clt-check",
-    "conditional-moments",
-    "conditional-on-tau",
-    "invariance",
-    "gaussian-cov",
-)
-
-#: The estimator behind each Monte Carlo kind, looked up in ``estimators``
-#: at call time. Their gates rest on batch standard errors, so these kinds
-#: need >= 30 batches.
+#: The Monte Carlo kinds and their functions in ``estimators``. Their gates
+#: rest on batch standard errors, so these kinds need >= 30 batches.
 ESTIMATORS = {
     "extinction-scaling": "extinction_scaling",
     "clt-check": "clt_covariance_check",
@@ -64,6 +48,10 @@ ESTIMATORS = {
     "conditional-on-tau": "conditional_on_tau_check",
     "invariance": "invariance_check",
 }
+#: The function in ``estimators`` that runs each kind, looked up at each call.
+RUNNERS = {"simulate": "pathwise_check", "coupled": "pathwise_check", **ESTIMATORS,
+           "gaussian-cov": "gaussian_cov"}
+EXPERIMENTS = tuple(RUNNERS)
 _CONDITIONAL = ("conditional-moments", "conditional-on-tau", "invariance")
 _PATHWISE = ("simulate", "coupled")
 
@@ -106,11 +94,13 @@ class Key:
     ``checks`` pairs a test of a set value with its error text, which may
     name ``{key}``, ``{kind}`` and ``{value}``. A key with default None may
     stay unset, except for the kinds in ``required``, which report
-    ``missing`` (else the first check's text). The estimators of the kinds
-    in ``kinds`` get the value as keyword ``param`` (else the key). Volatile
-    keys steer where and how results are written, not what they are, so
-    the config hash and report.json leave them out. ``flag`` holds the
-    argparse options of the key's CLI override.
+    ``missing`` (else the first check's text). The function of each kind in
+    ``kinds`` gets the value as keyword ``param`` (else the key); setting a
+    key whose nonempty ``kinds`` leave out the kind draws a warning, unless
+    the kind requires it or the key is volatile. Volatile keys steer where
+    and how results are written, not what they are, so the config hash and
+    report.json leave them out. ``flag`` holds the argparse options of the
+    key's CLI override.
     """
 
     default: object = None
@@ -123,9 +113,11 @@ class Key:
     flag: Mapping | None = None
 
 
-_MC = tuple(ESTIMATORS)
+_SIMULATED = (*_PATHWISE, *ESTIMATORS)
 _SCALING = ("extinction-scaling",)
 _CLT = ("clt-check",)
+_COV = (*_CLT, "gaussian-cov")
+_FROM_K = (*_PATHWISE, *_CLT, *_CONDITIONAL)
 _BINNED = ("conditional-moments", "conditional-on-tau")
 
 #: One row per config key; the rows' order is the order of the CLI override flags.
@@ -138,39 +130,41 @@ CONFIG_KEYS: dict[str, Key] = {
     "seed": Key(
         checks=((lambda v: _is_int(v) and v >= 0, "seed must be a nonnegative integer"),),
         required=EXPERIMENTS, missing="seed is required: runs never read entropy from the machine",
-        kinds=_MC, flag={"type": int, "help": "override the config seed"}),
+        kinds=_SIMULATED, flag={"type": int, "help": "override the config seed"}),
     "K": Key(checks=((_positive_int, "{kind} needs a positive integer K"),),
-             required=(*_PATHWISE, *_CLT, *_CONDITIONAL), kinds=(*_CLT, *_CONDITIONAL)),
+             required=_FROM_K, kinds=_FROM_K),
     "K_list": Key(
         checks=((_seq(len), "extinction-scaling needs a nonempty K_list"),
                 (_seq(lambda ks: all(_is_int(k) and k >= 10 for k in ks)),
                  "every K in K_list must be an integer >= 10")),
         required=_SCALING, kinds=_SCALING),
-    "paths": Key(10_000, _POSITIVE_INT, kinds=_MC,
+    "paths": Key(10_000, _POSITIVE_INT, kinds=_SIMULATED,
                  flag={"type": int, "help": "override the path count"}),
-    "batches": Key(40, _POSITIVE_INT, kinds=_MC),
+    "batches": Key(40, _POSITIVE_INT, kinds=_SIMULATED),
     "out": Key("runs", ((lambda v: isinstance(v, str), "out must be a directory path"),),
                volatile=True, flag={"help": "override the output directory"}),
-    "workers": Key(1, _POSITIVE_INT, kinds=_MC, volatile=True,
+    "workers": Key(1, _POSITIVE_INT, kinds=_SIMULATED, volatile=True,
                    flag={"type": int, "help": "override the worker count"}),
     "plot_data": Key(False, _BOOL, volatile=True, flag={
         "action": "store_const", "const": True,
         "help": "also write two-column plot series (x = K or eps, y = ratio)"}),
-    "write_trajectories": Key(True, _BOOL),
-    "horizon": Key(checks=((_positive_int, "horizon must be a positive integer when given"),)),
-    "cap_multiplier": Key(10, _POSITIVE_INT, kinds=(*_SCALING, *_CONDITIONAL)),
+    "write_trajectories": Key(True, _BOOL, kinds=_PATHWISE),
+    "horizon": Key(checks=((_positive_int, "horizon must be a positive integer when given"),),
+                   kinds=_PATHWISE),
+    "cap_multiplier": Key(10, _POSITIVE_INT, kinds=(*_PATHWISE, *_SCALING, *_CONDITIONAL)),
     "levels": Key(
         checks=((_seq(len), "coupled needs a nonempty list of truncation levels"),
                 (_seq(lambda ls: all(_is_num(a) and 0.0 <= a < 1.0 for a in ls)),
                  "levels must lie in [0, 1)")),
-        required=("coupled",)),
-    "a": Key(0.0, ((_number(lambda a: 0.0 <= a < 1.0), "a must lie in [0, 1)"),), kinds=_CLT),
+        required=("coupled",), kinds=("coupled",)),
+    "a": Key(0.0, ((_number(lambda a: 0.0 <= a < 1.0), "a must lie in [0, 1)"),), kinds=_COV),
     "indices": Key(
         checks=((_seq(lambda ix: len(ix) > 0 and all(_is_int(i) and i >= 1 for i in ix)
                       and list(ix) == sorted(set(ix))),
                  "indices must be strictly increasing positive integers"),),
-        required=(*_CLT, "gaussian-cov"), kinds=_CLT),
-    "mode": Key("paper", ((_one_of(*MODES), f"mode must be one of {MODES}, got {{value!r}}"),)),
+        required=_COV, kinds=_COV),
+    "mode": Key("paper", ((_one_of(*MODES), f"mode must be one of {MODES}, got {{value!r}}"),),
+                kinds=("gaussian-cov",)),
     "u1": Key(checks=((_number(lambda u: 0.0 < u < 1.0), "u1 must lie strictly inside (0, 1)"),),
               required=_CONDITIONAL, missing="{kind} needs u1", kinds=_CONDITIONAL),
     "u2": Key(checks=((_number(lambda u: 0.0 < u < 1.0), "u2 must lie strictly inside (0, 1)"),),
@@ -246,7 +240,6 @@ class RunResult:
     report: ExperimentReport
     run_dir: Path
     payload: dict
-    matrix: list[list[float]] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +292,10 @@ def validate(config: Mapping) -> list[Diagnostic]:
 
     Errors mark configs run() must refuse; warnings flag legal but
     fragile setups such as a truncation level sitting on a power of
-    the offspring mean. Every set key is checked against its row of
-    ``CONFIG_KEYS``; the rules that tie keys together then see only the
-    keys that passed, the others read as unset.
+    the offspring mean, or a key set for a kind that does not read it.
+    Every set key is checked against its row of ``CONFIG_KEYS``; the rules
+    that tie keys together then see only the keys that passed and that
+    the kind reads, the others read as unset.
     """
     diags = [Diagnostic("error", f"unknown config key {key!r}")
              for key in sorted(set(config) - set(CONFIG_KEYS))]
@@ -318,8 +312,13 @@ def validate(config: Mapping) -> list[Diagnostic]:
             failed = (row.missing or row.checks[0][1]) if kind in row.required else None
         else:
             failed = next((text for test, text in row.checks if not test(value)), None)
+        unread = row.kinds and kind not in row.kinds
         if failed is not None:
             diags.append(Diagnostic("error", failed.format(key=key, kind=kind, value=value)))
+        elif (unread and config.get(key) is not None and kind not in row.required
+              and not row.volatile):
+            diags.append(Diagnostic("warning", f"{key} is set but {kind} does not read it"))
+        if failed is not None or unread:
             cfg[key] = None
 
     dist = None
@@ -366,7 +365,7 @@ def _batch_rules(kind: str, cfg: dict, dist) -> list[Diagnostic]:
     of at most ``_MAX_BATCH`` paths; batch standard errors need enough of
     both."""
     paths, batches = cfg["paths"], cfg["batches"]
-    if kind == "gaussian-cov" or batches is None:
+    if batches is None:
         return []
     diags = []
     if kind in ESTIMATORS and batches < 30:
@@ -392,12 +391,12 @@ def _u_order(kind: str, cfg: dict, dist) -> list[Diagnostic]:
 
 
 def _population_sizes(kind: str, cfg: dict, dist) -> list[Diagnostic]:
-    """Every simulated K (the K of every kind but gaussian-cov, and each entry
-    of K_list) keeps K * m^horizon below 2^53: progeny sums are drawn as int64
-    counts, and that leaves a 2^10 margin below where numpy's samplers
-    overflow or refuse. Invariance scales its windows and targets with log K."""
-    K = max(cfg["K_list"] or [0]) if kind == "extinction-scaling" else cfg["K"]
-    if kind == "gaussian-cov" or dist is None or not K:
+    """Every simulated K (a kind's K, or each entry of K_list) keeps
+    K * m^horizon below 2^53: progeny sums are drawn as int64 counts, and
+    that leaves a 2^10 margin below where numpy's samplers overflow or
+    refuse. Invariance scales its windows and targets with log K."""
+    K = max(cfg["K_list"] or [cfg["K"] or 0])
+    if dist is None or not K:
         return []
     if kind == "invariance" and K < 2:
         return _error("invariance needs K >= 2: its windows and targets scale with log K")
@@ -415,7 +414,7 @@ def _oracle_reach(kind: str, cfg: dict, dist) -> list[Diagnostic]:
     so both stop by about n = (log K + 35) / -log m."""
     if kind == "conditional-on-tau":
         K = cfg["K"]
-    elif kind == "extinction-scaling" and cfg["exact_oracle"]:
+    elif cfg["exact_oracle"]:  # read by extinction-scaling alone
         K = max(cfg["K_list"] or [0])
     else:
         return []
@@ -431,17 +430,13 @@ def _oracle_reach(kind: str, cfg: dict, dist) -> list[Diagnostic]:
 
 
 def _level_warnings(kind: str, cfg: dict, dist) -> list[Diagnostic]:
-    """Duplicate truncation levels, levels given to simulate, and levels on a
-    power of the mean, where the truncated chain is unstable."""
-    texts, levels = [], []
-    if kind == "coupled" and cfg["levels"] is not None:
-        levels = list(cfg["levels"])
-        if len(set(levels)) < len(levels):
-            texts.append("duplicate truncation levels collapse to one")
-    elif kind in ("clt-check", "gaussian-cov") and cfg["a"] is not None:
+    """Duplicate truncation levels, and levels on a power of the mean, where
+    the truncated chain is unstable."""
+    texts, levels = [], cfg["levels"] or []
+    if len(set(levels)) < len(levels):
+        texts.append("duplicate truncation levels collapse to one")
+    if cfg["a"] is not None:  # coupled reads levels; clt-check and gaussian-cov read a
         levels = [cfg["a"]]
-    elif kind == "simulate" and cfg["levels"]:
-        texts.append("levels are ignored by simulate; use the coupled kind to track truncations")
     if dist is not None and 0.0 < dist.mean < 1.0:
         texts += boundary_warnings(dist.mean, [a for a in levels if a > 0.0])
     return [Diagnostic("warning", text) for text in texts]
@@ -451,18 +446,16 @@ def _level_columns(kind: str, cfg: dict, dist) -> list[Diagnostic]:
     """A coupled dump names each level's columns by the level at 4 decimals
     (``process.level_label``), so two distinct levels must print apart there:
     otherwise a reader that goes by column name drops one of them."""
-    if kind != "coupled" or cfg["levels"] is None or not cfg["write_trajectories"]:
+    if cfg["levels"] is None or not cfg["write_trajectories"]:
         return []
     seen: dict[str, float] = {}
     diags = []
     for a in sorted(set(float(a) for a in cfg["levels"])):
         label = level_label(a)
-        if label not in seen:
-            seen[label] = a
-            continue
-        diags += _error(f"levels {seen[label]!r} and {a!r} both name the trajectory columns "
-                        f"Xa_{label}, Ya_{label} and I_{label}: levels must differ at 4 "
-                        "decimals, or set write_trajectories to false")
+        if seen.setdefault(label, a) != a:
+            diags += _error(f"levels {seen[label]!r} and {a!r} both name the trajectory "
+                            f"columns Xa_{label}, Ya_{label} and I_{label}: levels must differ "
+                            "at 4 decimals, or set write_trajectories to false")
     return diags
 
 
@@ -472,82 +465,21 @@ _CROSS_KEY_RULES = (_mean_rules, _batch_rules, _u_order, _population_sizes, _ora
 
 
 # ---------------------------------------------------------------------------
-# per-kind runners
-
-
-def _tau_entries(hist: np.ndarray, extinct: int, K: int, mean: float) -> list:
-    if extinct == 0:
-        return []
-    mean_tau = float((np.arange(hist.size) * hist).sum() / extinct)
-    target = None
-    if 0.0 < mean < 1.0 and K >= 2:
-        target = limit_constant(mean) * math.log(K)
-    return [
-        entry_info("mean_tau", mean_tau, target=target),
-        entry_info("median_tau", _median_from_hist(hist, extinct), target=target),
-    ]
-
-
-#: The gate counts a coupled batch returns after its histogram and censored count.
-COUPLED_GATES = ("sandwich_violations", "shift_identity_violations",
-                 "indicator_violations", "level_monotonicity_violations")
-
-
-def _run_pathwise(kind: str, cfg: dict, dist: OffspringDistribution):
-    """Run a simulate or coupled config batch by batch on ``_tau_hist_batch``.
-
-    A coupled run steps its truncation levels along with the base process
-    and gates their violation counts; simulate ignores ``levels``.
-    """
-    K, paths, batches = cfg["K"], cfg["paths"], cfg["batches"]
-    # float() because the levels name trajectory columns: 0 and 0.0 must print alike.
-    levels = sorted(set(float(a) for a in cfg["levels"])) if kind == "coupled" else []
-    gates = COUPLED_GATES if levels else ()
-    horizon = cfg["horizon"] or default_horizon(K, dist.mean, cfg["cap_multiplier"])
-    dump = cfg["write_trajectories"]
-    layout = batch_layout(paths, batches)
-    fn = partial(_tau_hist_batch, layout=layout, seed=cfg["seed"], dist=dist, K=K, horizon=horizon,
-                 levels=levels, dump=dump)
-    [parts] = _run_batches([fn], layout, cfg["workers"])
-    hist = _hist_rows([p[0] for p in parts]).sum(axis=0)
-    censored = sum(p[1] for p in parts)
-    entries = [
-        entry_info("paths", paths),
-        entry_info("extinct_paths", paths - censored),
-        entry_info("censored_paths", censored),
-    ]
-    entries += [entry_le(name, sum(p[2 + i] for p in parts), 0) for i, name in enumerate(gates)]
-    entries += _tau_entries(hist, paths - censored, K, dist.mean)
-    report = ExperimentReport(kind, entries, batches=batches, total_paths=paths)
-    header = trajectory_header(levels)
-    text = header + "\n" + "".join(p[-1] for p in parts) if dump else None
-    return report, text
-
-
-def _run_gaussian_cov(cfg: dict, dist: OffspringDistribution):
-    model = ThetaCovariance(dist.mean, mode=cfg["mode"], a=cfg["a"])
-    indices = cfg["indices"]
-    matrix = covariance_matrix(model, indices)
-    entries = []
-    for p, i in enumerate(indices):
-        for q, j in enumerate(indices):
-            if q >= p:
-                entries.append(entry_info(f"cov[{i},{j}]", float(matrix[p, q])))
-    entries.append(entry_info("psd", 1.0 if is_positive_semidefinite(matrix) else 0.0))
-    report = ExperimentReport("gaussian-cov", entries, batches=1, total_paths=0)
-    return report, [[float(v) for v in row] for row in matrix]
+# dispatch
 
 
 def _dispatch_estimator(kind: str, cfg: dict, dist: OffspringDistribution) -> ExperimentReport:
-    """Call the kind's estimator with each key whose row names the kind.
+    """Call the kind's function in ``estimators`` with each key whose row
+    names the kind.
 
-    Unset keys are not passed, so the estimator's own default applies (this
-    is how invariance gets its default u2). The estimator is looked up by name on
-    every call, so a wrapper set on the ``estimators`` module sees it.
+    Unset keys are not passed, so the function's own default applies (this
+    is how invariance gets its default u2, and simulate no levels). The
+    function is looked up by name on every call, so a wrapper set on the
+    ``estimators`` module sees it.
     """
     kwargs = {row.param or key: cfg[key] for key, row in CONFIG_KEYS.items()
               if kind in row.kinds and cfg[key] is not None}
-    return getattr(estimators, ESTIMATORS[kind])(dist=dist, **kwargs)
+    return getattr(estimators, RUNNERS[kind])(dist=dist, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +561,7 @@ def _plot_series(report: ExperimentReport) -> dict[str, tuple[str, list[tuple[st
     return series
 
 
-def _persist(run_dir: Path, cfg: dict, report: ExperimentReport, payload: dict,
-             traj_text: str | None, matrix: list[list[float]] | None) -> None:
+def _persist(run_dir: Path, cfg: dict, report: ExperimentReport, payload: dict) -> None:
     manifest = {
         "code_version": __version__,
         "config": {k: cfg[k] for k in sorted(cfg)},
@@ -644,10 +575,11 @@ def _persist(run_dir: Path, cfg: dict, report: ExperimentReport, payload: dict,
         ("report.csv", render_report_csv(report)),
         ("manifest.json", render_json(manifest)),
     ]
-    if traj_text is not None:
-        files.append(("trajectories.csv", traj_text))
-    if matrix is not None:
-        files.append(("matrix.csv", "".join(",".join(repr(v) for v in row) + "\n" for row in matrix)))
+    if report.trajectories is not None:
+        files.append(("trajectories.csv", report.trajectories))
+    if report.matrix is not None:
+        files.append(("matrix.csv",
+                      "".join(",".join(repr(v) for v in row) + "\n" for row in report.matrix)))
     plots = _plot_series(report) if cfg["plot_data"] else {}
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -688,18 +620,12 @@ def run(config: Mapping, *, stderr: IO[str] | None = None) -> RunResult:
     dist = make_distribution(cfg["offspring"], allow_supercritical=cfg["allow_supercritical"])
     print(f"running {kind}", file=err_stream)
     started = time.perf_counter()
-    traj_text = None
-    matrix = None
-    if kind in _PATHWISE:
-        report, traj_text = _run_pathwise(kind, cfg, dist)
-    elif kind == "gaussian-cov":
-        report, matrix = _run_gaussian_cov(cfg, dist)
-    else:
-        report = _dispatch_estimator(kind, cfg, dist)
+    report = _dispatch_estimator(kind, cfg, dist)
     report.wall_time = time.perf_counter() - started
 
     payload = report_payload(report, cfg)
     run_dir = Path(cfg["out"]) / f"{kind}-{config_hash(cfg)}"
-    _persist(run_dir, cfg, report, payload, traj_text, matrix)
+    _persist(run_dir, cfg, report, payload)
+    report.trajectories = None  # a dump can be large, and trajectories.csv now holds it
     print(f"wrote {run_dir}", file=err_stream)
-    return RunResult(report=report, run_dir=run_dir, payload=payload, matrix=matrix)
+    return RunResult(report=report, run_dir=run_dir, payload=payload)

@@ -285,6 +285,11 @@ def coupled_step(
     return (np.maximum(progeny, floors) if floors.any() else progeny), flags
 
 
+#: The coupled gates, in the order of the columns of :func:`_violations`.
+COUPLED_GATES = ("sandwich_violations", "shift_identity_violations",
+                 "indicator_violations", "level_monotonicity_violations")
+
+
 def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
                 single_child: bool) -> np.ndarray | None:
     """Sandwich, shift-identity, indicator and level-monotonicity violations

@@ -304,6 +304,12 @@ REPRO_CONFIGS = {
 }
 
 
+def test_repro_configs_draw_no_warning():
+    diags = {kind: harness.validate({**cfg, "experiment": kind})
+             for kind, cfg in REPRO_CONFIGS.items()}
+    assert diags == {kind: [] for kind in REPRO_CONFIGS}
+
+
 def test_criterion_9_reproducibility(tmp_path, capsys):
     """Byte-identical reports across reruns and worker counts {1, 8}."""
     mismatches = []

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import csv
+import importlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -20,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
 import branchlab
-from branchlab import estimators
+from branchlab import estimators, harness
 from branchlab.cli import main
 from branchlab.estimators import AD_SIGNIFICANCE_LEVELS
 from branchlab.gaussian_limit import MODES
@@ -28,6 +31,7 @@ from branchlab.harness import (
     CONFIG_KEYS,
     ESTIMATORS,
     EXPERIMENTS,
+    RUNNERS,
     ConfigError,
     IoError,
     config_hash,
@@ -139,6 +143,35 @@ def test_validate_kind_errors(kind, overrides, fragment):
            "paths": 1000, "batches": 40}
     cfg.update(overrides)
     assert any(fragment in e for e in errors(cfg)), errors(cfg)
+
+
+@pytest.mark.parametrize("kind, given, key", [
+    ("simulate", {"K": 10, "levels": [0.1]}, "levels"),
+    ("extinction-scaling", {"K_list": [50], "horizon": 20}, "horizon"),
+    ("clt-check", {"K": 100, "indices": [1], "mode": "martingale"}, "mode"),
+])
+def test_validate_warns_of_a_key_the_kind_does_not_read(kind, given, key):
+    cfg = {"experiment": kind, "offspring": POI, "seed": 1, **given}
+    assert errors(cfg) == []
+    assert warnings(cfg) == [f"{key} is set but {kind} does not read it"]
+    assert warnings({k: v for k, v in cfg.items() if k != key}) == []
+
+
+def test_validate_does_not_warn_of_required_or_volatile_keys():
+    """gaussian-cov reads neither seed nor workers, but seed is required of
+    every kind and workers only steers how a run executes."""
+    cfg = {"experiment": "gaussian-cov", "offspring": POI, "seed": 1, "indices": [1],
+           "workers": 2, "plot_data": True}
+    assert validate(cfg) == []
+
+
+def test_benchmark_workload_configs_draw_no_warning(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    workloads = importlib.import_module("workloads").WORKLOADS
+    configs = [c for w in workloads.values() for c in w.with_run_settings(1, root / "runs")]
+    assert len(configs) == 7
+    assert [d for c in configs for d in validate(c)] == []
 
 
 @pytest.mark.parametrize("levels, dump, refused", [
@@ -273,7 +306,7 @@ def test_run_rejects_invalid_config(tmp_path):
 def test_gaussian_cov_run(tmp_path):
     res = run({"experiment": "gaussian-cov", "offspring": BERN, "seed": 0,
                "indices": [1], "out": str(tmp_path)}, stderr=io.StringIO())
-    assert res.matrix == [[1.0]]
+    assert res.report.matrix == [[1.0]]
     assert res.report.entry("cov[1,1]").estimate == 1.0
     assert res.report.entry("psd").estimate == 1.0
     assert (res.run_dir / "matrix.csv").read_text() == "1.0\n"
@@ -299,6 +332,7 @@ def test_simulate_degenerate_law(tmp_path):
     assert res.report.entry("mean_tau").estimate == 1.0
     lines = (res.run_dir / "trajectories.csv").read_text().splitlines()
     assert lines == ["path,n,X", "0,0,5", "0,1,0"]
+    assert res.report.trajectories is None  # released once written
 
 
 def test_simulate_ignores_levels(tmp_path):
@@ -665,6 +699,31 @@ def test_every_name_the_benchmark_traces_resolves():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr in pairs if attr not in vars(owner)]
     assert not missing
+
+
+#: simulate runs coupled's function, with no truncation levels.
+UNREAD_PARAMETERS = {"simulate": {"levels"}}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENTS)
+def test_config_rows_feed_every_parameter_of_the_kind_function(kind):
+    """A row that forgets a kind would leave the function on its own default."""
+    params = set(inspect.signature(getattr(estimators, RUNNERS[kind])).parameters) - {"dist"}
+    fed = {row.param or key for key, row in CONFIG_KEYS.items() if kind in row.kinds}
+    assert fed == params - UNREAD_PARAMETERS.get(kind, set())
+
+
+def test_harness_leaves_the_batch_engine_to_estimators():
+    """harness imports no private name of estimators or process, nor the
+    engine's layout, horizon, header or covariance helpers."""
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    engine = {"batch_layout", "default_horizon", "trajectory_header", "covariance_matrix"}
+    assert not [(module, name) for module, name in imported
+                if module in ("estimators", "process") and name.startswith("_")
+                or name in engine]
+    assert set(ESTIMATORS) == set(EXPERIMENTS) - {"simulate", "coupled", "gaussian-cov"}
 
 
 def test_runtime_imports_no_scipy():
