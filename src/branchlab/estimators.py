@@ -5,13 +5,14 @@ computes the Gaussian limit's covariance matrix, and the five Monte Carlo
 kinds confront simulation with the asymptotic laws. Every simulated
 experiment is a deterministic function of (config, seed): paths are
 partitioned into contiguous equal batches, consecutive batches are grouped
-into stacks by a rule of the batch layout alone, each stack simulates on
-its own addressed stream (so neither the worker count nor the job order
-can change any draw), per-batch summaries merge in batch order, and
-standard errors come from the spread of batch means. A stack runs the
-process module's batch engine on the handle stream keyed by (its first
-batch, slot); its batches draw disjoint uniforms, so they are independent,
-and a stack of one batch draws what that batch draws alone.
+into stacks by a rule of the batch layout alone, and each stack simulates
+on its own addressed stream, so neither the worker count nor the job order
+can change any draw. A stack is one job: the process module's engine
+steps all its paths on the handle stream keyed by (its first batch, slot),
+and the job returns one part per stack, merged in stack order. Batches
+are a statistics concept alone: standard errors come from the spread of
+batch means, so a stack worker splits its paths into batches only where
+a statistic needs them.
 
 The conditional experiments average over an ``Ensemble`` of paths. A
 Monte Carlo sample and an exact enumeration (probability weights, one
@@ -187,45 +188,42 @@ def _stacks(layout: list[tuple[int, int]]) -> list[range]:
     return stacks
 
 
-def _call(job: tuple[Callable[[range], list], range]) -> list:
+def _call(job: tuple[Callable[[range], object], range]) -> object:
     fn, stack = job
     return fn(stack)
 
 
-def _run_batches(fns: Sequence[Callable[[range], list]], layout: list[tuple[int, int]],
-                 workers: int) -> list[list]:
-    """Every batch of ``layout`` through every function, one list of parts
-    per function, one part per batch in batch order.
+def _run_stacks(fns: Sequence[Callable[[range], object]], layout: list[tuple[int, int]],
+                workers: int) -> list[list]:
+    """Every stack of ``layout`` (see :func:`_stacks`) through every
+    function, one list of parts per function, one part per stack in stack
+    order.
 
-    A job is one function on one stack (see :func:`_stacks`): the function
-    takes a range of consecutive batches and returns their parts in order.
-    All the jobs go through one pool, the last function's stacks first, so
-    a grid listed by growing K starts its longest batches first. The pool
-    gets at most one process per job and per CPU; with one, the jobs run
-    in this process. Each stack draws from its own addressed stream, so
-    neither the order nor the process count changes a part; the stacks,
-    which depend only on the layout, do.
+    A job is one function on one stack: the function takes a range of
+    consecutive batches and returns their part. All the jobs go through one
+    pool, the last function's stacks first, so a grid listed by growing K
+    starts its longest stacks first. The pool gets at most one process per
+    job and per CPU; with one, the jobs run in this process. Each stack
+    draws from its own addressed stream, so neither the order nor the
+    process count changes a part; the stacks, which depend only on the
+    layout, do.
     """
-    jobs = [(fn, stack) for fn in reversed(fns) for stack in _stacks(layout)]
+    stacks = _stacks(layout)
+    jobs = [(fn, stack) for fn in reversed(fns) for stack in stacks]
     procs = min(workers, len(jobs), os.cpu_count() or 1)
     if procs <= 1:
-        results = [_call(job) for job in jobs]
+        parts = [_call(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            results = list(pool.map(_call, jobs))
-    parts = [part for result in results for part in result]
-    batches = len(layout)
-    return [parts[i * batches:(i + 1) * batches] for i in reversed(range(len(fns)))]
+            parts = list(pool.map(_call, jobs))
+    n = len(stacks)
+    return [parts[i * n:(i + 1) * n] for i in reversed(range(len(fns)))]
 
 
 def _batch_se(batch_values: np.ndarray) -> float:
     """The standard error of a mean from one value per batch: their spread
     over sqrt(batches)."""
     return float(batch_values.std(ddof=1) / math.sqrt(len(batch_values)))
-
-
-def _batch_ids(layout: list[tuple[int, int]]) -> np.ndarray:
-    return np.repeat(np.arange(len(layout)), [c for _, c in layout])
 
 
 def _hist_rows(hists: Sequence[np.ndarray]) -> np.ndarray:
@@ -247,73 +245,71 @@ def _median_from_hist(hist: np.ndarray, total: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized batch simulation
+# stack workers: one stack of consecutive batches per job
 
 
-def _stack_stream(stack: range, seed: int, layout, slot: int = 0):
-    """A stack's one stream, that of its first batch, and its batches' path counts."""
-    return RandomnessSource(seed).handle(stack.start, slot), [layout[b][1] for b in stack]
+def _step_stack(stack: range, seed: int, layout, K: int, dist, horizon: int,
+                floors: Sequence[int] = (0,), *, slot: int = 0, rows: bool = False):
+    """``plain_batch`` on the stack's paths, drawing from its one stream:
+    the handle stream of its first batch at ``slot``."""
+    gen = RandomnessSource(seed).handle(stack.start, slot)
+    paths = sum(layout[b][1] for b in stack)
+    return plain_batch(K, paths, dist, gen, horizon, floors, rows=rows)
 
 
 def _tau_hist_batch(stack: range, *, seed: int, layout, dist, K: int, horizon: int,
-                    levels: Sequence[float] = (), slot: int = 0, dump: bool = False) -> list[tuple]:
-    """The batch worker of simulate, coupled and extinction-scaling.
+                    levels: Sequence[float] = (), slot: int = 0, dump: bool = False) -> tuple:
+    """The stack worker of simulate, coupled and extinction-scaling.
 
-    Per batch of the stack: the histogram of its extinction times, its
-    count of paths alive at the horizon, with ``levels`` (sorted and
-    distinct) its four gate-violation counts, and its trajectory rows when
-    ``dump``. Generation 0 is the common start K, where every gate holds
-    by construction.
+    Returns the histogram of each batch's extinction times (batch standard
+    errors need them one by one), the stack's count of paths alive at the
+    horizon, with ``levels`` (sorted and distinct) its four gate-violation
+    totals, and its trajectory rows when ``dump``. Generation 0 is the
+    common start K, where every gate holds by construction.
     """
-    gen, counts = _stack_stream(stack, seed, layout, slot)
     floors = coupled_floors(levels, K)
-    parts = []
-    for b, (taus, sizes, flags, bad) in zip(stack, plain_batch(K, counts, dist, gen, horizon,
-                                                                floors, rows=dump)):
-        text = trajectory_rows(sizes, layout[b][0], floors, flags) if dump else None
-        parts.append((np.bincount(taus[taus >= 0]), int(np.count_nonzero(taus < 0)), *bad, text))
-    return parts
+    taus, sizes, flags, bad = _step_stack(stack, seed, layout, K, dist, horizon, floors,
+                                          slot=slot, rows=dump)
+    ends = np.cumsum([layout[b][1] for b in stack])[:-1]
+    hists = [np.bincount(t[t >= 0]) for t in np.split(taus, ends)]
+    text = None
+    if dump:  # batch by batch, which keeps csv_rows' buffers to a batch's size
+        text = "".join(trajectory_rows(s, layout[b][0], floors, f) for b, s, f in
+                       zip(stack, np.split(sizes, ends, axis=1), np.split(flags, ends, axis=1)))
+    return hists, int(np.count_nonzero(taus < 0)), *bad, text
 
 
 def _values_batch(stack: range, *, seed: int, layout, dist, K: int, u1: float,
-                  u2: float, fixed_n: int, cap: int) -> list[tuple[np.ndarray, ...]]:
-    """Per batch of the stack, per path: (tau, X at floor(u1 tau), at
-    floor(u2 tau), at fixed_n).
+                  u2: float, fixed_n: int, cap: int) -> tuple[np.ndarray, ...]:
+    """Per path of the stack: (tau, X at floor(u1 tau), at floor(u2 tau),
+    at fixed_n).
 
     Runs the stack to extinction keeping the generation-by-generation
     size vectors, then reads each path's values at its realized times.
     Censored paths get tau = -1 and are skipped downstream.
     """
-    gen, counts = _stack_stream(stack, seed, layout)
-    parts = []
-    for taus, sizes, _, _ in plain_batch(K, counts, dist, gen, cap, rows=True):
-        M, cols = sizes[:, :, 0], np.arange(len(taus))
-        s1 = np.floor(u1 * np.maximum(taus, 0)).astype(np.int64)
-        s2 = np.floor(u2 * np.maximum(taus, 0)).astype(np.int64)
-        x1 = M[s1, cols]
-        x2 = M[s2, cols]
-        xn = M[fixed_n, cols] if fixed_n < M.shape[0] else np.zeros(len(taus), np.int64)
-        parts.append((taus, x1, x2, xn))
-    return parts
+    taus, sizes, _, _ = _step_stack(stack, seed, layout, K, dist, cap, rows=True)
+    M, cols = sizes[:, :, 0], np.arange(len(taus))
+    s1 = np.floor(u1 * np.maximum(taus, 0)).astype(np.int64)
+    s2 = np.floor(u2 * np.maximum(taus, 0)).astype(np.int64)
+    xn = M[fixed_n, cols] if fixed_n < M.shape[0] else np.zeros(len(taus), np.int64)
+    return taus, M[s1, cols], M[s2, cols], xn
 
 
 def _theta_batch(stack: range, *, seed: int, layout, dist, K: int,
-                 indices: tuple[int, ...], a: float) -> list[np.ndarray]:
-    """Per batch of the stack: population sizes at the requested
-    generations, one row per path.
+                 indices: tuple[int, ...], a: float) -> np.ndarray:
+    """Population sizes at the requested generations, one row per path of
+    the stack.
 
-    Generations after the whole batch died out read 0.
+    Generations after the whole stack died out read 0.
     """
-    gen, counts = _stack_stream(stack, seed, layout)
+    _, M, _, _ = _step_stack(stack, seed, layout, K, dist, indices[-1], [floor_level(a, K)],
+                             rows=True)
     rows = np.array(indices)
-    parts = []
-    for _, M, _, _ in plain_batch(K, counts, dist, gen, indices[-1], [floor_level(a, K)],
-                                  rows=True):
-        kept = rows < len(M)
-        X = np.zeros((len(rows), M.shape[1]), dtype=M.dtype)
-        X[kept] = M[rows[kept], :, 0]
-        parts.append(X.T)
-    return parts
+    kept = rows < len(M)
+    X = np.zeros((len(rows), M.shape[1]), dtype=M.dtype)
+    X[kept] = M[rows[kept], :, 0]
+    return X.T
 
 
 def _collect_values(dist, K, u1, u2, paths, seed, batches, workers,
@@ -322,9 +318,9 @@ def _collect_values(dist, K, u1, u2, paths, seed, batches, workers,
     cap = default_horizon(K, dist.mean, multiplier=cap_multiplier)
     fn = partial(_values_batch, seed=seed, layout=layout, dist=dist, K=K,
                  u1=u1, u2=u2, fixed_n=fixed_n, cap=cap)
-    [parts] = _run_batches([fn], layout, workers)
+    [parts] = _run_stacks([fn], layout, workers)
     tau, x1, x2, xn = (np.concatenate(column) for column in zip(*parts))
-    return Ensemble(tau, x1, x2, xn, _batch_ids(layout))
+    return Ensemble(tau, x1, x2, xn, np.repeat(np.arange(batches), [c for _, c in layout]))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +461,8 @@ def pathwise_check(K: int, dist: OffspringDistribution, paths: int, seed: int, *
     layout = batch_layout(paths, batches)
     fn = partial(_tau_hist_batch, layout=layout, seed=seed, dist=dist, K=K, horizon=horizon,
                  levels=levels, dump=write_trajectories)
-    [parts] = _run_batches([fn], layout, workers)
-    hist = _hist_rows([p[0] for p in parts]).sum(axis=0)
+    [parts] = _run_stacks([fn], layout, workers)
+    hist = _hist_rows([h for p in parts for h in p[0]]).sum(axis=0)
     censored = sum(p[1] for p in parts)
     extinct = paths - censored
     entries = [
@@ -545,8 +541,8 @@ def extinction_scaling(
     fns = [partial(_tau_hist_batch, seed=seed, layout=layout, dist=dist, K=K, slot=slot,
                    horizon=default_horizon(K, m, multiplier=cap_multiplier))
            for slot, K in enumerate(K_list)]
-    for K, parts in zip(K_list, _run_batches(fns, layout, workers)):
-        hists = _hist_rows([p[0] for p in parts])
+    for K, parts in zip(K_list, _run_stacks(fns, layout, workers)):
+        hists = _hist_rows([h for p in parts for h in p[0]])
         width = hists.shape[1]
         censored = sum(p[1] for p in parts)
         hist = hists.sum(axis=0)
@@ -706,7 +702,7 @@ def clt_covariance_check(
     layout = batch_layout(paths, batches)
     fn = partial(_theta_batch, seed=seed, layout=layout, dist=dist, K=K,
                  indices=indices, a=a)
-    [parts] = _run_batches([fn], layout, workers)
+    [parts] = _run_stacks([fn], layout, workers)
     X = np.vstack(parts)
     centers = K * dist.mean ** np.array(indices, dtype=float)
     theta = (X - centers) / (dist.std * math.sqrt(K))

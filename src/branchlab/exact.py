@@ -34,7 +34,14 @@ def _tail_from_survival(s: float, K: int) -> float:
     return -math.expm1(K * math.log1p(-s))
 
 
-_MAX_GENERATIONS = 10_000_000
+#: The most steps the survival iteration takes before it gives up.
+MAX_GENERATIONS = 10_000_000
+
+
+def oracle_steps(dist: OffspringDistribution, K: int) -> float:
+    """About how many survival steps the oracles need from K, for 0 < m < 1:
+    s_n <= m^n, so their sums and quantiles stop by n = (log K + 35) / -log m."""
+    return (math.log(K) + 35) / -math.log(dist.mean)
 
 
 def _survival(dist: OffspringDistribution) -> Iterator[float]:
@@ -43,14 +50,14 @@ def _survival(dist: OffspringDistribution) -> Iterator[float]:
     Iterates the complement map s -> 1 - f(1 - s), which stays accurate
     down to denormal survival probabilities where the plain fixed-point
     iteration of the generating function saturates one ulp short of 1.
-    Raises RuntimeError when asked for more than ``_MAX_GENERATIONS``
+    Raises RuntimeError when asked for more than ``MAX_GENERATIONS``
     steps, so a sum that never meets its tolerance cannot loop forever.
     """
     s = 1.0
-    for _ in range(_MAX_GENERATIONS + 1):
+    for _ in range(MAX_GENERATIONS + 1):
         yield s
         s = dist.pgf_complement(s)
-    raise RuntimeError(f"survival iteration did not converge in {_MAX_GENERATIONS} generations")
+    raise RuntimeError(f"survival iteration did not converge in {MAX_GENERATIONS} generations")
 
 
 def line_survival_probs(dist: OffspringDistribution, horizon: int) -> np.ndarray:

@@ -408,10 +408,10 @@ def _population_sizes(kind: str, cfg: dict, dist) -> list[Diagnostic]:
 
 
 def _oracle_reach(kind: str, cfg: dict, dist) -> list[Diagnostic]:
-    """The exact oracle a run calls stops within ``exact._MAX_GENERATIONS``
-    steps of its survival iteration: conditional-on-tau's median of tau, and
-    extinction-scaling's E[m^tau] when ``exact_oracle`` is set. s_n <= m^n,
-    so both stop by about n = (log K + 35) / -log m."""
+    """The exact oracle a run calls stops within ``exact.MAX_GENERATIONS``
+    steps of its survival iteration (see ``exact.oracle_steps``):
+    conditional-on-tau's median of tau, and extinction-scaling's E[m^tau]
+    when ``exact_oracle`` is set."""
     if kind == "conditional-on-tau":
         K = cfg["K"]
     elif cfg["exact_oracle"]:  # read by extinction-scaling alone
@@ -420,13 +420,13 @@ def _oracle_reach(kind: str, cfg: dict, dist) -> list[Diagnostic]:
         return []
     if dist is None or not K or not 0.0 < dist.mean < 1.0:
         return []
-    steps = (math.log(K) + 35) / -math.log(dist.mean)
-    if steps <= exact._MAX_GENERATIONS:
+    steps = exact.oracle_steps(dist, K)
+    if steps <= exact.MAX_GENERATIONS:
         return []
     fix = "set exact_oracle to false or lower" if kind == "extinction-scaling" else "lower"
     return _error(f"offspring mean {dist.mean} is too close to 1: the exact oracle of {kind} "
                   f"could need {steps:.3g} generations, more than its limit of "
-                  f"{exact._MAX_GENERATIONS}; {fix} the mean")
+                  f"{exact.MAX_GENERATIONS}; {fix} the mean")
 
 
 def _level_warnings(kind: str, cfg: dict, dist) -> list[Diagnostic]:

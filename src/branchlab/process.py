@@ -19,28 +19,27 @@ generation step: each path is a row of sizes with one floor per column,
 the plain chain being the one-column row [X] with floor 0 (or the chain
 floored at b with floor b), for which the gap is the size itself. Rows
 ascend from column to column, as S and the floors do, so their gaps need
-no sort. :func:`plain_sizes` is the one generation loop: it steps only
+no sort. :func:`plain_batch` is the one generation loop: it steps only
 the live paths, and drops a path once every column of its row is 0, so
 extinct paths cost nothing.
 
-The engine steps a *stack*: consecutive batches in one matrix, paths
-numbered batch after batch, all drawing from one generator. A generation
-is one ``closure_sums`` call over the whole stack and one compaction, so
-a batch's draws depend on which batches share its stack; distinct paths
-draw disjoint uniforms, so the batches stay independent. Every stack, a
-single path included, goes through :func:`plain_batch`, which scatters
-its steps into each batch's extinction times, size and indicator
-matrices and gate-violation counts; :func:`trajectory_rows` writes a
-batch's trajectory CSV rows with :func:`csv_rows`, a numpy kernel that
-writes the digits of every integer of a batch at once.
+The engine steps a *stack* of paths, all drawing from one generator. A
+generation is one ``closure_sums`` call over the whole stack and one
+compaction; distinct paths draw disjoint uniforms, so they stay
+independent. The engine knows nothing of batches: every stack, a single
+path included, goes through :func:`plain_batch`, which returns the
+stack's extinction times, size and indicator matrices and gate-violation
+totals, and how a caller splits its paths into batches is its own
+affair. :func:`trajectory_rows` writes the trajectory CSV rows of a stack
+with :func:`csv_rows`, a numpy kernel that writes the digits of every
+integer at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -127,104 +126,69 @@ class CoupledPaths:
         return len(self.base_sizes) - 1
 
 
-def batch_slices(counts: Sequence[int]) -> list[slice]:
-    """Each batch's paths in a stack whose batches hold ``counts`` paths."""
-    return [slice(end - count, end) for count, end in zip(counts, accumulate(counts))]
-
-
-def plain_sizes(
+def plain_batch(
     K: int,
     paths: int,
     dist: OffspringDistribution,
     gen: np.random.Generator,
     horizon: int,
     floors: Sequence[int] = (0,),
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Step ``paths`` paths from K on the one generator ``gen``, one
-    generation per yield.
-
-    A path is a row of one size per entry of ``floors`` (see
-    :func:`coupled_step`), every size starting at K. Yields ``(live, sizes,
-    flags)`` at generations 1, 2, ..., horizon: ``live`` holds the indices
-    of the paths alive before the step, and ``sizes`` and ``flags`` their
-    next sizes and indicators. Zero is absorbing, so a path whose sizes are
-    all 0 is dropped after the yield, and the generator stops once none is
-    left. ``closure_sums`` draws nothing for a size of 0, so dropping the
-    dead paths changes no draw of the live ones.
-    """
-    floors = np.asarray(floors, dtype=np.int64)
-    live = np.arange(paths)
-    sizes = np.full((paths, floors.size), K, dtype=np.int64)
-    for _ in range(horizon):
-        sizes, flags = coupled_step(sizes, floors, dist, gen)
-        yield live, sizes, flags
-        alive = np.flatnonzero(sizes[:, -1] > 0)  # rows ascend: all 0 when the last size is
-        if alive.size < len(sizes):
-            if not alive.size:
-                return
-            live, sizes = live[alive], np.take(sizes, alive, axis=0)
-
-
-def plain_batch(
-    K: int,
-    counts: Sequence[int],
-    dist: OffspringDistribution,
-    gen: np.random.Generator,
-    horizon: int,
-    floors: Sequence[int] = (0,),
     *,
     rows: bool = False,
-) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray | None, list[int]]]:
-    """Run a stack of batches on :func:`plain_sizes`, all drawing from ``gen``.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, list[int]]:
+    """Step a stack of ``paths`` paths from K on the one generator ``gen``.
 
-    Batch i holds ``counts[i]`` paths, numbered batch after batch; the
-    counts only split the results. Returns one ``(taus, sizes, flags,
-    bad)`` per batch. ``taus`` holds each path's extinction time, the first
-    generation at which its first column is 0, or -1 if that column is
-    alive at the horizon. With ``rows``, ``sizes`` is the (generations,
-    paths, 1+L) size matrix from K on, 0 after a path died out, and
-    ``flags`` the (generations-1, paths, L) indicators; else both are None.
-    With levels (L > 0), ``bad`` holds the batch's four gate-violation
-    counts over every generation (see :func:`_violations`); else it is
-    empty. A plain batch's rows stop with the last generation it stepped,
-    so a batch that dies out early keeps no rows up to the horizon,
-    whatever the other batches of its stack do. A batch with levels keeps
-    every generation up to the horizon, with zeros after all its sizes
-    reached 0.
+    A path is a row of one size per entry of ``floors`` (see
+    :func:`coupled_step`), every size starting at K. Only the live paths
+    step: zero is absorbing, so a path whose sizes are all 0 is dropped,
+    and the loop stops once none is left or at the horizon. ``closure_sums``
+    draws nothing for a size of 0, so dropping the dead paths changes no
+    draw of the live ones.
+
+    Returns ``(taus, sizes, flags, bad)``. ``taus`` holds each path's
+    extinction time, the first generation at which its first column is 0,
+    or -1 if that column is alive at the horizon. With ``rows``, ``sizes``
+    is the (generations, paths, 1+L) size matrix from K on, 0 after a path
+    died out, and ``flags`` the (generations-1, paths, L) indicators; else
+    both are None. Plain rows (L = 0) stop with the last generation stepped;
+    rows with levels keep every generation up to the horizon. With levels,
+    ``bad`` holds the four gate-violation totals over every generation (see
+    :func:`_violations`); else it is empty.
     """
     floors = np.asarray(floors, dtype=np.int64)
-    total, levels = sum(counts), len(floors) - 1
-    taus = np.full(total, -1, dtype=np.int64)
-    bad = np.zeros((total, 4 if levels else 0), dtype=np.int64)
-    matrix, marks = [np.full((total, 1 + levels), K, dtype=np.int64)], []
-    for n, (live, sizes, flags) in enumerate(plain_sizes(K, total, dist, gen, horizon, floors), 1):
+    levels = len(floors) - 1
+    taus = np.full(paths, -1, dtype=np.int64)
+    bad = np.zeros(4 if levels else 0, dtype=np.int64)
+    live = np.arange(paths)
+    sizes = np.full((paths, 1 + levels), K, dtype=np.int64)
+    matrix, marks = [sizes], []
+    for n in range(1, horizon + 1):
+        sizes, flags = coupled_step(sizes, floors, dist, gen)
         dead = live[sizes[:, 0] == 0]
         if levels:  # a row with levels outlives its base
             dead = dead[taus[dead] < 0]
             found = _violations(sizes, flags, floors, dist.single_child)
-            if found is not None:  # a correct run finds none, so the scatter is rare
-                bad[live] += found
+            if found is not None:
+                bad += found
         taus[dead] = n
         if rows:  # the step's own matrices until a path dies, then scattered among zeros
-            scattered = len(live) < total
-            matrix.append(np.zeros((total, 1 + levels), dtype=np.int64) if scattered else sizes)
-            marks.append(np.zeros((total, levels), dtype=bool) if scattered else flags)
+            scattered = len(live) < paths
+            matrix.append(np.zeros((paths, 1 + levels), dtype=np.int64) if scattered else sizes)
+            marks.append(np.zeros((paths, levels), dtype=bool) if scattered else flags)
             if scattered:
                 matrix[-1][live], marks[-1][live] = sizes, flags
+        alive = np.flatnonzero(sizes[:, -1] > 0)  # rows ascend: all 0 when the last size is
+        if alive.size < len(sizes):
+            if not alive.size:
+                break
+            live, sizes = live[alive], np.take(sizes, alive, axis=0)
     if not rows:
-        return [(taus[batch], None, None, bad[batch].sum(axis=0).tolist())
-                for batch in batch_slices(counts)]
+        return taus, None, None, bad.tolist()
     if levels:  # every generation up to the horizon
         pad = horizon + 1 - len(matrix)
         matrix += [np.zeros_like(matrix[0])] * pad
         marks += [np.zeros_like(marks[0])] * pad
-    matrix, marks = np.stack(matrix), np.stack(marks)
-    parts = []
-    for batch in batch_slices(counts):
-        last = horizon if levels or (taus[batch] < 0).any() else int(taus[batch].max())
-        parts.append((taus[batch], matrix[:last + 1, batch], marks[:last, batch],
-                      bad[batch].sum(axis=0).tolist()))
-    return parts
+    return taus, np.stack(matrix), np.stack(marks), bad.tolist()
 
 
 def simulate_path(
@@ -237,8 +201,8 @@ def simulate_path(
 ) -> PathRecord:
     """Run the base process until extinction or the generation cap.
 
-    Runs :func:`plain_batch` on a stack of one one-path batch fed by the
-    path's closure stream.
+    Runs :func:`plain_batch` on a stack of one path fed by the path's
+    closure stream.
     """
     if K < 0:
         raise ValueError(f"initial size must be >= 0, got {K}")
@@ -249,8 +213,7 @@ def simulate_path(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    [(taus, sizes, _, _)] = plain_batch(K, [1], dist, src.closure_generator(path), horizon,
-                                        rows=True)
+    taus, sizes, _, _ = plain_batch(K, 1, dist, src.closure_generator(path), horizon, rows=True)
     tau = int(taus[0])
     extinct = tau >= 0
     return PathRecord(K, sizes[:, 0, 0].tolist(), extinct, tau if extinct else None, not extinct,
@@ -293,23 +256,23 @@ COUPLED_GATES = ("sandwich_violations", "shift_identity_violations",
 def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
                 single_child: bool) -> np.ndarray | None:
     """Sandwich, shift-identity, indicator and level-monotonicity violations
-    of one generation of coupled rows: (paths, 4) counts, or None if none fires.
+    of one generation of coupled rows: the four totals, or None if none fires.
 
     The sandwich gates X <= X^(a) for every law, and Y^(a) <= X only when no
     individual has more than one child: otherwise the b_a individuals that
-    X^(a) has on top of X may have more than b_a children.
+    X^(a) has on top of X may have more than b_a children. The shift
+    identity gates Y^(a) = X^(a) - b_a >= 0, i.e. that the floor held.
     """
     base, upper = sizes[:, :1], sizes[:, 1:]
     shifted = upper - floors[1:]
-    gates = [((shifted > base) & single_child) | (base > upper), shifted + floors[1:] != upper,
+    gates = [((shifted > base) & single_child) | (base > upper), upper < floors[1:],
              flags != (shifted > 0), upper[:, 1:] < upper[:, :-1]]
-    if any(gate.any() for gate in gates):
-        return np.column_stack([np.count_nonzero(gate, axis=1) for gate in gates])
-    return None
+    totals = np.array([np.count_nonzero(gate) for gate in gates])
+    return totals if totals.any() else None
 
 
 def coupled_floors(levels: Sequence[float], K: int) -> np.ndarray:
-    """[0, b_1, ..., b_L]: the floor of each column of a coupled batch."""
+    """[0, b_1, ..., b_L]: the floor of each column of a coupled row."""
     return np.array([0] + [floor_level(a, K) for a in levels], dtype=np.int64)
 
 
@@ -346,8 +309,8 @@ def simulate_coupled(
 ) -> CoupledPaths:
     """Drive the base process and every truncation level on shared sums.
 
-    Runs :func:`plain_batch` on a stack of one one-path batch with one
-    column per level, fed by the path's closure stream: the base next size
+    Runs :func:`plain_batch` on a stack of one path with one column per
+    level, fed by the path's closure stream: the base next size
     is S(X_n), the level-a next size is max{floor_a, S(X_n^(a))}, and the
     indicator is 1{S(X_n^(a)) > floor_a}.
     The level 0 process coincides with the base path identically. Without
@@ -362,8 +325,8 @@ def simulate_coupled(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    [(_, sizes, flags, _)] = plain_batch(K, [1], dist, src.closure_generator(path), horizon,
-                                         floors, rows=True)
+    _, sizes, flags, _ = plain_batch(K, 1, dist, src.closure_generator(path), horizon, floors,
+                                     rows=True)
     return coupled_record(K, levels, sizes[:, 0], flags[:, 0], path)
 
 
@@ -458,10 +421,10 @@ def trajectory_rows(
     floors: np.ndarray | None = None,
     flags: np.ndarray | None = None,
 ) -> str:
-    """The rows :func:`write_trajectories` writes for a batch of paths.
+    """The rows :func:`write_trajectories` writes for a stack of paths.
 
     ``sizes`` is the (generations, paths, 1+L) size matrix [X, X^(a_1),
-    ..., X^(a_L)] from X_0 on, and path i of the batch is ``first_path + i``.
+    ..., X^(a_L)] from X_0 on, and path i of the stack is ``first_path + i``.
     Plain paths (L = 0) run to their first zero, or to the last generation
     if they never reach 0. Coupled paths write every generation, with
     Y^(a) = X^(a) - b_a from ``floors`` = [0, b_1, ..., b_L] and the

@@ -36,7 +36,7 @@ from branchlab.estimators import (
     invariance_target,
     trend_entry,
 )
-from branchlab.estimators import _median_from_hist, _run_batches, _tau_hist_batch
+from branchlab.estimators import _median_from_hist, _run_stacks, _tau_hist_batch
 from branchlab.exact import enumerate_bernoulli_paths
 from branchlab.gaussian_limit import ThetaCovariance, theta_covariance, theta_variance
 from branchlab.offspring import make_distribution
@@ -108,8 +108,8 @@ class _ReversedPool(_RecordingPool):
 
 
 def test_run_batches_parts_do_not_depend_on_workers_or_job_order(monkeypatch):
-    """Two functions through one pool give each batch the part of its stack
-    run alone, in batch order, at workers 1 and 2 and when the pool runs
+    """Two functions through one pool give each stack the part of that stack
+    run alone, in stack order, at workers 1 and 2 and when the pool runs
     the jobs in reverse order. The layout holds three stacks of two
     batches."""
     monkeypatch.setattr(estimators, "_STACK_PATHS", 250)
@@ -117,17 +117,18 @@ def test_run_batches_parts_do_not_depend_on_workers_or_job_order(monkeypatch):
     stacks = estimators._stacks(layout)
     assert len(stacks) == 3
     fns = [_tau_hist_parts(10), _tau_hist_parts(500)]
-    want = [[part for stack in stacks for part in fn(stack)] for fn in fns]
-    runs = [_run_batches(fns, layout, workers) for workers in (1, 2)]
+    want = [[fn(stack) for stack in stacks] for fn in fns]
+    runs = [_run_stacks(fns, layout, workers) for workers in (1, 2)]
     monkeypatch.setattr(estimators, "ProcessPoolExecutor", _ReversedPool)
     monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
-    runs.append(_run_batches(fns, layout, 2))
+    runs.append(_run_stacks(fns, layout, 2))
     for run in runs:
         assert len(run) == 2
         for parts, alone in zip(run, want):
-            assert len(parts) == 6
-            for (hist, censored, _), (want_hist, want_censored, _) in zip(parts, alone):
-                assert np.array_equal(hist, want_hist) and censored == want_censored
+            assert len(parts) == 3 and sum(len(part[0]) for part in parts) == 6
+            for (hists, censored, _), (want_hists, want_censored, _) in zip(parts, alone):
+                assert len(hists) == len(want_hists) == 2 and censored == want_censored
+                assert all(np.array_equal(h, w) for h, w in zip(hists, want_hists))
 
 
 def _powers(base: int, stack: range) -> list[int]:
@@ -153,9 +154,9 @@ def test_run_batches_forks_no_more_processes_than_can_work(monkeypatch, workers,
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     fns = [partial(_powers, i + 2) for i in range(functions)]
     layout = batch_layout(batches * (estimators._STACK_PATHS + 1), batches)
-    runs = _run_batches(fns, layout, workers)
+    runs = _run_stacks(fns, layout, workers)
     assert _RecordingPool.sizes == ([] if pool is None else [pool])
-    assert runs == [[fn(range(b, b + 1))[0] for b in range(batches)] for fn in fns]
+    assert runs == [[fn(range(b, b + 1)) for b in range(batches)] for fn in fns]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -169,16 +170,19 @@ def test_run_batches_forks_no_more_processes_than_can_work(monkeypatch, workers,
 def test_run_batches_stacks_within_the_path_budget(monkeypatch, counts, workers):
     """Jobs are stacks of consecutive batches, the last function's first,
     each within the path budget unless it is one larger batch; the parts
-    come back one per batch, in batch order."""
+    come back one per stack, in stack order, so their batches run in batch
+    order."""
     monkeypatch.setattr(estimators, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_RecordingPool, "jobs", [])
     layout = [(int(sum(counts[:b])), c) for b, c in enumerate(counts)]
     budget = estimators._STACK_PATHS
     fns = [partial(_powers, 2), partial(_powers, 3)]
-    runs = _run_batches(fns, layout, workers)
-    assert runs == [[base**b for b in range(len(counts))] for base in (2, 3)]
+    runs = _run_stacks(fns, layout, workers)
     stacks = estimators._stacks(layout)
+    assert runs == [[_powers(base, stack) for stack in stacks] for base in (2, 3)]
+    assert [[v for part in run for v in part] for run in runs] == [
+        [base**b for b in range(len(counts))] for base in (2, 3)]
     assert [b for stack in stacks for b in stack] == list(range(len(counts)))
     for stack in stacks:
         paths = sum(counts[b] for b in stack)

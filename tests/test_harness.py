@@ -591,8 +591,8 @@ def test_cli_refuses_data_it_cannot_estimate(tmp_path, capsys, monkeypatch, kind
         monkeypatch.setattr(OffspringDistribution, "closure_sums",
                             lambda self, counts, gen: np.asarray(counts, dtype=np.int64))
     if kind == "clt-check":
-        monkeypatch.setattr(estimators, "_theta_batch", lambda stack, **_: [
-            np.array([[1, 0], [1, 1]] if b % 2 else [[0, 0], [1, 0]]) for b in stack])
+        monkeypatch.setattr(estimators, "_theta_batch", lambda stack, **_: np.vstack([
+            np.array([[1, 0], [1, 1]] if b % 2 else [[0, 0], [1, 0]]) for b in stack]))
     cfg = write_config(tmp_path, {"seed": 1, **payload, "out": str(tmp_path / "runs")})
     assert main([kind, "--config", cfg]) == 2
     captured = capsys.readouterr()
@@ -714,14 +714,17 @@ def test_config_rows_feed_every_parameter_of_the_kind_function(kind):
 
 
 def test_harness_leaves_the_batch_engine_to_estimators():
-    """harness imports no private name of estimators or process, nor the
-    engine's layout, horizon, header or covariance helpers."""
+    """harness uses no private name of estimators, process or exact, by
+    import or by attribute, nor the engine's layout, horizon, header or
+    covariance helpers."""
     tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
-    imported = {(node.module, alias.name) for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used |= {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
     engine = {"batch_layout", "default_horizon", "trajectory_header", "covariance_matrix"}
-    assert not [(module, name) for module, name in imported
-                if module in ("estimators", "process") and name.startswith("_")
+    assert not [(module, name) for module, name in used
+                if module in ("estimators", "process", "exact") and name.startswith("_")
                 or name in engine]
     assert set(ESTIMATORS) == set(EXPERIMENTS) - {"simulate", "coupled", "gaussian-cov"}
 

@@ -16,7 +16,7 @@ from test_offspring import SUBCRITICAL_SPECS, _chisquare_gof, _sum_law_pmf
 
 from branchlab import estimators, process
 from branchlab.estimators import _hist_rows, _tau_hist_batch, batch_layout
-from branchlab.exact import extinction_cdf
+from branchlab.exact import extinction_cdf, tau_quantile
 from branchlab.offspring import OffspringDistribution, make_distribution
 from branchlab.process import (
     PathRecord,
@@ -27,7 +27,6 @@ from branchlab.process import (
     default_horizon,
     floor_level,
     plain_batch,
-    plain_sizes,
     simulate_coupled,
     simulate_path,
     trajectory_header,
@@ -180,7 +179,7 @@ def test_coupled_base_extinction_law(dist):
     """The coupled base path's extinction times follow exact.extinction_cdf."""
     K, paths = 12, 20_000
     horizon = default_horizon(K, dist.mean)
-    [(hist, censored, *_)] = _tau_hist_batch(
+    [hist], censored, *_ = _tau_hist_batch(
         range(1), layout=[(0, paths)], seed=31, dist=dist, K=K, levels=[0.25, 0.5],
         horizon=horizon, dump=False,
     )
@@ -198,8 +197,8 @@ def test_plain_engine_extinction_law(dist, runner):
     K, paths = 12, 20_000
     horizon = default_horizon(K, dist.mean)
     dump = runner == "simulate"
-    [(hist, censored, text)] = _tau_hist_batch(range(1), seed=32 + dump, layout=[(0, paths)],
-                                               dist=dist, K=K, horizon=horizon, dump=dump)
+    [hist], censored, text = _tau_hist_batch(range(1), seed=32 + dump, layout=[(0, paths)],
+                                             dist=dist, K=K, horizon=horizon, dump=dump)
     assert censored == 0
     _assert_extinction_cdf(hist, dist, K, paths)
     if dump:
@@ -209,17 +208,16 @@ def test_plain_engine_extinction_law(dist, runner):
         assert (np.bincount(ends[:, 1], minlength=hist.size) == hist).all()
 
 
-def test_plain_sizes_stop_rule_and_floor():
+def test_plain_batch_stop_rule_and_floor():
     """The engine stops after the first generation in which every path is 0;
     a floor keeps every path live, at or above the floor, until the horizon."""
     gen = RandomnessSource(4).handle()
-    rows = list(plain_sizes(3, 50, ZERO, gen, 10))
-    assert len(rows) == 1 and not rows[0][1].any()
-    rows = list(plain_sizes(40, 50, BERN, gen, 30))
-    assert not rows[-1][1].any() and all(sizes.any() for _, sizes, _ in rows[:-1])
-    rows = list(plain_sizes(40, 50, BERN, gen, 30, [6]))
-    assert len(rows) == 30 and all(len(live) == 50 and (sizes >= 6).all()
-                                   for live, sizes, _ in rows)
+    taus, rows, _, _ = plain_batch(3, 50, ZERO, gen, 10, rows=True)
+    assert len(rows) == 2 and not rows[1].any() and (taus == 1).all()
+    _, rows, _, _ = plain_batch(40, 50, BERN, gen, 30, rows=True)
+    assert not rows[-1].any() and all(sizes.any() for sizes in rows[:-1])
+    taus, rows, _, _ = plain_batch(40, 50, BERN, gen, 30, [6], rows=True)
+    assert rows.shape == (31, 50, 1) and (rows >= 6).all() and (taus < 0).all()
 
 
 def _full_width_sizes(K, paths, dist, gen, horizon, floor):
@@ -243,7 +241,7 @@ def _full_width_sizes(K, paths, dist, gen, horizon, floor):
     floor=hs.sampled_from([0, 1, 5]),
     seed=hs.integers(0, 2**32),
 )
-def test_plain_sizes_match_full_width_loop(family, K, paths, floor, seed):
+def test_plain_batch_matches_full_width_loop(family, K, paths, floor, seed):
     """Scattered back to full width, the live-path engine gives the sizes of
     a loop that steps every path, and leaves the generator at the same
     draw. K and paths put sizes on both sides of the table limit C and the
@@ -251,10 +249,8 @@ def test_plain_sizes_match_full_width_loop(family, K, paths, floor, seed):
     horizon = default_horizon(K, family.mean)
     ref_gen = RandomnessSource(seed).handle()
     gen = RandomnessSource(seed).handle()
-    rows = []
-    for live, sizes, _ in plain_sizes(K, paths, family, gen, horizon, [floor]):
-        rows.append(np.zeros(paths, dtype=np.int64))
-        rows[-1][live] = sizes[:, 0]
+    _, sizes, _, _ = plain_batch(K, paths, family, gen, horizon, [floor], rows=True)
+    rows = sizes[1:, :, 0]
     ref = _full_width_sizes(K, paths, family, ref_gen, horizon, floor)
     assert len(rows) == len(ref)
     assert all((row == want).all() for row, want in zip(rows, ref))
@@ -281,8 +277,8 @@ def test_plain_engine_draws_only_for_live_paths(monkeypatch, dist, cap):
     cap = cap or default_horizon(40, dist.mean)
     for levels in ([], [0.0]):
         calls.clear()
-        [(hist, censored, *bad, _)] = _tau_hist_batch(range(1), seed=8, layout=[(0, 500)],
-                                                      dist=dist, K=40, horizon=cap, levels=levels)
+        [hist], censored, *bad, _ = _tau_hist_batch(range(1), seed=8, layout=[(0, 500)],
+                                                    dist=dist, K=40, horizon=cap, levels=levels)
         assert bad == ([0, 0, 0, 0] if levels else [])
         rows = [gaps.reshape(len(gaps), -1) for gaps in calls]
         assert all(row.shape[1] == 1 + len(levels) and row[:, 0].all() for row in rows)
@@ -343,8 +339,8 @@ def test_batch_rows_match_write_trajectories(dist):
         coupled = [coupled_record(K, levels, rows[:, i], flags[:, i], first + i) for i in range(30)]
         assert {rec.extinct for rec in coupled} == ({True} if levels == [0.0] else {True, False})
         assert rows[horizon - 1].any() == (levels != [0.0])
-        [(_, sizes, marks, _)] = plain_batch(K, [30], dist, RandomnessSource(13).handle(),
-                                             horizon, floors, rows=True)
+        _, sizes, marks, _ = plain_batch(K, 30, dist, RandomnessSource(13).handle(), horizon,
+                                         floors, rows=True)
         text = trajectory_rows(sizes, first, floors, marks)
         assert trajectory_header(levels) + "\n" + text == _reference_text(coupled)
 
@@ -441,8 +437,9 @@ def _batched_hist(dist, K, paths, seed, horizon=None, levels=()):
     layout = batch_layout(paths, 40)
     fn = partial(_tau_hist_batch, seed=seed, layout=layout, dist=dist, K=K,
                  horizon=horizon or default_horizon(K, dist.mean), levels=levels)
-    [parts] = estimators._run_batches([fn], layout, 1)
-    return _hist_rows([part[0] for part in parts]).sum(axis=0), sum(part[1] for part in parts)
+    [parts] = estimators._run_stacks([fn], layout, 1)
+    hists = [hist for part in parts for hist in part[0]]
+    return _hist_rows(hists).sum(axis=0), sum(part[1] for part in parts)
 
 
 def test_extinction_cdf_matches_closed_form():
@@ -597,7 +594,7 @@ def test_coupled_identities_hold_pathwise(family, K, levels, horizon, path):
     count=hs.integers(1, 40),
 )
 def test_coupled_batch_counts_no_violations(family, K, levels, horizon, count):
-    [(hist, censored, *bad, text)] = _tau_hist_batch(
+    [hist], censored, *bad, text = _tau_hist_batch(
         range(1), layout=[(0, count)], seed=3, dist=family, K=K, levels=levels,
         horizon=horizon, dump=True,
     )
@@ -610,31 +607,36 @@ def test_coupled_batch_counts_no_violations(family, K, levels, horizon, count):
 
 def test_violations_count_each_gate_and_are_none_when_clean():
     """Rows with floors [0, 2, 5]: a clean row with tied levels, X > X^(a),
-    a wrong indicator, and decreasing levels whose shifted size also
-    exceeds X, which counts as a sandwich violation only when no individual
-    has more than one child. The count matrix has one row per path; clean
-    rows alone give None."""
+    a wrong indicator, decreasing levels whose shifted size also exceeds X,
+    which counts as a sandwich violation only when no individual has more
+    than one child, and a level below its floor. Each gate gives its total
+    over the rows; clean rows alone give None."""
     floors = np.array([0, 2, 5])
-    sizes = np.array([[3, 5, 5], [4, 3, 5], [3, 3, 5], [1, 6, 5]])
-    flags = np.array([[True, False], [True, False], [False, False], [True, False]])
-    for single_child, sandwich in [(False, [0, 1, 0, 0]), (True, [0, 1, 0, 1])]:
+    sizes = np.array([[3, 5, 5], [4, 3, 5], [3, 3, 5], [1, 6, 5], [1, 1, 5]])
+    flags = np.array([[True, False], [True, False], [False, False], [True, False],
+                      [False, False]])
+    for single_child, sandwich in [(False, [0, 1, 0, 0, 0]), (True, [0, 1, 0, 1, 0])]:
         found = process._violations(sizes, flags, floors, single_child)
-        assert found.tolist() == [[s, 0, i, m] for s, i, m in
-                                  zip(sandwich, [0, 0, 1, 0], [0, 0, 0, 1])]
+        rows = [[s, f, i, m] for s, f, i, m in
+                zip(sandwich, [0, 0, 0, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0])]
+        assert found.tolist() == np.sum(rows, axis=0).tolist()
         assert process._violations(sizes[:1], flags[:1], floors, single_child) is None
+        found = process._violations(sizes[4:], flags[4:], floors, single_child)
+        assert found.tolist() == [0, 1, 0, 0]
 
 
-def test_plain_batch_adds_up_each_batchs_violations(monkeypatch):
-    """Each generation's violation counts go to the live rows of their own
-    batch: with a stand-in that finds one of each kind per live row, a
-    batch reports its live path-generations four times over. At level 0 a
-    row lives until its base dies, so that is the sum of its taus."""
-    monkeypatch.setattr(process, "_violations",
-                        lambda sizes, *_: np.ones((len(sizes), 4), dtype=np.int64))
-    counts, K, horizon = [3, 5], 6, 40
-    gen = RandomnessSource(24).handle()
-    for taus, _, _, bad in plain_batch(K, counts, BERN, gen, horizon, coupled_floors([0.0], K)):
-        assert (taus > 0).all() and bad == [int(taus.sum())] * 4
+def test_plain_batch_adds_up_each_generations_violations(monkeypatch):
+    """Each generation's violation totals add up over the stack: with a
+    stand-in that finds one of each kind per live row, a stack reports its
+    live path-generations four times over. At level 0 a row lives until its
+    base dies, so that is the sum of its taus; the real gates find none."""
+    K, horizon = 6, 40
+    floors = coupled_floors([0.0], K)
+    taus, _, _, bad = plain_batch(K, 8, BERN, RandomnessSource(24).handle(), horizon, floors)
+    assert (taus > 0).all() and bad == [0] * 4
+    monkeypatch.setattr(process, "_violations", lambda sizes, *_: np.full(4, len(sizes)))
+    taus, _, _, bad = plain_batch(K, 8, BERN, RandomnessSource(24).handle(), horizon, floors)
+    assert (taus > 0).all() and bad == [int(taus.sum())] * 4
 
 
 def _layout(counts):
@@ -645,7 +647,9 @@ def _layout(counts):
 def _assert_parts_equal(part, want):
     assert len(part) == len(want)
     for got, expected in zip(part, want):
-        if isinstance(expected, np.ndarray):
+        if isinstance(expected, list):  # a stack's per-batch histograms
+            _assert_parts_equal(got, expected)
+        elif isinstance(expected, np.ndarray):
             assert got.shape == expected.shape and np.array_equal(got, expected)
         else:
             assert got == expected
@@ -673,12 +677,12 @@ _COUNTS = hs.lists(hs.sampled_from([1, 7, 90, 256, 301]), min_size=1, max_size=8
 )
 def test_a_stacks_parts_do_not_depend_on_the_other_stacks(family, counts, tails, K, horizon,
                                                           dump, levels):
-    """Run through ``_run_batches`` among every stack of its layout, a stack
-    gives the parts ``_tau_hist_batch`` gives on it alone, plain or coupled:
+    """Run through ``_run_stacks`` among every stack of its layout, a stack
+    gives the part ``_tau_hist_batch`` gives on it alone, plain or coupled:
     extinction times, violation counts and trajectory text. Two layouts that
     share their first batches and then differ (a batch at the budget ends
-    the shared stacks in both) give those shared batches the same parts.
-    Short horizons leave paths censored."""
+    the shared stacks in both) give the stacks of those shared batches the
+    same parts. Short horizons leave paths censored."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_STACK_PATHS", _BUDGET)
         runs = []
@@ -686,13 +690,16 @@ def test_a_stacks_parts_do_not_depend_on_the_other_stacks(family, counts, tails,
             layout = _layout(counts + [_BUDGET] + tail)
             fn = partial(_tau_hist_batch, seed=22, layout=layout, dist=family, K=K,
                          horizon=horizon, levels=levels, dump=dump)
-            [parts] = estimators._run_batches([fn], layout, 1)
-            alone = [part for stack in estimators._stacks(layout) for part in fn(stack)]
-            assert len(parts) == len(alone) == len(layout)
+            [parts] = estimators._run_stacks([fn], layout, 1)
+            stacks = estimators._stacks(layout)
+            alone = [fn(stack) for stack in stacks]
+            assert len(parts) == len(alone) == len(stacks)
+            assert [len(part[0]) for part in parts] == [len(stack) for stack in stacks]
             for part, want in zip(parts, alone):
                 _assert_parts_equal(part, want)
             runs.append(parts)
-    for part, want in zip(*(parts[:len(counts)] for parts in runs)):
+        shared = len(estimators._stacks(_layout(counts)))
+    for part, want in zip(*(parts[:shared] for parts in runs)):
         _assert_parts_equal(part, want)
 
 
@@ -707,8 +714,8 @@ def test_stacks_draw_from_distinct_streams(monkeypatch):
     kw = dict(seed=5, layout=layout, dist=POIS, K=40, horizon=30, dump=True)
 
     def rows(stack, slot):  # the trajectory rows without their path numbers
-        texts = [part[-1] for part in _tau_hist_batch(stack, slot=slot, **kw)]
-        return [line.split(",", 1)[1] for text in texts for line in text.splitlines()]
+        text = _tau_hist_batch(stack, slot=slot, **kw)[-1]
+        return [line.split(",", 1)[1] for line in text.splitlines()]
 
     drawn = [rows(stack, 0) for stack in stacks] + [rows(stacks[0], 1)]
     assert all(a != b for i, a in enumerate(drawn) for b in drawn[i + 1:])
@@ -716,19 +723,48 @@ def test_stacks_draw_from_distinct_streams(monkeypatch):
 
 @pytest.mark.parametrize("levels", [[], [0.1, 0.5]], ids=["plain", "coupled"])
 def test_a_one_batch_stack_draws_on_its_batchs_handle(levels):
-    """A stack of one batch gives the parts of ``plain_batch`` on that batch
+    """A stack of one batch gives the part of ``plain_batch`` on that batch
     alone, fed by the batch's own handle stream at the slot."""
     layout, K, horizon, seed = batch_layout(90, 3), 40, 12, 6
     dist, floors = FAMILIES[0], coupled_floors(levels, K)
     for b, slot in [(0, 0), (2, 0), (1, 3)]:
-        [part] = _tau_hist_batch(range(b, b + 1), seed=seed, layout=layout, dist=dist, K=K,
-                                 horizon=horizon, levels=levels, slot=slot, dump=True)
+        part = _tau_hist_batch(range(b, b + 1), seed=seed, layout=layout, dist=dist, K=K,
+                               horizon=horizon, levels=levels, slot=slot, dump=True)
         gen = RandomnessSource(seed).handle(b, slot)
-        [(taus, sizes, flags, bad)] = plain_batch(K, [layout[b][1]], dist, gen, horizon,
-                                                  floors, rows=True)
-        want = (np.bincount(taus[taus >= 0]), int(np.count_nonzero(taus < 0)), *bad,
+        taus, sizes, flags, bad = plain_batch(K, layout[b][1], dist, gen, horizon, floors,
+                                              rows=True)
+        want = ([np.bincount(taus[taus >= 0])], int(np.count_nonzero(taus < 0)), *bad,
                 trajectory_rows(sizes, layout[b][0], floors, flags))
         _assert_parts_equal(part, want)
+
+
+@pytest.mark.parametrize("levels", [[], [0.0, 0.2]], ids=["plain", "coupled"])
+@pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.kind)
+def test_a_stacks_rows_join_its_batches_trimmed_rows(dist, levels):
+    """The trajectory rows of a stack's size matrix are those of its batches'
+    columns, each trimmed to the batch's last generation: its largest tau
+    for a plain batch with no censored path, else the horizon. Plain rows
+    stop at a path's first 0 and coupled rows keep every generation, so no
+    trim changes a byte. The horizon leaves some paths censored, and some
+    batches whose last path dies before it."""
+    counts, K = [1, 7, 30, 3, 12, 40], 20
+    horizon = tau_quantile(dist, K, 0.98)
+    floors = coupled_floors(levels, K)
+    trimmed = censored = False
+    for seed in range(4):
+        taus, sizes, flags, _ = plain_batch(K, sum(counts), dist, RandomnessSource(seed).handle(),
+                                            horizon, floors, rows=True)
+        pieces = []
+        for start, count in _layout(counts):
+            batch = slice(start, start + count)
+            dies = (taus[batch] >= 0).all()
+            last = int(taus[batch].max()) if dies and not levels else horizon
+            trimmed |= dies and last < len(sizes) - 1
+            pieces.append(trajectory_rows(sizes[:last + 1, batch], start, floors,
+                                          flags[:last, batch]))
+        censored |= bool((taus < 0).any())
+        assert trajectory_rows(sizes, 0, floors, flags) == "".join(pieces)
+    assert censored and trimmed == (not levels)
 
 
 @pytest.mark.parametrize("dist", [BERN, POIS, FAMILIES[-1]], ids=lambda d: d.kind)
@@ -749,19 +785,19 @@ def test_each_generation_calls_closure_sums_once_on_the_live_gaps(monkeypatch, d
     counts, K, horizon = [3, 400, 1, 260, 50], 30, 40
     for floors in (np.zeros(1, dtype=np.int64), coupled_floors([0.1, 0.5], K)):
         calls.clear()
-        prev = np.full((sum(counts), len(floors)), K, dtype=np.int64)
-        steps = plain_sizes(K, sum(counts), dist, RandomnessSource(23).handle(), horizon, floors)
-        for n, (live, sizes, _) in enumerate(steps, 1):
-            rows = prev[live]
+        taus, sizes, _, _ = plain_batch(K, sum(counts), dist, RandomnessSource(23).handle(),
+                                        horizon, floors, rows=True)
+        for n in range(1, len(sizes)):
+            rows = sizes[n - 1][sizes[n - 1][:, -1] > 0]  # alive before the step
             want = rows[:, 0] if len(floors) == 1 else np.diff(rows, axis=1, prepend=0)
-            assert len(calls) == n and calls[-1].shape == want.shape
-            assert np.array_equal(calls[-1], want)
-            prev[live] = sizes
-        assert len(live) < sum(counts) if len(floors) == 1 else n == horizon
+            assert len(calls) >= n and calls[n - 1].shape == want.shape
+            assert np.array_equal(calls[n - 1], want)
+        assert len(calls) == len(sizes) - 1
+        assert (taus >= 0).any() if len(floors) == 1 else len(calls) == horizon
     calls.clear()
-    parts = plain_batch(K, counts, dist, RandomnessSource(23).handle(), horizon)
-    taus = np.concatenate([part[0] for part in parts])
-    assert len({int(part[0].max()) for part in parts}) > 1
+    taus, _, _, _ = plain_batch(K, sum(counts), dist, RandomnessSource(23).handle(), horizon)
+    parts = np.split(taus, np.cumsum(counts)[:-1])
+    assert len({int(part.max()) for part in parts}) > 1
     assert len(calls) == (int(taus.max()) if (taus >= 0).all() else horizon)
 
 
