@@ -17,7 +17,10 @@ a statistic needs them.
 The conditional experiments average over an ``Ensemble`` of paths. A
 Monte Carlo sample and an exact enumeration (probability weights, one
 batch) run the same grouping, binning and scoring code, so the tests'
-enumeration oracles check the code that writes the reports.
+enumeration oracles check the code that writes the reports. The tau
+groups are found once per ensemble, and a group is binned in one array
+pass: its bins are gathered as (bins, size) matrices of ascending paths
+and read by row means, which sum each row exactly as the row alone would.
 
 Statistical verdicts are derived only from (estimate, stderr, target,
 tolerance), and every tolerance is recorded on the entry itself. The
@@ -31,7 +34,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -335,7 +338,8 @@ class Ensemble:
     A Monte Carlo sample leaves ``weights`` unset, so every path weighs 1
     and means carry batch standard errors. An exact enumeration weighs
     each path by its probability and is one batch, so its means carry
-    none. Only ``mass`` and ``mean`` tell the two apart. A selection is an
+    none. Only ``mass`` and ``mean`` tell the two apart. Batches are
+    contiguous, so ``batch`` ascends along the paths. A selection is an
     ascending index array, ``values`` hold one value per selected path,
     and averages run in selection order.
     """
@@ -369,61 +373,105 @@ class Ensemble:
         w = self.weights[sel]
         return float((values * w).sum() / w.sum())
 
+    def row_means(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``mean`` of each row of the (bins, size) ``values`` over the same
+        row of the selection block ``rows``. A row of a contiguous matrix
+        sums pairwise as that row alone does, so each equals its ``mean``
+        bit for bit."""
+        if self.weights is None:
+            return values.mean(axis=1)
+        w = self.weights[rows]
+        return (values * w).sum(axis=1) / w.sum(axis=1)
+
+    def row_masses(self, rows: np.ndarray) -> np.ndarray:
+        """``mass`` of each row of the selection block ``rows``."""
+        if self.weights is None:
+            return np.full(len(rows), float(rows.shape[1]))
+        return self.weights[rows].sum(axis=1)
+
+    @cached_property
+    def groups(self) -> dict[int, np.ndarray]:
+        """The extinct paths of each tau, as an ascending index array, in
+        ascending tau; censored paths are in none. One stable order of the
+        extinct taus finds them all."""
+        ext = np.flatnonzero(self.tau >= 0)
+        paths = ext[_stable_order(self.tau[ext])]
+        taus = self.tau[paths]
+        cuts = np.flatnonzero(np.diff(taus)) + 1
+        return dict(zip(taus[np.append(0, cuts)].tolist(), np.split(paths, cuts)))
+
+    @cached_property
+    def _batch_starts(self) -> np.ndarray:
+        """The first path of each batch, then the path count."""
+        if (np.diff(self.batch) < 0).any():
+            raise ValueError("batches must be contiguous: batch ids ascend along the paths")
+        return np.searchsorted(self.batch, np.arange(int(self.batch[-1]) + 2))
+
     def mean_se(self, values: np.ndarray, sel: np.ndarray) -> tuple[float, float | None]:
         """``mean`` plus the spread of batch means over sqrt(batches), or
         None when fewer than two batches hold a selected path."""
         mean = self.mean(values, sel)
-        ids = self.batch[sel]
-        counts = np.bincount(ids)
+        counts = np.diff(np.searchsorted(sel, self._batch_starts))
         ok = counts > 0
         if ok.sum() < 2:
             return mean, None
-        means = np.bincount(ids, weights=values)[ok] / counts[ok]
-        return mean, _batch_se(means)
+        sums = np.bincount(self.batch[sel], weights=values, minlength=len(counts))
+        return mean, _batch_se(sums[ok] / counts[ok])
 
 
 # ---------------------------------------------------------------------------
 # grouping and binning shared by the conditional experiments
 
 
-@dataclass
-class BinStat:
-    representative: float
-    mean: float
-    mass: float
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """The positions of ``values`` in ascending value order, ties in
+    ascending position, as a stable argsort gives them: one sort of the
+    distinct keys rank * n + position, the rank being the value less the
+    least one for integers whose keys fit int64, else the dense rank."""
+    n = len(values)
+    if not n:
+        return np.zeros(0, dtype=np.int64)
+    lo = int(values.min()) if values.dtype.kind in "iu" else None
+    if lo is not None and (int(values.max()) - lo + 1) * n <= np.iinfo(np.int64).max:
+        rank = np.subtract(values, lo, dtype=np.int64)
+    else:
+        rank = np.unique(values, return_inverse=True)[1].astype(np.int64)
+    keys = rank * n + np.arange(n)
+    keys.sort()
+    return keys % n
 
 
-def assign_bins(values: np.ndarray, min_count: int, mode: str,
-                max_bins: int = 20) -> np.ndarray:
-    """Bin ids per element; -1 marks elements left out of every bin.
+def bin_blocks(values: np.ndarray, min_count: int, mode: str,
+               max_bins: int = 20) -> list[np.ndarray]:
+    """The bins of ``values``, as blocks of positions into it.
 
-    ``quantile`` slices the sorted sample into equal-count chunks of at
-    least ``min_count`` elements; ``distinct`` makes one bin per distinct
-    value, numbered in ascending value order, dropping values rarer than
-    ``min_count``.
+    A block is a (bins, size) matrix: each row is one bin, its positions
+    ascending. Blocks and their rows run in bin order, and elements of no
+    bin are left out. ``quantile`` cuts the stable sorted order into
+    ``min(n // min_count, max_bins)`` equal-count chunks as
+    ``np.array_split`` does, the first n % bins one longer, so its bins
+    form at most two blocks. ``distinct`` makes one bin per distinct value,
+    in ascending value order, dropping values rarer than ``min_count``;
+    its bins differ in size, so each is a block of one row, a contiguous
+    slice of that order.
     """
-    if mode == "distinct":
-        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-        kept = counts >= min_count
-        return np.where(kept, np.cumsum(kept) - 1, -1)[inverse]
-    if mode != "quantile":
+    if mode not in ("distinct", "quantile"):
         raise ValueError(f"unknown bin mode {mode!r}")
     n = len(values)
-    ids = np.full(n, -1, dtype=np.int64)
+    order = _stable_order(values)
+    if mode == "distinct":
+        ordered = values[order]
+        starts = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
+        stops = np.append(starts[1:], n)
+        kept = stops - starts >= min_count
+        return [order[a:b][None] for a, b in zip(starts[kept].tolist(), stops[kept].tolist())]
     nbins = min(n // min_count, max_bins)
     if nbins < 1:
-        return ids
-    order = np.argsort(values, kind="stable")
-    for b, chunk in enumerate(np.array_split(order, nbins)):
-        ids[chunk] = b
-    return ids
-
-
-def _tau_group_counts(tau: np.ndarray, min_count: int) -> dict[int, int]:
-    """Path counts of the exact-tau groups of at least ``min_count`` extinct
-    paths, in ascending tau."""
-    ts, counts = np.unique(tau[tau >= 0], return_counts=True)
-    return {int(t): int(c) for t, c in zip(ts, counts) if c >= min_count}
+        return []
+    size, extra = divmod(n, nbins)
+    cut = extra * (size + 1)
+    blocks = (order[:cut].reshape(extra, size + 1), order[cut:].reshape(nbins - extra, size))
+    return [np.sort(block, axis=1) for block in blocks if len(block)]
 
 
 def _dominant_group(counts: dict[int, int]) -> int:
@@ -779,48 +827,68 @@ def _path_entries(paths: int, ens: Ensemble) -> list[StatEntry]:
             entry_le("censored_paths", int(np.count_nonzero(ens.tau < 0)), 0)]
 
 
+def _bin_table(ens: Ensemble, sel: np.ndarray, xp: np.ndarray, xc: np.ndarray, factor: float,
+               scores: np.ndarray, *, power, min_bin_count, bin_mode):
+    """Bin the tau group ``sel``, whose moment factor is ``factor``, on
+    ``xc``, and score its binned paths in ``scores``: path p scores
+    xp_p^power / (representative^power * factor).
+
+    Returns the bins' (representatives, mean predictions, masses), in bin
+    order, or None if no bin formed. Each block of bins is gathered as one
+    matrix and read by row means, so a bin's numbers are those its paths
+    give alone, in ascending path order.
+    """
+    reps, means, masses = [], [], []
+    for block in bin_blocks(xc[sel], min_bin_count, bin_mode):
+        block = sel[block]
+        rep = ens.row_means(xc[block].astype(float), block).tolist()
+        pred = xp[block].astype(float) ** power
+        scale = np.array([r**power for r in rep])  # Python's pow, as on one bin's float
+        scores[block] = pred / (scale * factor)[:, None]
+        reps += rep
+        means += ens.row_means(pred, block).tolist()
+        masses += ens.row_masses(block).tolist()
+    return (reps, means, masses) if reps else None
+
+
 def _conditional_moment_core(ens: Ensemble, *, u1, u2, power, m, min_bin_count, bin_mode,
                              min_group_count, ratio_band, max_bins_reported):
-    extinct = ens.tau >= 0
-    if not extinct.any():
+    extinct = np.flatnonzero(ens.tau >= 0)
+    if not len(extinct):
         raise InsufficientBinMass("no path went extinct within the horizon")
-    s1 = np.floor(u1 * ens.tau).astype(np.int64)
-    s2 = np.floor(u2 * ens.tau).astype(np.int64)
-    counts = _tau_group_counts(ens.tau, min_group_count)
+    # floor(u tau) and the moment factor depend on tau alone, so each is
+    # computed once per tau value, -1 (censored) included, and read per path.
+    ts = np.arange(-1, int(ens.tau.max()) + 1)
+    s1 = np.floor(u1 * ts).astype(np.int64)
+    s2 = np.floor(u2 * ts).astype(np.int64)
+    groups = {t: sel for t, sel in ens.groups.items() if len(sel) >= min_group_count}
     entries: list[StatEntry] = []
     for label, xp, xc, sp, sc in (("forward", ens.x1, ens.x2, s1, s2),
                                   ("reverse", ens.x2, ens.x1, s2, s1)):
-        factors = m ** (power * (sp - sc).astype(float))
-        e_hat, e_se = _mean_se_where(ens, factors, extinct)
+        factor_of = m ** (power * (sp - sc).astype(float))
+        factors = factor_of[ens.tau + 1]
+        e_hat, e_se = ens.mean_se(factors[extinct], extinct)
         # Within each tau group, paths are binned on the conditioning value,
         # and a binned path p scores x_pred_p^power / (representative^power
         # * factors_p). factors_p is constant within a group, so the mean of
         # scores over any path set is the aggregate ratio for that set.
         scores = np.full(len(ens.tau), np.nan)
-        table: dict[int, list[BinStat]] = {}
-        for t in counts:
-            sel = np.flatnonzero(ens.tau == t)
-            ids = assign_bins(xc[sel], min_bin_count, bin_mode)
-            bins = []
-            for b in range(int(ids.max()) + 1):  # no bin id is empty
-                here = sel[ids == b]
-                rep = ens.mean(xc[here].astype(float), here)
-                pred = xp[here].astype(float) ** power
-                scores[here] = pred / (rep**power * factors[here])
-                bins.append(BinStat(rep, ens.mean(pred, here), ens.mass(here)))
-            if bins:
+        table = {}
+        for t, sel in groups.items():
+            bins = _bin_table(ens, sel, xp, xc, factor_of[t + 1], scores, power=power,
+                              min_bin_count=min_bin_count, bin_mode=bin_mode)
+            if bins is not None:
                 table[t] = bins
         if not table:
             raise InsufficientBinMass(
                 f"no tau group of >= {min_group_count} paths produced a bin of "
                 f">= {min_bin_count} paths")
-        t_star = _dominant_group({t: counts[t] for t in table})
-        group = np.flatnonzero(ens.tau == t_star)
+        t_star = _dominant_group({t: len(groups[t]) for t in table})
+        group = groups[t_star]
         entries.append(entry_info(f"{label}.em_factor", e_hat, stderr=e_se))
         if label == "forward":
             entries.append(entry_info("tau.dominant_group", t_star))
-            entries.append(entry_info("tau.dominant_mass",
-                                      ens.mass(group) / ens.mass(np.flatnonzero(extinct))))
+            entries.append(entry_info("tau.dominant_mass", ens.mass(group) / ens.mass(extinct)))
         finite = np.isfinite(scores)
         binned = group[finite[group]]
         est, se = ens.mean_se(scores[binned], binned)
@@ -836,16 +904,15 @@ def _conditional_moment_core(ens: Ensemble, *, u1, u2, power, m, min_bin_count, 
                                   stderr=se, target=1.0))
         # Exact identity of the estimator: the bins' means recombined by
         # mass reproduce the mean over the same (binned) paths.
-        bins = table[t_star]
-        lhs = sum(b.mass * b.mean for b in bins) / sum(b.mass for b in bins)
+        reps, means, masses = table[t_star]
+        lhs = sum(mass * mean for mass, mean in zip(masses, means)) / sum(masses)
         rhs = ens.mean(xp[binned].astype(float) ** power, binned)
         entries.append(entry_le(f"{label}.marginalization_rel_residual",
                                 abs(lhs - rhs) / abs(rhs), 1e-9))
-        f_star = float(factors[group[0]])
-        for i, b in enumerate(bins[:max_bins_reported]):
+        f_star = float(factor_of[t_star + 1])
+        for i, (rep, mean) in enumerate(zip(reps[:max_bins_reported], means)):
             entries.append(entry_info(
-                f"{label}.bin[{i}].ratio",
-                b.mean / (b.representative**power * f_star), target=1.0))
+                f"{label}.bin[{i}].ratio", mean / (rep**power * f_star), target=1.0))
     return entries
 
 
@@ -932,18 +999,23 @@ def _on_tau_core(ens: Ensemble, *, u1, power, K, m, min_group_count, ratio_band,
                       ens.x1.astype(float) ** power
                       / (float(K) ** power * m ** (power * s1.astype(float))),
                       np.nan)
-    counts = _tau_group_counts(ens.tau, min_group_count)
+    counts = {t: len(sel) for t, sel in ens.groups.items() if len(sel) >= min_group_count}
     if not counts:
         raise InsufficientBinMass(f"no tau group reached {min_group_count} paths")
     finite = np.isfinite(scores)
     t_star = _dominant_group(counts)
     entries = [entry_info("tau.dominant_group", t_star)]
     largest = sorted(counts, key=lambda t: -counts[t])[:max_groups_reported]
+
+    def group_ratio(t):
+        sel = ens.groups[t]
+        sel = sel[finite[sel]]
+        return ens.mean_se(scores[sel], sel)
+
     for t in sorted(largest):
-        est, se = _mean_se_where(ens, scores, (ens.tau == t) & finite)
+        est, se = group_ratio(t)
         entries.append(entry_info(f"group[t={t}].ratio", est, stderr=se, target=1.0))
-    est, se = _mean_se_where(ens, scores, (ens.tau == t_star) & finite)
-    entries.append(_ratio_entry("dominant_ratio", est, se, ratio_band))
+    entries.append(_ratio_entry("dominant_ratio", *group_ratio(t_star), ratio_band))
     est, se = _mean_se_where(ens, scores, np.isin(ens.tau, list(counts)) & finite)
     entries.append(_ratio_entry("aggregate_ratio", est, se, ratio_band))
     return entries
@@ -988,8 +1060,8 @@ def conditional_on_tau_check(
     mean_xn, se_xn = ens.mean_se(ens.xn[extinct].astype(float), extinct)
     entries.append(entry_se("wald.mean_Xn", mean_xn, se_xn, target, se_k))
     total = ens.mass(extinct)
-    groups = (np.flatnonzero(ens.tau == t) for t in _tau_group_counts(ens.tau, 1))
-    recombined = sum(ens.mean(ens.xn[sel], sel) * ens.mass(sel) / total for sel in groups)
+    recombined = sum(ens.mean(ens.xn[sel], sel) * ens.mass(sel) / total
+                     for sel in ens.groups.values())
     # Relative to the mean, or absolute where every X_n is 0.
     resid = abs(recombined - mean_xn) / (abs(mean_xn) or 1.0)
     entries.append(entry_le("wald.marginalization_rel_residual", resid, 1e-9))
@@ -1078,9 +1150,9 @@ def invariance_check(
                 f"{center:.6g} (eps={eps:+g}); nearest populated window sits "
                 f"at eps={nearest / float(K) ** (1.0 - u2) - 1.0:+.4f}")
         t_eps = math.floor((1.0 + eps) * c * math.log(K))
-        group = np.flatnonzero(tau == t_eps)
+        group = ens.groups.get(t_eps, np.zeros(0, dtype=np.int64))
         if not len(group):
-            seen = np.unique(tau[extinct])
+            seen = np.array(list(ens.groups))
             near_t = int(seen[np.argmin(np.abs(seen - t_eps))])
             raise EmptyConditioningSet(
                 f"no path has tau = {t_eps} (eps={eps:+g}); nearest populated "

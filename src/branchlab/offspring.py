@@ -188,12 +188,6 @@ class OffspringDistribution:
         # Progeny sums through the family's named sampler; numpy draws
         # nothing for a size of 0 in binomial, poisson and multinomial.
         k = self.kind
-        if k == "bernoulli":
-            return gen.binomial(counts, self.params["p"]).astype(np.int64)
-        if k == "binomial":
-            return gen.binomial(counts * self.params["n"], self.params["p"]).astype(np.int64)
-        if k == "poisson":
-            return gen.poisson(counts * self.params["lambda"]).astype(np.int64)
         if k == "geometric":
             p = self.params["p"]
             out = np.zeros(counts.shape, dtype=np.int64)
@@ -203,8 +197,15 @@ class OffspringDistribution:
             if pos.any():
                 out[pos] = gen.negative_binomial(counts[pos], 1.0 - p)
             return out
-        draws = gen.multinomial(counts, self._table_pvals())
-        return (draws @ self._support).astype(np.int64)
+        if k == "bernoulli":
+            sums = gen.binomial(counts, self.params["p"])
+        elif k == "binomial":
+            sums = gen.binomial(counts * self.params["n"], self.params["p"])
+        elif k == "poisson":
+            sums = gen.poisson(counts * self.params["lambda"])
+        else:
+            sums = gen.multinomial(counts, self._table_pvals()) @ self._support
+        return sums.astype(np.int64, copy=False)  # already int64: no copy
 
     def _dense_pmf(self, cells: int) -> np.ndarray | None:
         """The offspring pmf on 0, 1, ..., max support, or None if that

@@ -14,14 +14,16 @@ pre-decoupling agreement between levels are checkable sample by sample,
 not just in law (the lower half, Y_n^(a) <= X_n, only for offspring in
 {0, 1}).
 
-One engine steps every kind of path. :func:`coupled_step` is the one
-generation step: each path is a row of sizes with one floor per column,
-the plain chain being the one-column row [X] with floor 0 (or the chain
-floored at b with floor b), for which the gap is the size itself. Rows
-ascend from column to column, as S and the floors do, so their gaps need
-no sort. :func:`plain_batch` is the one generation loop: it steps only
-the live paths, and drops a path once every column of its row is 0, so
-extinct paths cost nothing.
+One engine steps every kind of path. Each path is a row of sizes with
+one floor per column, the plain chain being the one-column row [X] with
+floor 0 (or the chain floored at b with floor b), for which the gap is
+the size itself. :func:`coupled_step` is the coupled step: rows ascend
+from column to column, as S and the floors do, so their gaps need no
+sort. Plain rows step as a vector of sizes, which draws exactly what
+:func:`coupled_step` draws on [X] rows without its matrix bookkeeping.
+:func:`plain_batch` is the one generation loop: it steps only the live
+paths, and drops a path once every column of its row is 0, so extinct
+paths cost nothing.
 
 The engine steps a *stack* of paths, all drawing from one generator. A
 generation is one ``closure_sums`` call over the whole stack and one
@@ -143,7 +145,9 @@ def plain_batch(
     step: zero is absorbing, so a path whose sizes are all 0 is dropped,
     and the loop stops once none is left or at the horizon. ``closure_sums``
     draws nothing for a size of 0, so dropping the dead paths changes no
-    draw of the live ones.
+    draw of the live ones. Rows with levels step through
+    :func:`coupled_step`; plain rows step as a vector of sizes in
+    :func:`_plain_vector`, which draws as ``coupled_step`` does on [X].
 
     Returns ``(taus, sizes, flags, bad)``. ``taus`` holds each path's
     extinction time, the first generation at which its first column is 0,
@@ -156,25 +160,25 @@ def plain_batch(
     :func:`_violations`); else it is empty.
     """
     floors = np.asarray(floors, dtype=np.int64)
-    levels = len(floors) - 1
+    if len(floors) == 1:
+        return _plain_vector(K, paths, dist, gen, horizon, int(floors[0]), rows)
     taus = np.full(paths, -1, dtype=np.int64)
-    bad = np.zeros(4 if levels else 0, dtype=np.int64)
+    bad = np.zeros(4, dtype=np.int64)
     live = np.arange(paths)
-    sizes = np.full((paths, 1 + levels), K, dtype=np.int64)
+    sizes = np.full((paths, len(floors)), K, dtype=np.int64)
     matrix, marks = [sizes], []
     for n in range(1, horizon + 1):
         sizes, flags = coupled_step(sizes, floors, dist, gen)
         dead = live[sizes[:, 0] == 0]
-        if levels:  # a row with levels outlives its base
-            dead = dead[taus[dead] < 0]
-            found = _violations(sizes, flags, floors, dist.single_child)
-            if found is not None:
-                bad += found
+        dead = dead[taus[dead] < 0]  # a row with levels outlives its base
         taus[dead] = n
+        found = _violations(sizes, flags, floors, dist.single_child)
+        if found is not None:
+            bad += found
         if rows:  # the step's own matrices until a path dies, then scattered among zeros
             scattered = len(live) < paths
-            matrix.append(np.zeros((paths, 1 + levels), dtype=np.int64) if scattered else sizes)
-            marks.append(np.zeros((paths, levels), dtype=bool) if scattered else flags)
+            matrix.append(np.zeros((paths, len(floors)), dtype=np.int64) if scattered else sizes)
+            marks.append(np.zeros((paths, len(floors) - 1), dtype=bool) if scattered else flags)
             if scattered:
                 matrix[-1][live], marks[-1][live] = sizes, flags
         alive = np.flatnonzero(sizes[:, -1] > 0)  # rows ascend: all 0 when the last size is
@@ -184,11 +188,53 @@ def plain_batch(
             live, sizes = live[alive], np.take(sizes, alive, axis=0)
     if not rows:
         return taus, None, None, bad.tolist()
-    if levels:  # every generation up to the horizon
-        pad = horizon + 1 - len(matrix)
-        matrix += [np.zeros_like(matrix[0])] * pad
-        marks += [np.zeros_like(marks[0])] * pad
+    pad = horizon + 1 - len(matrix)  # every generation up to the horizon
+    matrix += [np.zeros_like(matrix[0])] * pad
+    marks += [np.zeros_like(marks[0])] * pad
     return taus, np.stack(matrix), np.stack(marks), bad.tolist()
+
+
+#: Generations a plain stack's size matrix holds at first; it doubles, up to
+#: the horizon, when a stack outlives them.
+_FIRST_ROWS = 64
+
+
+def _plain_vector(K: int, paths: int, dist: OffspringDistribution, gen: np.random.Generator,
+                  horizon: int, floor: int, rows: bool):
+    """:func:`plain_batch` for plain rows [X] floored at ``floor``: the live
+    sizes step as one vector, one ``closure_sums`` call per generation.
+
+    With ``rows``, generation n is written once, as row n of one matrix, 0
+    for a dead path; the matrix grows in place when the stack outlives it.
+    """
+    taus = np.full(paths, -1, dtype=np.int64)
+    live = np.arange(paths)
+    sizes = np.full(paths, K, dtype=np.int64)
+    matrix = np.zeros((min(horizon + 1, _FIRST_ROWS), paths), dtype=np.int64) if rows else None
+    if rows:
+        matrix[0] = K
+    n = 0
+    for n in range(1, horizon + 1):
+        sizes = dist.closure_sums(sizes, gen)
+        if floor:
+            np.maximum(sizes, floor, out=sizes)
+        if rows:
+            if n == len(matrix):
+                matrix.resize((min(2 * n, horizon + 1), paths), refcheck=False)  # zero-filled
+            if len(sizes) < paths:
+                matrix[n][live] = sizes
+            else:
+                matrix[n] = sizes
+        count = np.count_nonzero(sizes)
+        if count < len(sizes):
+            alive = sizes > 0
+            taus[live[~alive]] = n
+            if not count:
+                break
+            live, sizes = live[alive], sizes[alive]
+    if not rows:
+        return taus, None, None, []
+    return taus, matrix[:n + 1, :, None], np.zeros((n, paths, 0), dtype=bool), []
 
 
 def simulate_path(
@@ -237,13 +283,10 @@ def coupled_step(
     sums, drawn in one ``closure_sums`` call on ``gen``; their running sums
     are S(.). Returns max(floor, S) and the (paths, L) flags 1{S(X^(a)) > b_a}.
     """
-    if sizes.shape[1] > 1:
-        gaps = np.diff(sizes, axis=1, prepend=0)
-        if gaps.min(initial=0) < 0:
-            raise ValueError("coupled_step takes rows whose sizes do not decrease")
-        progeny = np.cumsum(dist.closure_sums(gaps, gen), axis=1)
-    else:  # drawn as a vector: numpy's samplers are slower on an (n, 1) matrix
-        progeny = dist.closure_sums(sizes[:, 0], gen)[:, None]
+    gaps = np.diff(sizes, axis=1, prepend=0)
+    if gaps.min(initial=0) < 0:
+        raise ValueError("coupled_step takes rows whose sizes do not decrease")
+    progeny = np.cumsum(dist.closure_sums(gaps, gen), axis=1)
     flags = progeny[:, 1:] > floors[1:]
     return (np.maximum(progeny, floors) if floors.any() else progeny), flags
 

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.stats as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from branchlab import estimators, harness
@@ -20,8 +20,8 @@ from branchlab.estimators import (
     InsufficientBinMass,
     anderson_darling_critical,
     anderson_darling_statistic,
-    assign_bins,
     batch_layout,
+    bin_blocks,
     clt_covariance_check,
     conditional_moment_check,
     conditional_moment_from_arrays,
@@ -36,7 +36,17 @@ from branchlab.estimators import (
     invariance_target,
     trend_entry,
 )
-from branchlab.estimators import _median_from_hist, _run_stacks, _tau_hist_batch
+from branchlab.estimators import (
+    StatEntry,
+    _conditional_moment_core,
+    _dominant_group,
+    _mean_se_where,
+    _median_from_hist,
+    _ratio_entry,
+    _run_stacks,
+    _tau_hist_batch,
+    entry_info,
+)
 from branchlab.exact import enumerate_bernoulli_paths
 from branchlab.gaussian_limit import ThetaCovariance, theta_covariance, theta_variance
 from branchlab.offspring import make_distribution
@@ -220,9 +230,107 @@ def test_entry_helper_verdicts():
     assert "stderr" in e.tolerance
 
 
+# ---------------------------------------------------------------------------
+# binning: the pipeline against a per-bin reference
+
+
+def _reference_assign_bins(values, min_count, mode, max_bins=20):
+    """Bin ids per element, -1 for none: the per-element form of the bins
+    that ``bin_blocks`` cuts in one array pass."""
+    if mode == "distinct":
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        kept = counts >= min_count
+        return np.where(kept, np.cumsum(kept) - 1, -1)[inverse]
+    if mode != "quantile":
+        raise ValueError(f"unknown bin mode {mode!r}")
+    n = len(values)
+    ids = np.full(n, -1, dtype=np.int64)
+    nbins = min(n // min_count, max_bins)
+    if nbins < 1:
+        return ids
+    order = np.argsort(values, kind="stable")
+    for b, chunk in enumerate(np.array_split(order, nbins)):
+        ids[chunk] = b
+    return ids
+
+
+def _block_ids(values, min_count, mode):
+    """``bin_blocks``' bins as ids per element, -1 for none; checks that
+    every row's positions ascend."""
+    ids = np.full(len(values), -1, dtype=np.int64)
+    rows = [row for block in bin_blocks(values, min_count, mode) for row in block]
+    for b, row in enumerate(rows):
+        assert (np.diff(row) > 0).all()
+        ids[row] = b
+    return ids
+
+
+def _reference_core(ens, *, u1, u2, power, m, min_bin_count, bin_mode, min_group_count,
+                    ratio_band, max_bins_reported):
+    """The two-time conditional pipeline with one pass per tau group and per
+    bin, each bin selected by a mask in ascending path order."""
+    extinct = ens.tau >= 0
+    if not extinct.any():
+        raise InsufficientBinMass("no path went extinct within the horizon")
+    s1 = np.floor(u1 * ens.tau).astype(np.int64)
+    s2 = np.floor(u2 * ens.tau).astype(np.int64)
+    ts, sizes = np.unique(ens.tau[extinct], return_counts=True)
+    counts = {int(t): int(c) for t, c in zip(ts, sizes) if c >= min_group_count}
+    entries = []
+    for label, xp, xc, sp, sc in (("forward", ens.x1, ens.x2, s1, s2),
+                                  ("reverse", ens.x2, ens.x1, s2, s1)):
+        factors = m ** (power * (sp - sc).astype(float))
+        e_hat, e_se = _mean_se_where(ens, factors, extinct)
+        scores = np.full(len(ens.tau), np.nan)
+        table = {}
+        for t in counts:
+            sel = np.flatnonzero(ens.tau == t)
+            ids = _reference_assign_bins(xc[sel], min_bin_count, bin_mode)
+            bins = []
+            for b in range(int(ids.max()) + 1):
+                here = sel[ids == b]
+                rep = ens.mean(xc[here].astype(float), here)
+                pred = xp[here].astype(float) ** power
+                scores[here] = pred / (rep**power * factors[here])
+                bins.append((rep, ens.mean(pred, here), ens.mass(here)))
+            if bins:
+                table[t] = bins
+        if not table:
+            raise InsufficientBinMass(
+                f"no tau group of >= {min_group_count} paths produced a bin of "
+                f">= {min_bin_count} paths")
+        t_star = _dominant_group({t: counts[t] for t in table})
+        group = np.flatnonzero(ens.tau == t_star)
+        entries.append(entry_info(f"{label}.em_factor", e_hat, stderr=e_se))
+        if label == "forward":
+            entries.append(entry_info("tau.dominant_group", t_star))
+            entries.append(entry_info("tau.dominant_mass",
+                                      ens.mass(group) / ens.mass(np.flatnonzero(extinct))))
+        finite = np.isfinite(scores)
+        binned = group[finite[group]]
+        est, se = ens.mean_se(scores[binned], binned)
+        entries.append(_ratio_entry(f"{label}.dominant_ratio", est, se, ratio_band))
+        est, se = _mean_se_where(ens, scores, finite)
+        entries.append(_ratio_entry(f"{label}.aggregate_ratio", est, se, ratio_band))
+        pooled = scores * (factors / e_hat)
+        est, se = _mean_se_where(ens, pooled, np.isfinite(pooled))
+        entries.append(entry_info(f"{label}.aggregate_ratio_pooled", est,
+                                  stderr=se, target=1.0))
+        bins = table[t_star]
+        lhs = sum(mass * mean for _, mean, mass in bins) / sum(mass for _, _, mass in bins)
+        rhs = ens.mean(xp[binned].astype(float) ** power, binned)
+        entries.append(entry_le(f"{label}.marginalization_rel_residual",
+                                abs(lhs - rhs) / abs(rhs), 1e-9))
+        f_star = float(factors[group[0]])
+        for i, (rep, mean, _) in enumerate(bins[:max_bins_reported]):
+            entries.append(entry_info(f"{label}.bin[{i}].ratio",
+                                      mean / (rep**power * f_star), target=1.0))
+    return entries
+
+
 def test_assign_bins_modes():
     vals = np.array([5.0, 1, 1, 2, 2, 2, 9, 9, 9, 9])
-    ids = assign_bins(vals, 2, "distinct")
+    ids = _block_ids(vals, 2, "distinct")
     assert ids[0] == -1  # value 5 is too rare
     assert set(ids[vals == 1]) == {0}
     assert set(ids[vals == 2]) == {1}
@@ -230,17 +338,95 @@ def test_assign_bins_modes():
     # out of order, with rare values between common ones: ids still follow
     # ascending value order
     vals = np.array([7, 3, 5, 3, 7, 4, 7, 3, 6, 5, 8])
-    assert assign_bins(vals, 2, "distinct").tolist() == [2, 0, 1, 0, 2, -1, 2, 0, -1, 1, -1]
-    assert assign_bins(vals, 3, "distinct").tolist() == [1, 0, -1, 0, 1, -1, 1, 0, -1, -1, -1]
+    assert _block_ids(vals, 2, "distinct").tolist() == [2, 0, 1, 0, 2, -1, 2, 0, -1, 1, -1]
+    assert _block_ids(vals, 3, "distinct").tolist() == [1, 0, -1, 0, 1, -1, 1, 0, -1, -1, -1]
     vals = np.array([5.0, 1, 1, 2, 2, 2, 9, 9, 9, 9])
-    ids = assign_bins(vals, 3, "quantile")
+    ids = _block_ids(vals, 3, "quantile")
     # every element is binned, chunks follow the sorted order
     assert (ids >= 0).all()
     order = np.argsort(vals, kind="stable")
     assert (np.diff(ids[order]) >= 0).all()
     assert min(np.bincount(ids)) >= 3
+    assert [block.shape for block in bin_blocks(vals, 3, "quantile")] == [(1, 4), (2, 3)]
     with pytest.raises(ValueError):
-        assign_bins(vals, 1, "nope")
+        bin_blocks(vals, 1, "nope")
+
+
+_BIN_VALUES = hs.sampled_from([(1, 4), (1, 60), (1, 2**53 - 1)]).flatmap(
+    lambda span: hs.lists(hs.integers(*span), min_size=1, max_size=300))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=_BIN_VALUES, min_count=hs.sampled_from([1, 2, 3, 7, 40]),
+       mode=hs.sampled_from(["quantile", "distinct"]))
+def test_bin_blocks_match_the_reference_ids(values, min_count, mode):
+    """Small spans tie often; the widest takes the dense-rank sort keys."""
+    values = np.array(values, dtype=np.int64)
+    assert (_block_ids(values, min_count, mode)
+            == _reference_assign_bins(values, min_count, mode)).all()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=hs.data(), n=hs.integers(1, 400), batches=hs.integers(1, 9))
+def test_mean_se_matches_batch_by_batch_means(data, n, batches):
+    """Batch counts read off the batch starts give the standard error that
+    per-batch bincounts give, bit for bit, on any ascending selection;
+    batches that hold no path, or no selected one, are skipped."""
+    rng = np.random.default_rng(data.draw(hs.integers(0, 2**32 - 1)))
+    ens = Ensemble(np.zeros(n, dtype=np.int64), np.ones(n), np.ones(n), None,
+                   np.sort(rng.integers(0, batches, size=n)))
+    sel = np.flatnonzero(rng.random(n) < data.draw(hs.sampled_from([0.05, 0.5, 1.0])))
+    assume(len(sel))
+    values = rng.random(len(sel)) * 10
+    ids = ens.batch[sel]
+    counts = np.bincount(ids)
+    ok = counts > 0
+    want = None
+    if ok.sum() >= 2:
+        want = float((np.bincount(ids, weights=values)[ok] / counts[ok]).std(ddof=1)
+                     / math.sqrt(ok.sum()))
+    assert ens.mean_se(values, sel) == (float(values.mean()), want)
+
+
+def test_mean_se_refuses_batches_out_of_order():
+    ens = Ensemble(np.zeros(4, dtype=np.int64), np.ones(4), np.ones(4), None,
+                   np.array([0, 1, 0, 1]))
+    with pytest.raises(ValueError, match="contiguous"):
+        ens.mean_se(np.ones(4), np.arange(4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=hs.data(), weighted=hs.booleans(), bin_mode=hs.sampled_from(["quantile", "distinct"]),
+       power=hs.sampled_from([1, 2, 3]), min_bin_count=hs.sampled_from([1, 2, 5, 20]),
+       min_group_count=hs.sampled_from([1, 4, 30]), n=hs.integers(50, 600),
+       span=hs.sampled_from([3, 40, 10**6]))
+def test_conditional_core_equals_the_per_bin_reference(data, weighted, bin_mode, power,
+                                                       min_bin_count, min_group_count, n, span):
+    """The one-pass binning gives every entry of the per-bin reference
+    exactly, on samples (batch standard errors) and weighted enumerations,
+    or raises the same error."""
+    seed = data.draw(hs.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    tau = rng.integers(2, 2 + data.draw(hs.integers(1, 6)), size=n)
+    tau[rng.random(n) < 0.05] = -1
+    x1, x2 = (np.where(tau >= 0, rng.integers(1, span + 1, size=n), 0) for _ in range(2))
+    if weighted:
+        ens = Ensemble.enumeration(tau, x1, x2, rng.random(n) + 0.01)
+    else:
+        batches = data.draw(hs.integers(1, 8))
+        ens = Ensemble(tau, x1, x2, None, np.sort(rng.integers(0, batches, size=n)))
+    kwargs = dict(u1=0.3, u2=0.6, power=power, m=0.7, min_bin_count=min_bin_count,
+                  bin_mode=bin_mode, min_group_count=min_group_count, ratio_band=(0.85, 1.15),
+                  max_bins_reported=12)
+    try:
+        want = _reference_core(ens, **kwargs)
+    except InsufficientBinMass as exc:
+        with pytest.raises(InsufficientBinMass, match=f"^{exc}$"):
+            _conditional_moment_core(ens, **kwargs)
+        return
+    got = _conditional_moment_core(ens, **kwargs)
+    assert all(isinstance(e, StatEntry) for e in got)
+    assert got == want
 
 
 def test_invariance_target_algebra():

@@ -257,6 +257,55 @@ def test_plain_batch_matches_full_width_loop(family, K, paths, floor, seed):
     assert (gen.random(8) == ref_gen.random(8)).all()
 
 
+def _stepped_as_rows(K, paths, dist, gen, horizon, floor):
+    """Plain paths as one-column rows [X] through ``coupled_step``, dead
+    rows dropped: their extinction times and (generations, paths) sizes."""
+    floors = np.array([floor], dtype=np.int64)
+    taus, live = np.full(paths, -1, dtype=np.int64), np.arange(paths)
+    sizes, matrix = np.full((paths, 1), K, dtype=np.int64), [np.full(paths, K, dtype=np.int64)]
+    for n in range(1, horizon + 1):
+        sizes, flags = coupled_step(sizes, floors, dist, gen)
+        assert flags.shape == (len(live), 0)
+        matrix.append(np.zeros(paths, dtype=np.int64))
+        matrix[-1][live] = sizes[:, 0]
+        dead = sizes[:, 0] == 0
+        taus[live[dead]] = n
+        if dead.all():
+            break
+        live, sizes = live[~dead], sizes[~dead]
+    return taus, np.stack(matrix)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    family=hs.sampled_from(FAMILIES),
+    K=hs.sampled_from([3, 40, 300]),
+    paths=hs.sampled_from([50, 600]),
+    floor=hs.sampled_from([0, 1, 5]),
+    cap=hs.sampled_from([None, 4]),
+    rows=hs.booleans(),
+    seed=hs.integers(0, 2**32),
+)
+def test_plain_batch_steps_plain_rows_as_coupled_step_does(family, K, paths, floor, cap, rows,
+                                                           seed):
+    """Stepped as a vector, plain rows give the extinction times, the size
+    matrix and the next draw of [X] rows stepped through ``coupled_step``.
+    A floor keeps every path live to the horizon, which outgrows the first
+    size matrix; a cap of 4 censors paths."""
+    horizon = cap or default_horizon(K, family.mean)
+    ref_gen = RandomnessSource(seed).handle()
+    gen = RandomnessSource(seed).handle()
+    taus, sizes, flags, bad = plain_batch(K, paths, family, gen, horizon, [floor], rows=rows)
+    want_taus, want_sizes = _stepped_as_rows(K, paths, family, ref_gen, horizon, floor)
+    assert (taus == want_taus).all() and bad == []
+    if rows:
+        assert sizes.shape == (*want_sizes.shape, 1) and (sizes[:, :, 0] == want_sizes).all()
+        assert flags.shape == (len(want_sizes) - 1, paths, 0)
+    else:
+        assert sizes is None and flags is None
+    assert (gen.random(8) == ref_gen.random(8)).all()
+
+
 @pytest.mark.parametrize("cap", [6, None], ids=["censored", "extinct"])
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.kind)
 def test_plain_engine_draws_only_for_live_paths(monkeypatch, dist, cap):
