@@ -1150,14 +1150,14 @@ def invariance_check(
                 f"{center:.6g} (eps={eps:+g}); nearest populated window sits "
                 f"at eps={nearest / float(K) ** (1.0 - u2) - 1.0:+.4f}")
         t_eps = math.floor((1.0 + eps) * c * math.log(K))
-        group = ens.groups.get(t_eps, np.zeros(0, dtype=np.int64))
-        if not len(group):
+        if t_eps not in ens.groups:
             seen = np.array(list(ens.groups))
             near_t = int(seen[np.argmin(np.abs(seen - t_eps))])
             raise EmptyConditioningSet(
                 f"no path has tau = {t_eps} (eps={eps:+g}); nearest populated "
                 f"group is tau = {near_t}, i.e. eps="
                 f"{near_t / (c * math.log(K)) - 1.0:+.4f}")
+        group = ens.groups[t_eps]
         mean_a, se_a = ens.mean_se(x1f[window] ** power, window)
         mean_b, se_b = ens.mean_se(x1f[group] ** power, group)
         A, B = math.log(mean_a), math.log(mean_b)
