@@ -338,8 +338,7 @@ class Ensemble:
     A Monte Carlo sample leaves ``weights`` unset, so every path weighs 1
     and means carry batch standard errors. An exact enumeration weighs
     each path by its probability and is one batch, so its means carry
-    none. Only ``mass`` and ``mean`` tell the two apart. Batches are
-    contiguous, so ``batch`` ascends along the paths. A selection is an
+    none. Only ``mass`` and ``mean`` tell the two apart. A selection is an
     ascending index array, ``values`` hold one value per selected path,
     and averages run in selection order.
     """
@@ -400,23 +399,17 @@ class Ensemble:
         cuts = np.flatnonzero(np.diff(taus)) + 1
         return dict(zip(taus[np.append(0, cuts)].tolist(), np.split(paths, cuts)))
 
-    @cached_property
-    def _batch_starts(self) -> np.ndarray:
-        """The first path of each batch, then the path count."""
-        if (np.diff(self.batch) < 0).any():
-            raise ValueError("batches must be contiguous: batch ids ascend along the paths")
-        return np.searchsorted(self.batch, np.arange(int(self.batch[-1]) + 2))
-
     def mean_se(self, values: np.ndarray, sel: np.ndarray) -> tuple[float, float | None]:
         """``mean`` plus the spread of batch means over sqrt(batches), or
         None when fewer than two batches hold a selected path."""
         mean = self.mean(values, sel)
-        counts = np.diff(np.searchsorted(sel, self._batch_starts))
+        ids = self.batch[sel]
+        counts = np.bincount(ids)
         ok = counts > 0
         if ok.sum() < 2:
             return mean, None
-        sums = np.bincount(self.batch[sel], weights=values, minlength=len(counts))
-        return mean, _batch_se(sums[ok] / counts[ok])
+        means = np.bincount(ids, weights=values)[ok] / counts[ok]
+        return mean, _batch_se(means)
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +419,22 @@ class Ensemble:
 def _stable_order(values: np.ndarray) -> np.ndarray:
     """The positions of ``values`` in ascending value order, ties in
     ascending position, as a stable argsort gives them: one sort of the
-    distinct keys rank * n + position, the rank being the value less the
-    least one for integers whose keys fit int64, else the dense rank."""
+    distinct keys (rank << bits) | position, the rank being the value less
+    the least one for integers whose keys fit int64, else the dense rank."""
     n = len(values)
     if not n:
         return np.zeros(0, dtype=np.int64)
+    bits = (n - 1).bit_length()
     lo = int(values.min()) if values.dtype.kind in "iu" else None
-    if lo is not None and (int(values.max()) - lo + 1) * n <= np.iinfo(np.int64).max:
-        rank = np.subtract(values, lo, dtype=np.int64)
+    if lo is not None and int(values.max()) - lo < 1 << (63 - bits):
+        keys = np.subtract(values, lo, dtype=np.int64)
     else:
-        rank = np.unique(values, return_inverse=True)[1].astype(np.int64)
-    keys = rank * n + np.arange(n)
+        keys = np.unique(values, return_inverse=True)[1].astype(np.int64)
+    keys <<= bits
+    keys |= np.arange(n)
     keys.sort()
-    return keys % n
+    keys &= (1 << bits) - 1
+    return keys
 
 
 def bin_blocks(values: np.ndarray, min_count: int, mode: str,

@@ -14,16 +14,16 @@ pre-decoupling agreement between levels are checkable sample by sample,
 not just in law (the lower half, Y_n^(a) <= X_n, only for offspring in
 {0, 1}).
 
-One engine steps every kind of path. Each path is a row of sizes with
-one floor per column, the plain chain being the one-column row [X] with
-floor 0 (or the chain floored at b with floor b), for which the gap is
-the size itself. :func:`coupled_step` is the coupled step: rows ascend
-from column to column, as S and the floors do, so their gaps need no
-sort. Plain rows step as a vector of sizes, which draws exactly what
-:func:`coupled_step` draws on [X] rows without its matrix bookkeeping.
-:func:`plain_batch` is the one generation loop: it steps only the live
-paths, and drops a path once every column of its row is 0, so extinct
-paths cost nothing.
+One engine steps every kind of path. :func:`coupled_step` is the one
+generation step: each path is a row of sizes with one floor per column,
+the plain chain being the one-column row [X] with floor 0 (or the chain
+floored at b with floor b), for which the gap is the size itself. Rows
+ascend from column to column, as S and the floors do, so their gaps need
+no sort; a one-column row's gap is its size, so plain rows step as a
+vector of sizes. :func:`plain_batch` is the one generation loop: it steps
+only the live paths, drops a path once every column of its row is 0, so
+extinct paths cost nothing, and writes each generation once into one
+preallocated size matrix when its caller reads sizes.
 
 The engine steps a *stack* of paths, all drawing from one generator. A
 generation is one ``closure_sums`` call over the whole stack and one
@@ -145,9 +145,7 @@ def plain_batch(
     step: zero is absorbing, so a path whose sizes are all 0 is dropped,
     and the loop stops once none is left or at the horizon. ``closure_sums``
     draws nothing for a size of 0, so dropping the dead paths changes no
-    draw of the live ones. Rows with levels step through
-    :func:`coupled_step`; plain rows step as a vector of sizes in
-    :func:`_plain_vector`, which draws as ``coupled_step`` does on [X].
+    draw of the live ones.
 
     Returns ``(taus, sizes, flags, bad)``. ``taus`` holds each path's
     extinction time, the first generation at which its first column is 0,
@@ -160,81 +158,54 @@ def plain_batch(
     :func:`_violations`); else it is empty.
     """
     floors = np.asarray(floors, dtype=np.int64)
-    if len(floors) == 1:
-        return _plain_vector(K, paths, dist, gen, horizon, int(floors[0]), rows)
+    levels = len(floors) - 1
     taus = np.full(paths, -1, dtype=np.int64)
-    bad = np.zeros(4, dtype=np.int64)
+    bad = np.zeros(4 if levels else 0, dtype=np.int64)
     live = np.arange(paths)
-    sizes = np.full((paths, len(floors)), K, dtype=np.int64)
-    matrix, marks = [sizes], []
-    for n in range(1, horizon + 1):
-        sizes, flags = coupled_step(sizes, floors, dist, gen)
-        dead = live[sizes[:, 0] == 0]
-        dead = dead[taus[dead] < 0]  # a row with levels outlives its base
-        taus[dead] = n
-        found = _violations(sizes, flags, floors, dist.single_child)
-        if found is not None:
-            bad += found
-        if rows:  # the step's own matrices until a path dies, then scattered among zeros
-            scattered = len(live) < paths
-            matrix.append(np.zeros((paths, len(floors)), dtype=np.int64) if scattered else sizes)
-            marks.append(np.zeros((paths, len(floors) - 1), dtype=bool) if scattered else flags)
-            if scattered:
-                matrix[-1][live], marks[-1][live] = sizes, flags
-        alive = np.flatnonzero(sizes[:, -1] > 0)  # rows ascend: all 0 when the last size is
-        if alive.size < len(sizes):
-            if not alive.size:
-                break
-            live, sizes = live[alive], np.take(sizes, alive, axis=0)
-    if not rows:
-        return taus, None, None, bad.tolist()
-    pad = horizon + 1 - len(matrix)  # every generation up to the horizon
-    matrix += [np.zeros_like(matrix[0])] * pad
-    marks += [np.zeros_like(marks[0])] * pad
-    return taus, np.stack(matrix), np.stack(marks), bad.tolist()
-
-
-#: Generations a plain stack's size matrix holds at first; it doubles, up to
-#: the horizon, when a stack outlives them.
-_FIRST_ROWS = 64
-
-
-def _plain_vector(K: int, paths: int, dist: OffspringDistribution, gen: np.random.Generator,
-                  horizon: int, floor: int, rows: bool):
-    """:func:`plain_batch` for plain rows [X] floored at ``floor``: the live
-    sizes step as one vector, one ``closure_sums`` call per generation.
-
-    With ``rows``, generation n is written once, as row n of one matrix, 0
-    for a dead path; the matrix grows in place when the stack outlives it.
-    """
-    taus = np.full(paths, -1, dtype=np.int64)
-    live = np.arange(paths)
-    sizes = np.full(paths, K, dtype=np.int64)
-    matrix = np.zeros((min(horizon + 1, _FIRST_ROWS), paths), dtype=np.int64) if rows else None
-    if rows:
+    sizes = np.full((paths, 1 + levels), K, dtype=np.int64)
+    if rows:  # generation n is row n, 0 once a path died out
+        height = horizon if levels else min(horizon, _FIRST_ROWS)
+        matrix = np.zeros((height + 1, paths, 1 + levels), dtype=np.int64)
+        marks = np.zeros((horizon, paths, levels), dtype=bool)
         matrix[0] = K
     n = 0
     for n in range(1, horizon + 1):
-        sizes = dist.closure_sums(sizes, gen)
-        if floor:
-            np.maximum(sizes, floor, out=sizes)
+        sizes, flags = coupled_step(sizes, floors, dist, gen)
+        if levels:  # a row with levels outlives its base
+            dead = live[sizes[:, 0] == 0]
+            taus[dead[taus[dead] < 0]] = n
+            found = _violations(sizes, flags, floors, dist.single_child)
+            if found is not None:
+                bad += found
         if rows:
-            if n == len(matrix):
-                matrix.resize((min(2 * n, horizon + 1), paths), refcheck=False)  # zero-filled
-            if len(sizes) < paths:
+            if n == len(matrix):  # a plain stack outlived it: twice as tall, up to the horizon
+                grown = np.zeros((min(2 * n, horizon + 1), *matrix.shape[1:]), dtype=np.int64)
+                grown[:n] = matrix
+                matrix = grown
+            if len(live) < paths:
                 matrix[n][live] = sizes
+                if levels:
+                    marks[n - 1][live] = flags
             else:
-                matrix[n] = sizes
-        count = np.count_nonzero(sizes)
-        if count < len(sizes):
-            alive = sizes > 0
-            taus[live[~alive]] = n
-            if not count:
+                matrix[n], marks[n - 1] = sizes, flags
+        alive = sizes[:, -1] > 0  # rows ascend: all 0 when the last size is
+        if np.count_nonzero(alive) < len(sizes):
+            if not levels:
+                taus[live[~alive]] = n
+            live, sizes = live[alive], np.compress(alive, sizes, axis=0)
+            if not len(live):
                 break
-            live, sizes = live[alive], sizes[alive]
     if not rows:
-        return taus, None, None, []
-    return taus, matrix[:n + 1, :, None], np.zeros((n, paths, 0), dtype=bool), []
+        return taus, None, None, bad.tolist()
+    if levels:  # every generation up to the horizon
+        return taus, matrix, marks, bad.tolist()
+    # Rows past the last generation were never written, so they hold no memory.
+    return taus, matrix[:n + 1], marks[:n], bad.tolist()
+
+
+#: Generations a plain stack's size matrix holds at first, after generation
+#: 0; it doubles, up to the horizon, when the stack outlives them.
+_FIRST_ROWS = 64
 
 
 def simulate_path(
@@ -283,10 +254,13 @@ def coupled_step(
     sums, drawn in one ``closure_sums`` call on ``gen``; their running sums
     are S(.). Returns max(floor, S) and the (paths, L) flags 1{S(X^(a)) > b_a}.
     """
-    gaps = np.diff(sizes, axis=1, prepend=0)
-    if gaps.min(initial=0) < 0:
-        raise ValueError("coupled_step takes rows whose sizes do not decrease")
-    progeny = np.cumsum(dist.closure_sums(gaps, gen), axis=1)
+    if sizes.shape[1] > 1:
+        gaps = np.diff(sizes, axis=1, prepend=0)
+        if gaps.min(initial=0) < 0:
+            raise ValueError("coupled_step takes rows whose sizes do not decrease")
+        progeny = np.cumsum(dist.closure_sums(gaps, gen), axis=1)
+    else:  # drawn as a vector: numpy's samplers are slower on an (n, 1) matrix
+        progeny = dist.closure_sums(sizes[:, 0], gen)[:, None]
     flags = progeny[:, 1:] > floors[1:]
     return (np.maximum(progeny, floors) if floors.any() else progeny), flags
 

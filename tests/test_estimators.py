@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.stats as st
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from branchlab import estimators, harness
@@ -44,6 +44,7 @@ from branchlab.estimators import (
     _median_from_hist,
     _ratio_entry,
     _run_stacks,
+    _stable_order,
     _tau_hist_batch,
 )
 from branchlab.exact import enumerate_bernoulli_paths
@@ -351,7 +352,7 @@ def test_assign_bins_modes():
         bin_blocks(vals, 1, "nope")
 
 
-_BIN_VALUES = hs.sampled_from([(1, 4), (1, 60), (1, 2**53 - 1)]).flatmap(
+_BIN_VALUES = hs.sampled_from([(1, 4), (1, 60), (-(2**62), 2**62)]).flatmap(
     lambda span: hs.lists(hs.integers(*span), min_size=1, max_size=300))
 
 
@@ -365,33 +366,18 @@ def test_bin_blocks_match_the_reference_ids(values, min_count, mode):
             == _reference_assign_bins(values, min_count, mode)).all()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(data=hs.data(), n=hs.integers(1, 400), batches=hs.integers(1, 9))
-def test_mean_se_matches_batch_by_batch_means(data, n, batches):
-    """Batch counts read off the batch starts give the standard error that
-    per-batch bincounts give, bit for bit, on any ascending selection;
-    batches that hold no path, or no selected one, are skipped."""
-    rng = np.random.default_rng(data.draw(hs.integers(0, 2**32 - 1)))
-    ens = Ensemble(np.zeros(n, dtype=np.int64), np.ones(n), np.ones(n), None,
-                   np.sort(rng.integers(0, batches, size=n)))
-    sel = np.flatnonzero(rng.random(n) < data.draw(hs.sampled_from([0.05, 0.5, 1.0])))
-    assume(len(sel))
-    values = rng.random(len(sel)) * 10
-    ids = ens.batch[sel]
-    counts = np.bincount(ids)
-    ok = counts > 0
-    want = None
-    if ok.sum() >= 2:
-        want = float((np.bincount(ids, weights=values)[ok] / counts[ok]).std(ddof=1)
-                     / math.sqrt(ok.sum()))
-    assert ens.mean_se(values, sel) == (float(values.mean()), want)
-
-
-def test_mean_se_refuses_batches_out_of_order():
-    ens = Ensemble(np.zeros(4, dtype=np.int64), np.ones(4), np.ones(4), None,
-                   np.array([0, 1, 0, 1]))
-    with pytest.raises(ValueError, match="contiguous"):
-        ens.mean_se(np.ones(4), np.arange(4))
+@pytest.mark.parametrize("span", [1, 3, 2**40, 2**62], ids=lambda s: f"span{s}")
+def test_stable_order_is_a_stable_argsort(span):
+    """Rank keys (values less the least one) and, past int64, dense-rank
+    keys both give the stable argsort, ties in position order; so do float
+    values."""
+    rng = np.random.default_rng(span)
+    for n in (1, 2, 7, 8, 9, 300, 4097):
+        values = rng.integers(-span, span, size=n, endpoint=True)
+        for v in (values, values.astype(float)):
+            assert (_stable_order(v) == np.argsort(v, kind="stable")).all()
+    extremes = np.array([np.iinfo(np.int64).max, 0, np.iinfo(np.int64).min, 0, -1])
+    assert _stable_order(extremes).tolist() == [2, 4, 1, 3, 0]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

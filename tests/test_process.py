@@ -288,10 +288,10 @@ def _stepped_as_rows(K, paths, dist, gen, horizon, floor):
 )
 def test_plain_batch_steps_plain_rows_as_coupled_step_does(family, K, paths, floor, cap, rows,
                                                            seed):
-    """Stepped as a vector, plain rows give the extinction times, the size
-    matrix and the next draw of [X] rows stepped through ``coupled_step``.
-    A floor keeps every path live to the horizon, which outgrows the first
-    size matrix; a cap of 4 censors paths."""
+    """``plain_batch`` on plain rows gives the extinction times, the size
+    matrix and the next draw of [X] rows stepped one generation at a time
+    through ``coupled_step``, dead rows dropped. A floor keeps every path
+    live to the horizon; a cap of 4 censors paths."""
     horizon = cap or default_horizon(K, family.mean)
     ref_gen = RandomnessSource(seed).handle()
     gen = RandomnessSource(seed).handle()
