@@ -199,7 +199,7 @@ def plain_batch(
         return taus, None, None, bad.tolist()
     if levels:  # every generation up to the horizon
         return taus, matrix, marks, bad.tolist()
-    # Rows past the last generation were never written, so they hold no memory.
+    # A view: the buffer, at most max(64, 2n) generations tall, stays alive with it.
     return taus, matrix[:n + 1], marks[:n], bad.tolist()
 
 
