@@ -30,9 +30,9 @@ import numpy as np
 _PMF_TOL = 1e-9
 _KINDS = ("bernoulli", "binomial", "poisson", "geometric", "pmf")
 #: Tables hold the sum laws of 1.._SUM_TABLE_MAX_COUNT individuals, in at
-#: most _SUM_TABLE_CELLS cells over all rows (16 bytes each: a float64
-#: cumulative weight and an int64 guide slot, which indexes the weights
-#: without a cast); a wide-support pmf gets fewer rows.
+#: most _SUM_TABLE_CELLS cells over all rows (24 bytes each: a float64
+#: cumulative weight, an int64 guide slot, which indexes the weights
+#: without a cast, and a uint64 search key); a wide-support pmf gets fewer rows.
 _SUM_TABLE_MAX_COUNT = 1024
 _SUM_TABLE_CELLS = 1 << 17
 #: The multiply-adds all of a table's convolutions may take: a wide pmf's
@@ -170,19 +170,18 @@ class OffspringDistribution:
         table = _sum_table(self) if counts.size >= _SUM_TABLE_MIN_DRAWS else None
         if table is None:
             return self._named_sums(counts, gen)
-        lo, hi, top = counts.min(), counts.max(), table.max_count
-        if lo > 0 and hi <= top:  # every size in 1..C
-            return table.draw(counts.ravel(), gen).reshape(counts.shape)
-        if hi > 0 and lo <= top:  # some size may lie in 1..C
-            small = (counts > 0) & (counts <= top)
-            if np.count_nonzero(small) >= _SUM_TABLE_MIN_DRAWS:
-                out = np.zeros(counts.shape, dtype=np.int64)
-                out[small] = table.draw(counts[small], gen)
-                if hi > top:
-                    large = counts > top
-                    out[large] = self._named_sums(counts[large], gen)
-                return out
-        return self._named_sums(counts, gen)
+        flat, top = counts.ravel(), table.max_count
+        small = np.flatnonzero((flat - 1).view(np.uint64) < top)  # 1 <= size <= C; 0 wraps
+        if small.size < _SUM_TABLE_MIN_DRAWS:
+            return self._named_sums(counts, gen)
+        if small.size == flat.size:
+            return table.draw(flat, gen).reshape(counts.shape)
+        out = np.zeros(flat.size, dtype=np.int64)
+        out[small] = table.draw(flat[small], gen)
+        large = np.flatnonzero(flat > top)
+        if large.size:
+            out[large] = self._named_sums(flat[large], gen)
+        return out.reshape(counts.shape)
 
     def _named_sums(self, counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         # Progeny sums through the family's named sampler; numpy draws
@@ -285,7 +284,11 @@ class _SumTable:
     uniform u with key j, the first cell whose cumulative weight
     exceeds u (the ``inverse_cdf`` convention) therefore lies between the
     cells of slots j and j + 1; a row cut on both tails has few cells of
-    little mass, so most slots hold at most one cell.
+    little mass, so most slots hold at most one cell. A u whose slot holds
+    more searches ``key``, ascending over the table: cell k of row c holds
+    ``(c - 1) << 54 | ceil(cdf * 2^53)``, and for u on the 2^-53 grid of
+    ``Generator.random`` the first key above ``(c - 1) << 54 | u * 2^53`` is
+    the answer; ``cdf`` settles the ties of a u off the grid.
     """
 
     def __init__(self, blocks):
@@ -295,7 +298,8 @@ class _SumTable:
         # so temporaries stay per block.
         self.cdf = np.empty(_SUM_TABLE_CELLS)
         self.guide = np.empty(_SUM_TABLE_CELLS + _SUM_TABLE_MAX_COUNT, dtype=np.int64)
-        sizes, offsets, cells, slots = [], [], 0, 0
+        self.key = np.empty(_SUM_TABLE_CELLS, dtype=np.uint64)
+        sizes, offsets, cells, slots, rows = [], [], 0, 0, 0
         for start, _, cum, lo, hi in blocks:
             n = hi - lo
             width = np.maximum.accumulate(n)
@@ -314,6 +318,10 @@ class _SumTable:
             np.take(flat, cols, out=out, mode="clip")  # in range: clip skips a buffer
             out -= below[:, None]
             out /= (flat[first + hi - 1] - below)[:, None]
+            keys = self.key[cells: cells + fit * width].reshape(fit, width)
+            np.multiply(out, 2.0**53, out=keys.view(np.float64))  # no temporary to fault in
+            np.ceil(keys.view(np.float64), out=keys, casting="unsafe")
+            keys += (np.arange(rows, rows + fit, dtype=np.uint64) << 54)[:, None]
             # Row keys do not overlap, so one running count of the cells
             # below each slot fills every guide of the block.
             ends = np.cumsum(n + 1)
@@ -324,35 +332,34 @@ class _SumTable:
             guide -= at - cells
             sizes.append(n)
             offsets.append(start + lo - cells - width * np.arange(fit))
-            cells, slots = cells + fit * width, slots + int(ends[-1])
+            cells, slots, rows = cells + fit * width, slots + int(ends[-1]), rows + fit
             if fit < full:
                 break
         n = np.concatenate([np.zeros(0, dtype=np.int64), *sizes])
         self.max_count = len(n)
-        self.cdf, self.guide = self.cdf[:cells], self.guide[:slots]
+        self.cdf, self.guide, self.key = self.cdf[:cells], self.guide[:slots], self.key[:cells]
         # Indexed by the number of individuals c; index 0 is unused.
         self.guide_start = np.append(0, np.cumsum(n + 1) - n - 1)
         self.guide_size = np.append(0.0, n)
         self.offset = np.concatenate([[0], *offsets])
+        self.row_key = (np.arange(len(n) + 1, dtype=np.uint64) - 1) << 54  # index 0 unused
 
     def draw(self, counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         """One progeny sum per size in ``counts`` (1-D, in 1..max_count)."""
         u = gen.random(len(counts))
         slot = self.guide_start[counts] + (u * self.guide_size[counts]).astype(np.int64)
-        cell, last = self.guide[slot], self.guide[slot + 1]
+        cell = self.guide[slot]
         # One comparison settles the sums whose slot holds at most one cell;
-        # the others bisect their [lo, hi] bracket.
-        step = self.cdf[cell] <= u
-        cell += step
-        todo = np.flatnonzero(step & (cell < last))
-        if todo.size:
-            lo, hi, v = cell[todo], last[todo], u[todo]
-            for _ in range(int((hi - lo).max()).bit_length()):
-                mid = (lo + hi) >> 1
-                right = self.cdf[mid] <= v
-                lo = np.where(right, mid + 1, lo)
-                hi = np.where(right, hi, mid)
-            cell[todo] = lo
+        # the others, about 3%, search the keys.
+        step = np.flatnonzero(self.cdf[cell] <= u)
+        cell[step] += 1
+        far = step[cell[step] < self.guide[slot[step] + 1]]
+        v = u[far]
+        at = np.searchsorted(self.key, self.row_key[counts[far]] | (v * 2.0**53).astype(np.uint64),
+                             side="right")
+        while (tie := self.cdf[at] <= v).any():  # a u off the 2^-53 grid may tie a key
+            at += tie
+        cell[far] = at
         return self.offset[counts] + cell
 
 

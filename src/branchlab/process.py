@@ -161,20 +161,20 @@ def plain_batch(
     levels = len(floors) - 1
     taus = np.full(paths, -1, dtype=np.int64)
     bad = np.zeros(4 if levels else 0, dtype=np.int64)
-    live = np.arange(paths)
-    sizes = np.full((paths, 1 + levels), K, dtype=np.int64)
+    live, age = np.arange(paths), np.zeros(paths, dtype=np.int64)
+    # Column by column in memory: the step and the gates run along columns.
+    sizes = np.full((paths, 1 + levels), K, dtype=np.int64, order="F")
     if rows:  # generation n is row n, 0 once a path died out
         height = horizon if levels else min(horizon, _FIRST_ROWS)
         matrix = np.zeros((height + 1, paths, 1 + levels), dtype=np.int64)
         marks = np.zeros((horizon, paths, levels), dtype=bool)
         matrix[0] = K
-    n = 0
+    n, single_child = 0, dist.single_child
     for n in range(1, horizon + 1):
         sizes, flags = coupled_step(sizes, floors, dist, gen)
         if levels:  # a row with levels outlives its base
-            dead = live[sizes[:, 0] == 0]
-            taus[dead[taus[dead] < 0]] = n
-            found = _violations(sizes, flags, floors, dist.single_child)
+            age += sizes[:, 0] > 0  # generations after 0 with the base alive
+            found = _violations(sizes, flags, floors, single_child)
             if found is not None:
                 bad += found
         if rows:
@@ -188,13 +188,17 @@ def plain_batch(
                     marks[n - 1][live] = flags
             else:
                 matrix[n], marks[n - 1] = sizes, flags
-        alive = sizes[:, -1] > 0  # rows ascend: all 0 when the last size is
-        if np.count_nonzero(alive) < len(sizes):
-            if not levels:
+        if not sizes[:, -1].all():  # rows ascend: all 0 when the last size is
+            alive = sizes[:, -1] > 0
+            if levels:
+                taus[live[~alive]], age = age[~alive] + 1, age[alive]
+            else:
                 taus[live[~alive]] = n
             live, sizes = live[alive], np.compress(alive, sizes, axis=0)
             if not len(live):
                 break
+    if levels:  # a base alive at the horizon has lived every generation
+        taus[live] = np.where(age < n, age + 1, -1)
     if not rows:
         return taus, None, None, bad.tolist()
     if levels:  # every generation up to the horizon
@@ -255,14 +259,17 @@ def coupled_step(
     are S(.). Returns max(floor, S) and the (paths, L) flags 1{S(X^(a)) > b_a}.
     """
     if sizes.shape[1] > 1:
-        gaps = np.diff(sizes, axis=1, prepend=0)
+        gaps = sizes.copy(order="K")
+        gaps[:, 1:] -= sizes[:, :-1]
         if gaps.min(initial=0) < 0:
             raise ValueError("coupled_step takes rows whose sizes do not decrease")
-        progeny = np.cumsum(dist.closure_sums(gaps, gen), axis=1)
+        progeny = np.asfortranarray(dist.closure_sums(gaps, gen))
+        for j in range(1, progeny.shape[1]):  # numpy's cumsum is slow along short rows
+            progeny[:, j] += progeny[:, j - 1]
     else:  # drawn as a vector: numpy's samplers are slower on an (n, 1) matrix
         progeny = dist.closure_sums(sizes[:, 0], gen)[:, None]
     flags = progeny[:, 1:] > floors[1:]
-    return (np.maximum(progeny, floors) if floors.any() else progeny), flags
+    return (np.maximum(progeny, floors, out=progeny) if floors[-1] else progeny), flags  # floors ascend
 
 
 #: The coupled gates, in the order of the columns of :func:`_violations`.
@@ -282,10 +289,16 @@ def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
     """
     base, upper = sizes[:, :1], sizes[:, 1:]
     shifted = upper - floors[1:]
+    # Any gate fires when a row decreases (upper sandwich, monotonicity) or
+    # sign(Y^(a)) differs from the flag (a level below its floor, a wrong flag).
+    fired = (sizes[:, 1:] < sizes[:, :-1]) | (np.sign(shifted) != flags)
+    if single_child:
+        fired |= shifted > base
+    if not fired.any():
+        return None
     gates = [((shifted > base) & single_child) | (base > upper), upper < floors[1:],
              flags != (shifted > 0), upper[:, 1:] < upper[:, :-1]]
-    totals = np.array([np.count_nonzero(gate) for gate in gates])
-    return totals if totals.any() else None
+    return np.array([np.count_nonzero(gate) for gate in gates])
 
 
 def coupled_floors(levels: Sequence[float], K: int) -> np.ndarray:

@@ -14,12 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import branchlab
 
 from branchlab.offspring import (
     _SUM_TABLE_CELLS,
     _SUM_TABLE_MAX_COUNT,
+    _SUM_TABLE_MIN_DRAWS,
     _TAIL_MASS,
     InvalidParameter,
     NonNormalizedPMF,
@@ -235,6 +238,85 @@ def test_sum_table_draw_inverts_each_row(spec):
         cdf = table.cdf[edges[c - 1]:edges[c]]
         expected[at] = table.offset[c] + edges[c - 1] + np.searchsorted(cdf, u[at], side="right")
     assert (table.draw(counts, _FixedUniforms(u)) == expected).all()
+
+
+def _reference_draw(table, counts, gen):
+    """The guide-table draw that bisects a slot's bracket of cells in
+    vectorized rounds: the reference the keyed search must equal."""
+    u = gen.random(len(counts))
+    slot = table.guide_start[counts] + (u * table.guide_size[counts]).astype(np.int64)
+    cell, last = table.guide[slot], table.guide[slot + 1]
+    step = table.cdf[cell] <= u
+    cell += step
+    todo = np.flatnonzero(step & (cell < last))
+    if todo.size:
+        lo, hi, v = cell[todo], last[todo], u[todo]
+        for _ in range(int((hi - lo).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            right = table.cdf[mid] <= v
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        cell[todo] = lo
+    return table.offset[counts] + cell
+
+
+def _reference_closure_sums(dist, counts, gen):
+    """closure_sums with min/max range tests and boolean masks, drawing
+    through :func:`_reference_draw`."""
+    counts = np.asarray(counts, dtype=np.int64)
+    table = _sum_table(dist) if counts.size >= _SUM_TABLE_MIN_DRAWS else None
+    if table is None:
+        return dist._named_sums(counts, gen)
+    lo, hi, top = counts.min(), counts.max(), table.max_count
+    if lo > 0 and hi <= top:
+        return _reference_draw(table, counts.ravel(), gen).reshape(counts.shape)
+    if hi > 0 and lo <= top:
+        small = (counts > 0) & (counts <= top)
+        if np.count_nonzero(small) >= _SUM_TABLE_MIN_DRAWS:
+            out = np.zeros(counts.shape, dtype=np.int64)
+            out[small] = _reference_draw(table, counts[small], gen)
+            if hi > top:
+                large = counts > top
+                out[large] = dist._named_sums(counts[large], gen)
+            return out
+    return dist._named_sums(counts, gen)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    spec=hs.sampled_from(TABLE_SPECS),
+    n=hs.one_of(hs.sampled_from([1, 255, 256, 257, 20_000]), hs.integers(1, 20_000)),
+    mix=hs.sampled_from(["table", "zeros", "large"]),
+    share=hs.sampled_from([0.01, 0.5, 0.99]),
+    layout=hs.sampled_from(["1-D", "C", "F"]),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_draw_and_closure_sums_equal_the_bisecting_reference(spec, n, mix, share, layout, seed):
+    """The keyed search draws what the bisection draws, and leaves its
+    generator at the same next draw: sizes all in 1..C, or a share of them
+    set to 0 or moved above C, as a vector or as a (rows, 4) matrix in
+    either memory order; closure_sums draws in the matrix's row order."""
+    dist = make_distribution(spec)
+    table = _sum_table(dist)
+    assert (table.key[1:] >= table.key[:-1]).all()
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, table.max_count + 1, n)
+    if mix == "table":
+        gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(table.draw(counts, gen), _reference_draw(table, counts, twin))
+        assert gen.random() == twin.random()
+    picked = rng.random(n) < share
+    if mix == "zeros":
+        counts[picked] = 0
+    elif mix == "large":
+        counts[picked] += rng.integers(table.max_count, 4 * table.max_count, np.count_nonzero(picked))
+    if layout != "1-D" and n >= 4:
+        counts = counts[: n - n % 4].reshape(-1, 4)
+        counts = np.asfortranarray(counts) if layout == "F" else counts
+    gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(dist.closure_sums(counts, gen),
+                          _reference_closure_sums(dist, np.ascontiguousarray(counts), twin))
+    assert gen.random() == twin.random()
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)

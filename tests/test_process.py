@@ -159,6 +159,50 @@ def test_step_refuses_a_decreasing_row():
     assert gen.random() == twin.random()
 
 
+class _GapSpy:
+    """Stands in for a law: closure_sums records the sizes it is given and
+    returns them as their own progeny sums."""
+
+    def __init__(self):
+        self.seen = []
+
+    def closure_sums(self, counts, gen):
+        self.seen.append(np.array(counts))
+        return np.array(counts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    paths=hs.integers(1, 300),
+    cols=hs.integers(1, 5),
+    top=hs.sampled_from([1, 40, 3000]),
+    fortran=hs.booleans(),
+    seed=hs.integers(0, 2**16),
+)
+def test_step_draws_the_row_differences(paths, cols, top, fortran, seed):
+    """coupled_step draws one progeny sum per gap, the gaps being
+    np.diff(sizes, axis=1, prepend=0), in either memory order, and returns
+    their running sums floored; a row made to decrease raises ValueError
+    before anything is drawn."""
+    rng = np.random.default_rng(seed)
+    sizes = np.cumsum(rng.integers(0, top + 1, (paths, cols)), axis=1)
+    floors = np.cumsum(rng.integers(0, top + 1, cols))
+    floors[0] = 0
+    layout = np.asfortranarray if fortran else np.ascontiguousarray
+    spy = _GapSpy()
+    stepped, flags = coupled_step(layout(sizes), floors, spy, None)
+    gaps = spy.seen[0] if cols > 1 else spy.seen[0][:, None]
+    assert np.array_equal(gaps, np.diff(sizes, axis=1, prepend=0))
+    assert np.array_equal(stepped, np.maximum(sizes, floors))
+    assert np.array_equal(flags, sizes[:, 1:] > floors[1:])
+    if cols > 1:
+        row, col = rng.integers(paths), rng.integers(1, cols)
+        sizes[row, :col] += sizes[row, col] - sizes[row, col - 1] + 1
+        with pytest.raises(ValueError, match="do not decrease"):
+            coupled_step(layout(sizes), floors, spy, None)
+        assert len(spy.seen) == 1
+
+
 def _assert_extinction_cdf(hist: np.ndarray, dist, K: int, paths: int) -> None:
     """z-gate the empirical extinction-time CDF of ``paths`` paths (``hist``
     counts extinctions by generation) against exact.extinction_cdf.
@@ -672,6 +716,69 @@ def test_violations_count_each_gate_and_are_none_when_clean():
         assert process._violations(sizes[:1], flags[:1], floors, single_child) is None
         found = process._violations(sizes[4:], flags[4:], floors, single_child)
         assert found.tolist() == [0, 1, 0, 0]
+
+
+def _reference_violations(sizes, flags, floors, single_child):
+    """The four gate totals counted outright, None when all are 0: the
+    reference for _violations, which counts only once one test of every
+    gate fires."""
+    base, upper = sizes[:, :1], sizes[:, 1:]
+    shifted = upper - floors[1:]
+    gates = [((shifted > base) & single_child) | (base > upper), upper < floors[1:],
+             flags != (shifted > 0), upper[:, 1:] < upper[:, :-1]]
+    totals = np.array([np.count_nonzero(gate) for gate in gates])
+    return totals if totals.any() else None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    paths=hs.integers(1, 50),
+    levels=hs.integers(1, 4),
+    single_child=hs.booleans(),
+    gate=hs.sampled_from([None, 0, 1, 2, 3]),
+    fortran=hs.booleans(),
+    seed=hs.integers(0, 2**16),
+)
+def test_violations_equal_the_reference_when_each_gate_fires_alone(paths, levels, single_child,
+                                                                    gate, fortran, seed):
+    """On clean coupled rows no gate fires, and _violations gives None.
+    One row is then mutated so that one gate alone fires: the sandwich
+    (its base raised above a level, or, for a single-child law, dropped
+    to 0 under a level's shifted size), the shift identity (the row cut
+    below the last floor, flags kept true to the cut row), an indicator
+    (one flag flipped) or level monotonicity (a level raised above the
+    next, for a law with more than one child). _violations gives the
+    reference's totals, in either memory order."""
+    rng = np.random.default_rng(seed)
+    floors = np.append(0, np.sort(rng.integers(1, 50, levels)))
+    base = rng.integers(0, 100, (paths, 1))
+    rise = np.minimum(np.cumsum(rng.integers(0, 30, (paths, levels)), axis=1), floors[1:])
+    S = np.hstack([base, base + rise])  # S(X^(a)) - b_a <= S(X): clean for any law
+    sizes, flags = np.maximum(S, floors), S[:, 1:] > floors[1:]
+    assert _reference_violations(sizes, flags, floors, single_child) is None
+    row = rng.integers(paths)
+    if gate == 0 and single_child and (sizes[row, 1:] > floors[1:]).any() and rng.random() < 0.5:
+        sizes[row, 0] = 0
+    elif gate == 0:
+        sizes[row, 0] = sizes[row, 1:].max() + 1
+    elif gate == 1:
+        sizes[row] = np.minimum(sizes[row], floors[-1] - 1)
+        flags[row] = sizes[row, 1:] > floors[1:]
+    elif gate == 2:
+        flags[row, rng.integers(levels)] ^= True
+    elif gate == 3 and levels > 1:
+        single_child, col = False, rng.integers(2, levels + 1)
+        sizes[row, col - 1] = sizes[row, col] + 1
+        flags[row, col - 2] = True
+    want = _reference_violations(sizes, flags, floors, single_child)
+    if fortran:
+        sizes, flags = np.asfortranarray(sizes), np.asfortranarray(flags)
+    got = process._violations(sizes, flags, floors, single_child)
+    if gate is None or (gate == 3 and levels == 1):
+        assert want is None and got is None
+    else:
+        assert (want > 0).tolist() == [g == gate for g in range(4)]
+        assert np.array_equal(got, want)
 
 
 def test_plain_batch_adds_up_each_generations_violations(monkeypatch):
