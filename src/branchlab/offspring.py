@@ -163,7 +163,7 @@ class OffspringDistribution:
         entries do not depend on how many zeros sit between them. When at
         least ``_SUM_TABLE_MIN_DRAWS`` sizes lie in 1..C, C the row count
         of the law's sum table, each of them draws one uniform from the
-        table (all of them first, in array order) and the larger sizes then
+        table (all of them first, in row-major order) and the larger sizes then
         draw from the family's named sampler; otherwise every size does.
         """
         counts = np.asarray(counts, dtype=np.int64)
@@ -171,11 +171,13 @@ class OffspringDistribution:
         if table is None:
             return self._named_sums(counts, gen)
         flat, top = counts.ravel(), table.max_count
-        small = np.flatnonzero((flat - 1).view(np.uint64) < top)  # 1 <= size <= C; 0 wraps
-        if small.size < _SUM_TABLE_MIN_DRAWS:
+        inside = (flat - 1).view(np.uint64) < top  # 1 <= size <= C; 0 wraps
+        many = np.count_nonzero(inside)
+        if many < _SUM_TABLE_MIN_DRAWS:
             return self._named_sums(counts, gen)
-        if small.size == flat.size:
+        if many == flat.size:
             return table.draw(flat, gen).reshape(counts.shape)
+        small = np.flatnonzero(inside)
         out = np.zeros(flat.size, dtype=np.int64)
         out[small] = table.draw(flat[small], gen)
         large = np.flatnonzero(flat > top)

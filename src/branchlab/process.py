@@ -161,9 +161,8 @@ def plain_batch(
     levels = len(floors) - 1
     taus = np.full(paths, -1, dtype=np.int64)
     bad = np.zeros(4 if levels else 0, dtype=np.int64)
-    live, age = np.arange(paths), np.zeros(paths, dtype=np.int64)
-    # Column by column in memory: the step and the gates run along columns.
-    sizes = np.full((paths, 1 + levels), K, dtype=np.int64, order="F")
+    live, age = np.arange(paths), np.zeros(paths if levels else 0, dtype=np.int64)
+    sizes = np.full((paths, 1 + levels), K, dtype=np.int64, order="F")  # columns contiguous
     if rows:  # generation n is row n, 0 once a path died out
         height = horizon if levels else min(horizon, _FIRST_ROWS)
         matrix = np.zeros((height + 1, paths, 1 + levels), dtype=np.int64)
@@ -289,8 +288,7 @@ def _violations(sizes: np.ndarray, flags: np.ndarray, floors: np.ndarray,
     """
     base, upper = sizes[:, :1], sizes[:, 1:]
     shifted = upper - floors[1:]
-    # Any gate fires when a row decreases (upper sandwich, monotonicity) or
-    # sign(Y^(a)) differs from the flag (a level below its floor, a wrong flag).
+    # Some gate fires iff a row decreases or sign(Y^(a)) differs from the flag.
     fired = (sizes[:, 1:] < sizes[:, :-1]) | (np.sign(shifted) != flags)
     if single_child:
         fired |= shifted > base
