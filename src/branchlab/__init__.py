@@ -11,11 +11,10 @@ The package is organised bottom-up:
 ``process``
     Population trajectories, truncated/shifted companion processes and
     the coupled simulation used by the sandwich experiments.
-``stopping``
-    Level-hitting times and their deterministic limits.
 ``exact``
     Small-case oracles: generating-function iteration and exhaustive
-    enumeration, used to calibrate the Monte Carlo estimators.
+    enumeration, used to calibrate the Monte Carlo estimators, and the
+    deterministic limits of the stopping times.
 ``gaussian_limit``
     The limiting Gaussian sequence: covariance models and sampling.
 ``estimators``
@@ -28,7 +27,7 @@ The package is organised bottom-up:
 
 from __future__ import annotations
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .estimators import (
     DegenerateSample,
@@ -43,6 +42,7 @@ from .estimators import (
     invariance_check,
     invariance_target,
 )
+from .exact import boundary_warnings, limit_constant
 from .gaussian_limit import (
     NotPositiveSemiDefinite,
     OutOfValidityRange,
@@ -70,7 +70,6 @@ from .process import (
     write_trajectories,
 )
 from .randomness import RandomnessSource
-from .stopping import NeverHit, boundary_warnings, limit_constant
 
 __all__ = [
     "ConfigError",
@@ -82,7 +81,6 @@ __all__ = [
     "InsufficientBinMass",
     "InvalidParameter",
     "IoError",
-    "NeverHit",
     "NonNormalizedPMF",
     "NotPositiveSemiDefinite",
     "OffspringDistribution",

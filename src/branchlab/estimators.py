@@ -39,14 +39,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .exact import limit_constant, tau_quantile
 from .exact import mean_m_tau as exact_mean_m_tau
-from .exact import tau_quantile
 from .gaussian_limit import MODES, ThetaCovariance, covariance_matrix, is_positive_semidefinite
 from .offspring import OffspringDistribution
 from .process import (COUPLED_GATES, coupled_floors, default_horizon, floor_level, plain_batch,
                       trajectory_header, trajectory_rows)
 from .randomness import RandomnessSource
-from .stopping import limit_constant
 
 
 class InsufficientBinMass(ValueError):

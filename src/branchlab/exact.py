@@ -7,6 +7,11 @@ Everything here is deterministic arithmetic, no sampling:
   s_{n+1} = 1 - f(1 - s_n) with s_0 = 1, and K independent lines give
   P(tau_K <= n) = (1 - s_n)^K;
 * quantiles of tau_K and exact summation of E m^tau_K from that law;
+* the deterministic limits of the stopping times for offspring mean m:
+  the scaling constant c = -1/log m (the extinction time is about
+  c log K), the limit level index ell(a) = min{l: m^l <= a} of the
+  hitting time of floor(a K), the step indicator
+  chi_{n+1} = 1{m^{n+1} > a}, and warnings for levels on a power of m;
 * exhaustive enumeration of every bernoulli trajectory for tiny K,
   with its exact probability, so estimator pipelines can be checked
   against closed-form conditional expectations path by path.
@@ -107,6 +112,86 @@ def mean_m_tau(dist: OffspringDistribution, K: int, tol: float = 1e-15) -> float
         # remaining mass contributes at most m^{n+1} * P(tau > n)
         if power * m * _tail_from_survival(s, K) < tol * total:
             return total
+
+
+class InvalidLevel(ValueError):
+    """Level argument outside (0, 1)."""
+
+
+def _subcritical(m: float) -> float:
+    """``m`` itself; ValueError unless it is a subcritical mean in (0, 1)."""
+    if not 0.0 < m < 1.0:
+        raise ValueError(f"offspring mean must be in (0, 1), got {m}")
+    return m
+
+
+def ell(m: float, a: float) -> int:
+    """Smallest positive integer l with m^l <= a, for mean m.
+
+    The log-ratio candidate ceil(log a / log m) can land one off when
+    m^l sits within float error of a, so the candidate is fixed up by
+    exact comparison against powers built by repeated multiplication.
+    """
+    _subcritical(m)
+    if not 0.0 < a < 1.0:
+        raise InvalidLevel(f"level must be in (0, 1), got {a}")
+    candidate = max(1, math.ceil(math.log(a) / math.log(m)))
+    while _power(m, candidate) > a:
+        candidate += 1
+    while candidate > 1 and _power(m, candidate - 1) <= a:
+        candidate -= 1
+    return candidate
+
+
+def chi(m: float, n: int, a: float) -> int:
+    """Limit indicator of generation n surviving level a: 1{m^{n+1} > a}."""
+    _subcritical(m)
+    if n < 0:
+        raise ValueError(f"generation must be >= 0, got {n}")
+    if a < 0.0:
+        raise InvalidLevel(f"level must be >= 0, got {a}")
+    return 1 if _power(m, n + 1) > a else 0
+
+
+def limit_constant(m: float) -> float:
+    """Scaling constant c = -1/log m of the extinction-time law."""
+    return -1.0 / math.log(_subcritical(m))
+
+
+def boundary_warnings(
+    m: float, levels, *, tol: float = 1e-6, max_l: int = 10_000
+) -> list[str]:
+    """Warn about levels sitting on a power of m.
+
+    Convergence of hitting times to ell(a) is fragile when m^l == a for
+    some small l (ties flip on sample noise), so configs are screened
+    for |m^l - a| < tol.
+    """
+    out = []
+    for a in levels:
+        if not 0.0 < a < 1.0:
+            continue
+        power = 1.0
+        for l in range(1, max_l + 1):
+            power *= m
+            if abs(power - a) < tol:
+                out.append(
+                    f"level a={a} is within {tol} of m^{l}={power}; "
+                    "hitting-time limits are unstable at this boundary"
+                )
+                break
+            if power < a - tol:
+                break
+    return out
+
+
+def _power(m: float, l: int) -> float:
+    # repeated multiplication: reproducible across platforms, exact
+    # enough for the boundary fixup at l <= 10^4
+    out = 1.0
+    for _ in range(l):
+        out *= m
+    return out
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .stopping import ell
+from .exact import ell
 
 MODES = ("paper", "martingale")
 

@@ -35,7 +35,6 @@ from .gaussian_limit import MODES
 from .offspring import (InvalidParameter, NonNormalizedPMF, OffspringDistribution,
                         SupercriticalWithoutOverride, make_distribution)
 from .process import level_label, simulate_coupled, simulate_path, write_trajectories
-from .stopping import boundary_warnings
 
 SCHEMA_VERSION = 1
 
@@ -438,7 +437,7 @@ def _level_warnings(kind: str, cfg: dict, dist) -> list[Diagnostic]:
     if cfg["a"] is not None:  # coupled reads levels; clt-check and gaussian-cov read a
         levels = [cfg["a"]]
     if dist is not None and 0.0 < dist.mean < 1.0:
-        texts += boundary_warnings(dist.mean, [a for a in levels if a > 0.0])
+        texts += exact.boundary_warnings(dist.mean, [a for a in levels if a > 0.0])
     return [Diagnostic("warning", text) for text in texts]
 
 

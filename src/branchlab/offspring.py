@@ -177,11 +177,10 @@ class OffspringDistribution:
             return self._named_sums(counts, gen)
         if many == flat.size:
             return table.draw(flat, gen).reshape(counts.shape)
-        small = np.flatnonzero(inside)
         out = np.zeros(flat.size, dtype=np.int64)
-        out[small] = table.draw(flat[small], gen)
-        large = np.flatnonzero(flat > top)
-        if large.size:
+        out[inside] = table.draw(flat[inside], gen)
+        large = flat > top
+        if large.any():
             out[large] = self._named_sums(flat[large], gen)
         return out.reshape(counts.shape)
 
@@ -286,8 +285,12 @@ class _SumTable:
     uniform u with key j, the first cell whose cumulative weight
     exceeds u (the ``inverse_cdf`` convention) therefore lies between the
     cells of slots j and j + 1; a row cut on both tails has few cells of
-    little mass, so most slots hold at most one cell. A u whose slot holds
-    more searches ``key``, ascending over the table: cell k of row c holds
+    little mass, so most slots hold at most one cell. The draw steps each
+    slot's first cell once if its cumulative weight is at or below u. The
+    first cell of slot j + 1 has floor(cdf * n) >= j + 1 > u * n, so its
+    weight exceeds u: a cell still at or below u after the step lies inside
+    its slot, and only those draws search ``key``, ascending over the
+    table: cell k of row c holds
     ``(c - 1) << 54 | ceil(cdf * 2^53)``, and for u on the 2^-53 grid of
     ``Generator.random`` the first key above ``(c - 1) << 54 | u * 2^53`` is
     the answer; ``cdf`` settles the ties of a u off the grid.
@@ -351,11 +354,10 @@ class _SumTable:
         u = gen.random(len(counts))
         slot = self.guide_start[counts] + (u * self.guide_size[counts]).astype(np.int64)
         cell = self.guide[slot]
-        # One comparison settles the sums whose slot holds at most one cell;
-        # the others, about 3%, search the keys.
-        step = np.flatnonzero(self.cdf[cell] <= u)
-        cell[step] += 1
-        far = step[cell[step] < self.guide[slot[step] + 1]]
+        # One step settles the sums whose slot holds at most one cell; the
+        # others, about 3%, are still at or below u and search the keys.
+        cell += self.cdf[cell] <= u
+        far = np.flatnonzero(self.cdf[cell] <= u)
         v = u[far]
         at = np.searchsorted(self.key, self.row_key[counts[far]] | (v * 2.0**53).astype(np.uint64),
                              side="right")

@@ -193,7 +193,8 @@ def plain_batch(
                 taus[live[~alive]], age = age[~alive] + 1, age[alive]
             else:
                 taus[live[~alive]] = n
-            live, sizes = live[alive], np.compress(alive, sizes, axis=0)
+            # Compressing the transpose keeps the rows in Fortran order.
+            live, sizes = live[alive], np.compress(alive, sizes.T, axis=1).T
             if not len(live):
                 break
     if levels:  # a base alive at the horizon has lived every generation

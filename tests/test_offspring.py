@@ -220,16 +220,20 @@ class _FixedUniforms:
 def test_sum_table_draw_inverts_each_row(spec):
     """The guide-table draw returns, for every size c and uniform u, the
     first cell of row c whose cumulative weight exceeds u, as a plain
-    search of the row finds it: on random uniforms, and on every
-    cumulative weight of a row and the float just below it."""
+    search of row c alone finds it: on random uniforms, and for every row
+    on each cumulative weight and the floats on either side of it, which
+    lie off the 2^-53 grid below 1/2. Some draws need more than one step
+    from their guide slot's first cell, so they search the keys, and for
+    the five families some of those tie a key, ceil(cdf * 2^53) above
+    floor(u * 2^53) though cdf <= u, so the tie loop runs."""
     table = _sum_table(make_distribution(spec))
     edges = np.append(table.guide[table.guide_start[1:]], len(table.cdf))
     rng = np.random.default_rng(4)
     counts = rng.integers(1, table.max_count + 1, 50_000)
     u = rng.random(len(counts))
-    for c in (1, table.max_count // 2, table.max_count):
+    for c in range(1, table.max_count + 1):
         cdf = table.cdf[edges[c - 1]:edges[c]]
-        near = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0]])
+        near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0]])
         counts = np.append(counts, np.full(np.count_nonzero(near < 1.0), c))
         u = np.append(u, near[near < 1.0])
     expected = np.empty_like(counts)
@@ -238,6 +242,12 @@ def test_sum_table_draw_inverts_each_row(spec):
         cdf = table.cdf[edges[c - 1]:edges[c]]
         expected[at] = table.offset[c] + edges[c - 1] + np.searchsorted(cdf, u[at], side="right")
     assert (table.draw(counts, _FixedUniforms(u)) == expected).all()
+    cell = expected - table.offset[counts]
+    first = table.guide[table.guide_start[counts] + (u * table.guide_size[counts]).astype(np.int64)]
+    search = cell >= first + 2
+    tie = search & (np.ceil(table.cdf[cell - 1] * 2.0**53) > np.floor(u * 2.0**53))
+    assert search.any()
+    assert tie.any() or spec is WIDE_PMF  # no draw of the wide pmf ties a key
 
 
 def _reference_draw(table, counts, gen):

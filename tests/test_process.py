@@ -264,6 +264,24 @@ def test_plain_batch_stop_rule_and_floor():
     assert rows.shape == (31, 50, 1) and (rows >= 6).all() and (taus < 0).all()
 
 
+def test_coupled_rows_stay_in_fortran_order_after_a_path_dies(monkeypatch):
+    """With levels [0.0] every floor is 0, so paths die and are dropped
+    generation after generation; every matrix that reaches coupled_step,
+    the first and each one left after a compaction, is in Fortran order."""
+    seen = []
+
+    def spy(sizes, *args):
+        seen.append((len(sizes), sizes.flags.f_contiguous))
+        return coupled_step(sizes, *args)
+
+    monkeypatch.setattr(process, "coupled_step", spy)
+    gen = RandomnessSource(5).handle()
+    taus, _, _, _ = plain_batch(40, 400, BERN, gen, 30, coupled_floors([0.0], 40), rows=True)
+    assert (taus > 0).all()
+    assert len({n for n, _ in seen}) > 3  # compacted several times
+    assert all(fortran for _, fortran in seen)
+
+
 def _full_width_sizes(K, paths, dist, gen, horizon, floor):
     """The engine without dropping dead paths: every path, every generation."""
     sizes, rows = np.full(paths, K, dtype=np.int64), []

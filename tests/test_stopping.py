@@ -1,4 +1,5 @@
-"""Stopping times and deterministic limit quantities."""
+"""Stopping times of realized paths and their deterministic limits in
+``branchlab.exact``."""
 
 from __future__ import annotations
 
@@ -8,20 +9,27 @@ import numpy as np
 import pytest
 from test_process import _batched_hist
 
+from branchlab.exact import InvalidLevel, boundary_warnings, chi, ell, limit_constant
 from branchlab.offspring import make_distribution
-from branchlab.process import PathRecord, simulate_path
+from branchlab.process import PathRecord, floor_level, simulate_path
 from branchlab.randomness import RandomnessSource
-from branchlab.stopping import (
-    InvalidLevel,
-    NeverHit,
-    boundary_warnings,
-    chi,
-    ell,
-    hitting_time,
-    limit_constant,
-)
 
 BERN = make_distribution({"kind": "bernoulli", "p": 0.5})
+
+
+class NeverHit(ValueError):
+    """The trajectory ended before reaching the requested level."""
+
+
+def hitting_time(path: PathRecord, a: float, K: int) -> int:
+    """First index l with X_l <= floor(a*K); a = 0 is the extinction time."""
+    level = floor_level(a, K)
+    for l, x in enumerate(path.sizes):
+        if x <= level:
+            return l
+    raise NeverHit(
+        f"trajectory never dropped to {level} within {len(path.sizes) - 1} steps"
+    )
 
 
 def _record(sizes, extinct=True):
