@@ -229,16 +229,19 @@ def test_sum_table_draw_inverts_each_row(spec):
     table = _sum_table(make_distribution(spec))
     edges = np.append(table.guide[table.guide_start[1:]], len(table.cdf))
     rng = np.random.default_rng(4)
-    counts = rng.integers(1, table.max_count + 1, 50_000)
-    u = rng.random(len(counts))
+    counts = [rng.integers(1, table.max_count + 1, 50_000)]
+    u = [rng.random(len(counts[0]))]
     for c in range(1, table.max_count + 1):
         cdf = table.cdf[edges[c - 1]:edges[c]]
         near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0]])
-        counts = np.append(counts, np.full(np.count_nonzero(near < 1.0), c))
-        u = np.append(u, near[near < 1.0])
+        counts.append(np.full(np.count_nonzero(near < 1.0), c))
+        u.append(near[near < 1.0])
+    counts, u = np.concatenate(counts), np.concatenate(u)
     expected = np.empty_like(counts)
-    for c in np.unique(counts):
-        at = counts == c
+    order = np.argsort(counts, kind="stable")
+    bounds = np.searchsorted(counts[order], np.arange(1, table.max_count + 2))
+    for c in range(1, table.max_count + 1):
+        at = order[bounds[c - 1]:bounds[c]]
         cdf = table.cdf[edges[c - 1]:edges[c]]
         expected[at] = table.offset[c] + edges[c - 1] + np.searchsorted(cdf, u[at], side="right")
     assert (table.draw(counts, _FixedUniforms(u)) == expected).all()
