@@ -16,7 +16,7 @@ The package is organised bottom-up:
     enumeration, used to calibrate the Monte Carlo estimators, and the
     deterministic limits of the stopping times.
 ``gaussian_limit``
-    The limiting Gaussian sequence: covariance models and sampling.
+    The limiting Gaussian sequence: its variances and two covariance models.
 ``estimators``
     One function per experiment kind: deterministic parallel batch runs,
     batch means, standard errors and pass/fail verdicts.
@@ -27,7 +27,7 @@ The package is organised bottom-up:
 
 from __future__ import annotations
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .estimators import (
     DegenerateSample,
@@ -44,11 +44,9 @@ from .estimators import (
 )
 from .exact import boundary_warnings, limit_constant
 from .gaussian_limit import (
-    NotPositiveSemiDefinite,
     OutOfValidityRange,
     ThetaCovariance,
     covariance_matrix,
-    sample_theta,
     theta_covariance,
     theta_variance,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "InvalidParameter",
     "IoError",
     "NonNormalizedPMF",
-    "NotPositiveSemiDefinite",
     "OffspringDistribution",
     "OutOfValidityRange",
     "PathRecord",
@@ -106,7 +103,6 @@ __all__ = [
     "load_config",
     "make_distribution",
     "run",
-    "sample_theta",
     "simulate_coupled",
     "simulate_path",
     "theta_covariance",

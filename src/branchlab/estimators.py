@@ -281,48 +281,39 @@ def _tau_hist_batch(stack: range, *, seed: int, layout, dist, K: int, horizon: i
     return hists, int(np.count_nonzero(taus < 0)), *bad, text
 
 
-def _values_batch(stack: range, *, seed: int, layout, dist, K: int, u1: float,
-                  u2: float, fixed_n: int, cap: int) -> tuple[np.ndarray, ...]:
-    """Per path of the stack: (tau, X at floor(u1 tau), at floor(u2 tau),
-    at fixed_n).
-
-    Runs the stack to extinction keeping the generation-by-generation
-    size vectors, then reads each path's values at its realized times.
-    Censored paths get tau = -1 and are skipped downstream.
-    """
-    taus, sizes, _, _ = _step_stack(stack, seed, layout, K, dist, cap, rows=True)
+def _sizes_batch(stack: range, *, seed: int, layout, dist, K: int, horizon: int, floor: int = 0,
+                 fractions: Sequence[float] = (), generations: Sequence[int] = ()) -> tuple:
+    """Per path of the stack: tau (-1 if censored), and a (reads, paths)
+    matrix of its base sizes, truncated at ``floor``: one row at
+    floor(u tau) for each u in ``fractions``, then one at each of the
+    ``generations``. A censored path reads generation 0, and a generation
+    after the whole stack died out reads 0."""
+    taus, sizes, _, _ = _step_stack(stack, seed, layout, K, dist, horizon, (floor,), rows=True)
     M, cols = sizes[:, :, 0], np.arange(len(taus))
-    s1 = np.floor(u1 * np.maximum(taus, 0)).astype(np.int64)
-    s2 = np.floor(u2 * np.maximum(taus, 0)).astype(np.int64)
-    xn = M[fixed_n, cols] if fixed_n < M.shape[0] else np.zeros(len(taus), np.int64)
-    return taus, M[s1, cols], M[s2, cols], xn
+    out = np.zeros((len(fractions) + len(generations), len(taus)), dtype=M.dtype)
+    for r, u in enumerate(fractions):
+        out[r] = M[np.floor(u * np.maximum(taus, 0)).astype(np.int64), cols]
+    for r, g in enumerate(generations, len(fractions)):
+        if g < len(M):
+            out[r] = M[g]
+    return taus, out
 
 
-def _theta_batch(stack: range, *, seed: int, layout, dist, K: int,
-                 indices: tuple[int, ...], a: float) -> np.ndarray:
-    """Population sizes at the requested generations, one row per path of
-    the stack.
-
-    Generations after the whole stack died out read 0.
-    """
-    _, M, _, _ = _step_stack(stack, seed, layout, K, dist, indices[-1], [floor_level(a, K)],
-                             rows=True)
-    rows = np.array(indices)
-    kept = rows < len(M)
-    X = np.zeros((len(rows), M.shape[1]), dtype=M.dtype)
-    X[kept] = M[rows[kept], :, 0]
-    return X.T
-
-
-def _collect_values(dist, K, u1, u2, paths, seed, batches, workers,
-                    cap_multiplier, fixed_n) -> Ensemble:
+def _collect_values(dist, K, u1, u2, paths, seed, batches, workers, cap_multiplier,
+                    fixed_n=None) -> Ensemble:
+    """The ensemble of X at floor(u1 tau) and floor(u2 tau), and at
+    ``fixed_n`` if given. With ``u2`` None, x2 is x1."""
     layout = batch_layout(paths, batches)
-    cap = default_horizon(K, dist.mean, multiplier=cap_multiplier)
-    fn = partial(_values_batch, seed=seed, layout=layout, dist=dist, K=K,
-                 u1=u1, u2=u2, fixed_n=fixed_n, cap=cap)
+    fractions = (u1,) if u2 is None else (u1, u2)
+    fn = partial(_sizes_batch, seed=seed, layout=layout, dist=dist, K=K,
+                 horizon=default_horizon(K, dist.mean, multiplier=cap_multiplier),
+                 fractions=fractions, generations=() if fixed_n is None else (fixed_n,))
     [parts] = _run_stacks([fn], layout, workers)
-    tau, x1, x2, xn = (np.concatenate(column) for column in zip(*parts))
-    return Ensemble(tau, x1, x2, xn, np.repeat(np.arange(batches), [c for _, c in layout]))
+    tau = np.concatenate([taus for taus, _ in parts])
+    X = np.hstack([reads for _, reads in parts])
+    xn = None if fixed_n is None else X[-1]
+    return Ensemble(tau, X[0], X[len(fractions) - 1], xn,
+                    np.repeat(np.arange(batches), [c for _, c in layout]))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +322,9 @@ def _collect_values(dist, K, u1, u2, paths, seed, batches, workers,
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Per-path tau (-1 if censored), X at floor(u1 tau), floor(u2 tau) and
-    a fixed n, with each path's batch and weight.
+    """Per-path tau (-1 if censored), X at floor(u1 tau) and floor(u2 tau),
+    with each path's batch and weight. Only conditional-on-tau, which reads
+    one time (x2 is x1), also holds X at a fixed n; else ``xn`` is None.
 
     A Monte Carlo sample leaves ``weights`` unset, so every path weighs 1
     and means carry batch standard errors. An exact enumeration weighs
@@ -436,14 +428,17 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     return keys
 
 
-def bin_blocks(values: np.ndarray, min_count: int, mode: str,
-               max_bins: int = 20) -> list[np.ndarray]:
+#: The most bins ``quantile`` cuts one tau group into.
+_MAX_BINS = 20
+
+
+def bin_blocks(values: np.ndarray, min_count: int, mode: str) -> list[np.ndarray]:
     """The bins of ``values``, as blocks of positions into it.
 
     A block is a (bins, size) matrix: each row is one bin, its positions
     ascending. Blocks and their rows run in bin order, and elements of no
     bin are left out. ``quantile`` cuts the stable sorted order into
-    ``min(n // min_count, max_bins)`` equal-count chunks as
+    ``min(n // min_count, _MAX_BINS)`` equal-count chunks as
     ``np.array_split`` does, the first n % bins one longer, so its bins
     form at most two blocks. ``distinct`` makes one bin per distinct value,
     in ascending value order, dropping values rarer than ``min_count``;
@@ -460,7 +455,7 @@ def bin_blocks(values: np.ndarray, min_count: int, mode: str,
         stops = np.append(starts[1:], n)
         kept = stops - starts >= min_count
         return [order[a:b][None] for a, b in zip(starts[kept].tolist(), stops[kept].tolist())]
-    nbins = min(n // min_count, max_bins)
+    nbins = min(n // min_count, _MAX_BINS)
     if nbins < 1:
         return []
     size, extra = divmod(n, nbins)
@@ -743,10 +738,10 @@ def clt_covariance_check(
     targets = {mode: covariance_matrix(ThetaCovariance(dist.mean, mode=mode, a=a), indices)
                for mode in MODES}
     layout = batch_layout(paths, batches)
-    fn = partial(_theta_batch, seed=seed, layout=layout, dist=dist, K=K,
-                 indices=indices, a=a)
+    fn = partial(_sizes_batch, seed=seed, layout=layout, dist=dist, K=K, horizon=indices[-1],
+                 floor=floor_level(a, K), generations=indices)
     [parts] = _run_stacks([fn], layout, workers)
-    X = np.vstack(parts)
+    X = np.hstack([reads for _, reads in parts]).T
     centers = K * dist.mean ** np.array(indices, dtype=float)
     theta = (X - centers) / (dist.std * math.sqrt(K))
     theta_batches = [theta[start:start + count] for start, count in layout]
@@ -801,7 +796,8 @@ def clt_covariance_check(
     for mode, matrix in targets.items():
         entries.append(entry_info(f"psd.{mode}", 1.0 if is_positive_semidefinite(matrix) else 0.0))
 
-    for j, p in ((indices[0], 0), (indices[-1], len(indices) - 1)):
+    for p in sorted({0, len(indices) - 1}):
+        j = indices[p]
         stat = anderson_darling_statistic(theta[:, p])
         name = f"theta[{j}].anderson_darling"
         scale = float(theta[:, p].std(ddof=1)) * dist.std * math.sqrt(K)
@@ -947,7 +943,7 @@ def conditional_moment_check(
         raise ValueError("u1 and u2 must lie strictly inside (0, 1)")
     if u1 == u2:
         raise ValueError("u1 == u2 makes the two-time conditioning degenerate")
-    ens = _collect_values(dist, K, u1, u2, paths, seed, batches, workers, cap_multiplier, 1)
+    ens = _collect_values(dist, K, u1, u2, paths, seed, batches, workers, cap_multiplier)
     entries = _path_entries(paths, ens) + _conditional_moment_core(
         ens, u1=u1, u2=u2, power=power, m=dist.mean, min_bin_count=min_bin_count,
         bin_mode=bin_mode, min_group_count=min_group_count, ratio_band=ratio_band,
@@ -1044,7 +1040,7 @@ def conditional_on_tau_check(
         raise ValueError("u1 must lie strictly inside (0, 1)")
     m = dist.mean
     fixed_n = max(1, math.floor(u1 * tau_quantile(dist, K)))
-    ens = _collect_values(dist, K, u1, u1, paths, seed, batches, workers, cap_multiplier, fixed_n)
+    ens = _collect_values(dist, K, u1, None, paths, seed, batches, workers, cap_multiplier, fixed_n)
     entries = _path_entries(paths, ens) + _on_tau_core(
         ens, u1=u1, power=power, K=K, m=m, min_group_count=min_group_count,
         ratio_band=ratio_band, max_groups_reported=10)
@@ -1123,7 +1119,7 @@ def invariance_check(
             raise ValueError(f"|eps| must be <= 0.2, got {eps}")
     m = dist.mean
     c = limit_constant(m)
-    ens = _collect_values(dist, K, u1, u2, paths, seed, batches, workers, cap_multiplier, 1)
+    ens = _collect_values(dist, K, u1, u2, paths, seed, batches, workers, cap_multiplier)
     tau, x2 = ens.tau, ens.x2
     extinct = tau >= 0
     if not extinct.any():

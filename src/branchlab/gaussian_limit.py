@@ -16,10 +16,7 @@ Two cross-covariance models are implemented side by side:
 
 The two agree on every variance and differ on cross terms; neither is
 hardcoded as correct — the covariance experiment adjudicates them
-empirically. Sampling uses the autoregressive construction
-theta_{j+1} = m theta_j + zeta_j sqrt(m^j - a), whose second moments
-match the variance recursion and the martingale cross terms by
-construction.
+empirically.
 """
 
 from __future__ import annotations
@@ -36,10 +33,6 @@ MODES = ("paper", "martingale")
 
 class OutOfValidityRange(ValueError):
     """Index beyond ell(a) - 1, where the truncated recursion stops."""
-
-
-class NotPositiveSemiDefinite(ValueError):
-    """A covariance matrix failed its factorization check."""
 
 
 @dataclass(frozen=True)
@@ -118,16 +111,13 @@ def theta_covariance(cov: ThetaCovariance, j: int, n: int) -> float:
     return _covariance(cov, j, n, theta_variance(cov, j))
 
 
-def covariance_matrix(
-    cov: ThetaCovariance, indices: Sequence[int], *, require_psd: bool = False
-) -> np.ndarray:
+def covariance_matrix(cov: ThetaCovariance, indices: Sequence[int]) -> np.ndarray:
     """Covariance matrix over the given indices.
 
     Runs the variance recursion once, up to the largest index, and fills
     each unordered pair once: every cell is bit-identical to
-    :func:`theta_covariance`. With ``require_psd`` the matrix is
-    additionally put through the eigenvalue check and rejected loudly —
-    never silently repaired — when it fails.
+    :func:`theta_covariance`. It is never repaired: whether it is positive
+    semidefinite is for :func:`is_positive_semidefinite` to tell.
     """
     idx = list(indices)
     if len(set(idx)) != len(idx) or any(i < 1 for i in idx):
@@ -141,11 +131,6 @@ def covariance_matrix(
     for p, ip in enumerate(idx):
         for q in range(p, len(idx)):
             M[p, q] = M[q, p] = _covariance(cov, ip, idx[q] - ip, var[p])
-    if require_psd and not is_positive_semidefinite(M):
-        raise NotPositiveSemiDefinite(
-            f"covariance matrix for mode={cov.mode!r}, m={cov.m}, "
-            f"indices={idx} has min eigenvalue {np.linalg.eigvalsh(M).min():.3e}"
-        )
     return M
 
 
@@ -153,27 +138,3 @@ def is_positive_semidefinite(matrix: np.ndarray, rel_tol: float = 1e-10) -> bool
     """Eigenvalue test with relative slack for rounding only."""
     eig = np.linalg.eigvalsh(matrix)
     return bool(eig.min() >= -rel_tol * max(eig.max(), 1e-300))
-
-
-def sample_theta(
-    cov: ThetaCovariance, horizon: int, gen: np.random.Generator, *, size: int | None = None
-) -> np.ndarray:
-    """Sample the sequence theta_1..theta_horizon autoregressively.
-
-    Returns one vector of length ``horizon``, or a (size, horizon)
-    matrix when ``size`` is given. The construction is mode-independent;
-    its empirical covariance is the martingale-mode one.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    cov._check_index(horizon)
-    rows = 1 if size is None else size
-    z = gen.standard_normal((rows, horizon))
-    theta = np.empty_like(z)
-    theta[:, 0] = z[:, 0]
-    m, a = cov.m, cov.a
-    power = 1.0
-    for j in range(1, horizon):
-        power *= m
-        theta[:, j] = m * theta[:, j - 1] + z[:, j] * np.sqrt(power - a)
-    return theta[0] if size is None else theta

@@ -38,18 +38,22 @@ from branchlab.estimators import (
     trend_entry,
 )
 from branchlab.estimators import (
+    _collect_values,
     _conditional_moment_core,
     _dominant_group,
     _mean_se_where,
     _median_from_hist,
     _ratio_entry,
     _run_stacks,
+    _sizes_batch,
     _stable_order,
+    _step_stack,
     _tau_hist_batch,
 )
 from branchlab.exact import enumerate_bernoulli_paths
 from branchlab.gaussian_limit import ThetaCovariance, theta_covariance, theta_variance
 from branchlab.offspring import make_distribution
+from branchlab.process import default_horizon
 
 BERN = make_distribution({"kind": "bernoulli", "p": 0.5})
 POI = make_distribution({"kind": "poisson", "lambda": 0.7})
@@ -206,6 +210,43 @@ def test_run_batches_stacks_within_the_path_budget(monkeypatch, counts, workers)
     else:
         assert [fn.args[0] for fn, _ in jobs] == [3] * len(stacks) + [2] * len(stacks)
         assert [stack for _, stack in jobs] == stacks * 2
+
+
+@pytest.mark.parametrize("horizon, floor, censored", [(6, 0, "some"), (200, 0, "none"),
+                                                      (60, 3, "all")])
+def test_sizes_batch_reads_the_stack_size_matrix(horizon, floor, censored):
+    """The stack reader reads the size matrix of the same stack: each path
+    at floor(u tau), a censored path at generation 0 (K), a generation past
+    the matrix's last row at 0. A base truncated at a floor never dies out."""
+    K, seed, layout, stack = 40, 5, batch_layout(600, 3), range(3)
+    taus, sizes, _, _ = _step_stack(stack, seed, layout, K, POI, horizon, (floor,), rows=True)
+    fractions, generations = (0.3, 0.6, 0.999), (1, 4, len(sizes), len(sizes) + 7)
+    got, reads = _sizes_batch(stack, seed=seed, layout=layout, dist=POI, K=K, horizon=horizon,
+                              floor=floor, fractions=fractions, generations=generations)
+    np.testing.assert_array_equal(got, taus)
+    assert reads.shape == (7, 600)
+    alive = taus < 0
+    assert (alive.all(), alive.any()) == {"none": (False, False), "some": (False, True),
+                                          "all": (True, True)}[censored]
+    for u, row in zip(fractions, reads):
+        assert (row[alive] == K).all()
+        assert row.tolist() == [int(sizes[math.floor(u * t) if t >= 0 else 0, p, 0])
+                                for p, t in enumerate(taus.tolist())]
+    assert reads[3].tolist() == sizes[1, :, 0].tolist()
+    assert reads[4].tolist() == sizes[4, :, 0].tolist()
+    assert not reads[5:].any()
+
+
+def test_collect_values_gathers_x_at_a_fixed_n_only_when_asked():
+    two = _collect_values(POI, 40, 0.3, 0.6, 300, 1, 30, 1, 10)
+    assert two.xn is None and not np.array_equal(two.x1, two.x2)
+    one = _collect_values(POI, 40, 0.3, None, 300, 1, 30, 1, 10, 2)
+    np.testing.assert_array_equal(one.x1, two.x1)
+    np.testing.assert_array_equal(one.x2, one.x1)
+    np.testing.assert_array_equal(one.tau, two.tau)
+    _, sizes, _, _ = _step_stack(range(30), 1, batch_layout(300, 30), 40, POI,
+                                 default_horizon(40, POI.mean, 10), rows=True)
+    np.testing.assert_array_equal(one.xn, sizes[2, :, 0])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -676,6 +717,11 @@ def test_clt_check_small_population():
     # at this K the fluctuation scale resolves the integer lattice, so
     # the normality statistic is reported without a gate
     assert report.entry("theta[1].anderson_darling").verdict == "info"
+    # One index is both extreme indices, and its normality entry is written once.
+    single = clt_covariance_check(500, POI, (2,), 3000, 1, batches=30)
+    names = [e.name for e in single.entries]
+    assert len(names) == len(set(names))
+    assert names[-1] == "theta[2].anderson_darling"
 
 
 def test_clt_check_truncated_level_runs():

@@ -1,27 +1,21 @@
-"""Gaussian limit sequence: recursions, both covariance modes, sampling."""
+"""Gaussian limit sequence: recursions and both covariance modes."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
-import scipy.stats as st
 
 from branchlab.exact import enumerate_bernoulli_paths
 from branchlab.gaussian_limit import (
     MODES,
-    NotPositiveSemiDefinite,
     OutOfValidityRange,
     ThetaCovariance,
     closed_form_variance,
     covariance_matrix,
     is_positive_semidefinite,
-    sample_theta,
     theta_covariance,
     theta_variance,
 )
-from branchlab.randomness import RandomnessSource
 
 
 def test_variance_base_case_and_example():
@@ -128,7 +122,7 @@ def test_covariance_matrix_is_bit_identical_to_its_cells(mode, m, a, indices):
 @pytest.mark.parametrize("m", [0.3, 0.5, 0.8])
 def test_martingale_matrices_are_psd(m):
     cov = ThetaCovariance(m, mode="martingale")
-    M = covariance_matrix(cov, list(range(1, 11)), require_psd=True)
+    M = covariance_matrix(cov, list(range(1, 11)))
     assert is_positive_semidefinite(M)
 
 
@@ -137,8 +131,6 @@ def test_paper_matrix_fails_psd_at_half():
     M = covariance_matrix(cov, [1, 2])
     # det = 1 * 0.75 - 1^2 < 0
     assert not is_positive_semidefinite(M)
-    with pytest.raises(NotPositiveSemiDefinite):
-        covariance_matrix(cov, [1, 2], require_psd=True)
 
 
 def test_covariance_matrix_index_validation():
@@ -148,52 +140,6 @@ def test_covariance_matrix_index_validation():
             continue
         with pytest.raises(ValueError):
             covariance_matrix(cov, bad)
-
-
-def test_sample_theta_first_component_standard_normal():
-    cov = ThetaCovariance(0.7)
-    src = RandomnessSource(401)
-    draws = sample_theta(cov, 1, src.handle(), size=50_000)[:, 0]
-    assert st.kstest(draws, "norm").pvalue > 1e-3
-
-
-def test_sample_theta_moments_match_recursion_and_martingale():
-    m = 0.6
-    cov = ThetaCovariance(m, mode="martingale")
-    src = RandomnessSource(402)
-    n = 1_000_000
-    theta = sample_theta(cov, 3, src.handle(), size=n)
-    assert theta.shape == (n, 3)
-    for j in (1, 2, 3):
-        target = theta_variance(cov, j)
-        # var of a sample variance of normals: 2 var^2 / n
-        se = math.sqrt(2.0 / n) * target
-        assert abs(theta[:, j - 1].var() - target) < 4 * se, j
-    for j, lag in ((1, 1), (1, 2), (2, 1)):
-        target = theta_covariance(cov, j, lag)
-        prod = theta[:, j - 1] * theta[:, j + lag - 1]
-        se = prod.std() / math.sqrt(n)
-        assert abs(prod.mean() - target) < 4 * se, (j, lag)
-
-
-def test_sample_theta_truncated_range_and_variance():
-    cov = ThetaCovariance(0.5, a=0.1)
-    src = RandomnessSource(403)
-    theta = sample_theta(cov, 3, src.handle(), size=200_000)
-    target = 0.25 + 0.5 - 0.1
-    se = math.sqrt(2.0 / 200_000) * target
-    assert abs(theta[:, 1].var() - target) < 4 * se
-    with pytest.raises(OutOfValidityRange):
-        sample_theta(cov, 4, src.handle())
-
-
-def test_sample_theta_single_vector_and_reproducibility():
-    cov = ThetaCovariance(0.5)
-    src = RandomnessSource(404)
-    one = sample_theta(cov, 5, src.handle(path=9))
-    again = sample_theta(cov, 5, RandomnessSource(404).handle(path=9))
-    np.testing.assert_array_equal(one, again)
-    assert one.shape == (5,)
 
 
 def test_model_validation():

@@ -591,8 +591,8 @@ def test_cli_refuses_data_it_cannot_estimate(tmp_path, capsys, monkeypatch, kind
         monkeypatch.setattr(OffspringDistribution, "closure_sums",
                             lambda self, counts, gen: np.asarray(counts, dtype=np.int64))
     if kind == "clt-check":
-        monkeypatch.setattr(estimators, "_theta_batch", lambda stack, **_: np.vstack([
-            np.array([[1, 0], [1, 1]] if b % 2 else [[0, 0], [1, 0]]) for b in stack]))
+        monkeypatch.setattr(estimators, "_sizes_batch", lambda stack, **_: (None, np.hstack([
+            np.array([[1, 1], [0, 1]] if b % 2 else [[0, 1], [0, 0]]) for b in stack])))
     cfg = write_config(tmp_path, {"seed": 1, **payload, "out": str(tmp_path / "runs")})
     assert main([kind, "--config", cfg]) == 2
     captured = capsys.readouterr()
@@ -711,6 +711,30 @@ def test_config_rows_feed_every_parameter_of_the_kind_function(kind):
     params = set(inspect.signature(getattr(estimators, RUNNERS[kind])).parameters) - {"dist"}
     fed = {row.param or key for key, row in CONFIG_KEYS.items() if kind in row.kinds}
     assert fed == params - UNREAD_PARAMETERS.get(kind, set())
+
+
+#: The rows whose default differs from the kind function's own, each on
+#: purpose: coupled requires levels, which the function leaves empty for
+#: simulate; a config's trend_gates is a JSON list; and invariance's u2
+#: stays unset, so the function's INVARIANCE_U2 applies.
+DEFAULTS_APART = {"coupled": {"levels": (None, ())},
+                  "extinction-scaling": {"trend_gates": (["mean", "kEm"], ("mean", "kEm"))},
+                  "invariance": {"u2": (None, estimators.INVARIANCE_U2)}}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENTS)
+def test_config_defaults_are_the_kind_function_defaults(kind):
+    """An unset key runs the kind as a library call that leaves the
+    parameter out: the row's default is the function's, of the same type."""
+    params = inspect.signature(getattr(estimators, RUNNERS[kind])).parameters
+    apart = {}
+    for key, row in CONFIG_KEYS.items():
+        param = params.get(row.param or key)
+        if kind not in row.kinds or param is None or param.default is param.empty:
+            continue
+        if type(row.default) is not type(param.default) or row.default != param.default:
+            apart[key] = (row.default, param.default)
+    assert apart == DEFAULTS_APART.get(kind, {})
 
 
 def test_harness_leaves_the_batch_engine_to_estimators():
