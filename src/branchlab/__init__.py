@@ -27,7 +27,7 @@ The package is organised bottom-up:
 
 from __future__ import annotations
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .estimators import (
     DegenerateSample,

@@ -3,16 +3,16 @@
 ``pathwise_check`` runs ``simulate`` and ``coupled``, ``gaussian_cov``
 computes the Gaussian limit's covariance matrix, and the five Monte Carlo
 kinds confront simulation with the asymptotic laws. Every simulated
-experiment is a deterministic function of (config, seed): paths are
-partitioned into contiguous equal batches, consecutive batches are grouped
-into stacks by a rule of the batch layout alone, and each stack simulates
-on its own addressed stream, so neither the worker count nor the job order
-can change any draw. A stack is one job: the process module's engine
-steps all its paths on the handle stream keyed by (its first batch, slot),
-and the job returns one part per stack, merged in stack order. Batches
-are a statistics concept alone: standard errors come from the spread of
-batch means, so a stack worker splits its paths into batches only where
-a statistic needs them.
+experiment is a deterministic function of (config, seed): batch b holds
+the ``size = paths // batches`` paths from b * size on, consecutive batches
+are grouped into stacks of ``max(1, 4096 // size)`` batches, and each stack
+simulates on its own addressed stream, so neither the worker count nor the
+job order can change any draw. A stack is one job: the process module's
+engine steps all its paths on the handle stream keyed by (its first batch,
+slot), and the job returns one part per stack, merged in stack order.
+Batches are a statistics concept alone: standard errors come from the
+spread of batch means, so a stack worker splits its paths into batches
+only where a statistic needs them.
 
 The conditional experiments average over an ``Ensemble`` of paths. A
 Monte Carlo sample and an exact enumeration (probability weights, one
@@ -156,38 +156,25 @@ def entry_ge(name, estimate, bound, *, target=None, stderr=None) -> StatEntry:
 # batch machinery
 
 
-def batch_layout(total: int, batches: int) -> list[tuple[int, int]]:
-    """Contiguous (start, count) blocks; early blocks absorb any remainder."""
-    if total < 1 or batches < 1:
-        raise ValueError("paths and batches must be positive")
-    if batches > total:
-        raise ValueError(f"more batches ({batches}) than paths ({total})")
-    base, extra = divmod(total, batches)
-    out, start = [], 0
-    for b in range(batches):
-        count = base + (1 if b < extra else 0)
-        out.append((start, count))
-        start += count
-    return out
+def batch_size(paths: int, batches: int) -> int:
+    """The paths of each batch: batch b holds paths b * size .. (b + 1) * size - 1."""
+    if batches < 1 or paths < 1 or paths % batches:
+        raise ValueError(f"paths ({paths}) must be a positive multiple of batches ({batches})")
+    return paths // batches
 
 
 #: A stack is consecutive batches with at most this many paths in all; a
 #: larger batch runs alone. Each stack draws from one stream, so changing this
-#: changes the draws of every layout whose batches stack.
+#: changes the draws of every run whose batches stack.
 _STACK_PATHS = 4096
 
 
-def _stacks(layout: list[tuple[int, int]]) -> list[range]:
-    """Consecutive runs of batches whose paths add up to at most
-    ``_STACK_PATHS``, each as a range of batch indices."""
-    stacks, first, paths = [], 0, 0
-    for batch, (_, count) in enumerate(layout):
-        if batch > first and paths + count > _STACK_PATHS:
-            stacks.append(range(first, batch))
-            first, paths = batch, 0
-        paths += count
-    stacks.append(range(first, len(layout)))
-    return stacks
+def _stacks(batches: int, size: int) -> list[range]:
+    """Runs of ``max(1, _STACK_PATHS // size)`` consecutive batches of
+    ``size`` paths, the last one perhaps shorter, each as a range of batch
+    indices."""
+    per = max(1, _STACK_PATHS // size)
+    return [range(b, min(b + per, batches)) for b in range(0, batches, per)]
 
 
 def _call(job: tuple[Callable[[range], object], range]) -> object:
@@ -195,11 +182,11 @@ def _call(job: tuple[Callable[[range], object], range]) -> object:
     return fn(stack)
 
 
-def _run_stacks(fns: Sequence[Callable[[range], object]], layout: list[tuple[int, int]],
+def _run_stacks(fns: Sequence[Callable[[range], object]], batches: int, size: int,
                 workers: int) -> list[list]:
-    """Every stack of ``layout`` (see :func:`_stacks`) through every
-    function, one list of parts per function, one part per stack in stack
-    order.
+    """Every stack of ``batches`` batches of ``size`` paths (see
+    :func:`_stacks`) through every function, one list of parts per
+    function, one part per stack in stack order.
 
     A job is one function on one stack: the function takes a range of
     consecutive batches and returns their part. All the jobs go through one
@@ -208,9 +195,9 @@ def _run_stacks(fns: Sequence[Callable[[range], object]], layout: list[tuple[int
     job and per CPU; with one, the jobs run in this process. Each stack
     draws from its own addressed stream, so neither the order nor the
     process count changes a part; the stacks, which depend only on the
-    layout, do.
+    batch count and size, do.
     """
-    stacks = _stacks(layout)
+    stacks = _stacks(batches, size)
     jobs = [(fn, stack) for fn in reversed(fns) for stack in stacks]
     procs = min(workers, len(jobs), os.cpu_count() or 1)
     if procs <= 1:
@@ -250,16 +237,15 @@ def _median_from_hist(hist: np.ndarray, total: int) -> float:
 # stack workers: one stack of consecutive batches per job
 
 
-def _step_stack(stack: range, seed: int, layout, K: int, dist, horizon: int,
+def _step_stack(stack: range, seed: int, size: int, K: int, dist, horizon: int,
                 floors: Sequence[int] = (0,), *, slot: int = 0, rows: bool = False):
     """``plain_batch`` on the stack's paths, drawing from its one stream:
     the handle stream of its first batch at ``slot``."""
     gen = RandomnessSource(seed).handle(stack.start, slot)
-    paths = sum(layout[b][1] for b in stack)
-    return plain_batch(K, paths, dist, gen, horizon, floors, rows=rows)
+    return plain_batch(K, len(stack) * size, dist, gen, horizon, floors, rows=rows)
 
 
-def _tau_hist_batch(stack: range, *, seed: int, layout, dist, K: int, horizon: int,
+def _tau_hist_batch(stack: range, *, seed: int, size: int, dist, K: int, horizon: int,
                     levels: Sequence[float] = (), slot: int = 0, dump: bool = False) -> tuple:
     """The stack worker of simulate, coupled and extinction-scaling.
 
@@ -270,25 +256,25 @@ def _tau_hist_batch(stack: range, *, seed: int, layout, dist, K: int, horizon: i
     common start K, where every gate holds by construction.
     """
     floors = coupled_floors(levels, K)
-    taus, sizes, flags, bad = _step_stack(stack, seed, layout, K, dist, horizon, floors,
+    taus, sizes, flags, bad = _step_stack(stack, seed, size, K, dist, horizon, floors,
                                           slot=slot, rows=dump)
-    ends = np.cumsum([layout[b][1] for b in stack])[:-1]
-    hists = [np.bincount(t[t >= 0]) for t in np.split(taus, ends)]
+    hists = [np.bincount(t[t >= 0]) for t in taus.reshape(len(stack), size)]
     text = None
     if dump:  # batch by batch, which keeps csv_rows' buffers to a batch's size
-        text = "".join(trajectory_rows(s, layout[b][0], floors, f) for b, s, f in
-                       zip(stack, np.split(sizes, ends, axis=1), np.split(flags, ends, axis=1)))
+        n = len(stack)
+        text = "".join(trajectory_rows(s, b * size, floors, f) for b, s, f in
+                       zip(stack, np.split(sizes, n, axis=1), np.split(flags, n, axis=1)))
     return hists, int(np.count_nonzero(taus < 0)), *bad, text
 
 
-def _sizes_batch(stack: range, *, seed: int, layout, dist, K: int, horizon: int, floor: int = 0,
-                 fractions: Sequence[float] = (), generations: Sequence[int] = ()) -> tuple:
+def _sizes_batch(stack: range, *, seed: int, size: int, dist, K: int, horizon: int,
+                 floor: int = 0, fractions: Sequence[float] = (), generations: Sequence[int] = ()) -> tuple:
     """Per path of the stack: tau (-1 if censored), and a (reads, paths)
     matrix of its base sizes, truncated at ``floor``: one row at
     floor(u tau) for each u in ``fractions``, then one at each of the
     ``generations``. A censored path reads generation 0, and a generation
     after the whole stack died out reads 0."""
-    taus, sizes, _, _ = _step_stack(stack, seed, layout, K, dist, horizon, (floor,), rows=True)
+    taus, sizes, _, _ = _step_stack(stack, seed, size, K, dist, horizon, (floor,), rows=True)
     M, cols = sizes[:, :, 0], np.arange(len(taus))
     out = np.zeros((len(fractions) + len(generations), len(taus)), dtype=M.dtype)
     for r, u in enumerate(fractions):
@@ -303,17 +289,16 @@ def _collect_values(dist, K, u1, u2, paths, seed, batches, workers, cap_multipli
                     fixed_n=None) -> Ensemble:
     """The ensemble of X at floor(u1 tau) and floor(u2 tau), and at
     ``fixed_n`` if given. With ``u2`` None, x2 is x1."""
-    layout = batch_layout(paths, batches)
+    size = batch_size(paths, batches)
     fractions = (u1,) if u2 is None else (u1, u2)
-    fn = partial(_sizes_batch, seed=seed, layout=layout, dist=dist, K=K,
+    fn = partial(_sizes_batch, seed=seed, size=size, dist=dist, K=K,
                  horizon=default_horizon(K, dist.mean, multiplier=cap_multiplier),
                  fractions=fractions, generations=() if fixed_n is None else (fixed_n,))
-    [parts] = _run_stacks([fn], layout, workers)
+    [parts] = _run_stacks([fn], batches, size, workers)
     tau = np.concatenate([taus for taus, _ in parts])
     X = np.hstack([reads for _, reads in parts])
     xn = None if fixed_n is None else X[-1]
-    return Ensemble(tau, X[0], X[len(fractions) - 1], xn,
-                    np.repeat(np.arange(batches), [c for _, c in layout]))
+    return Ensemble(tau, X[0], X[len(fractions) - 1], xn, batches)
 
 
 # ---------------------------------------------------------------------------
@@ -322,31 +307,31 @@ def _collect_values(dist, K, u1, u2, paths, seed, batches, workers, cap_multipli
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Per-path tau (-1 if censored), X at floor(u1 tau) and floor(u2 tau),
-    with each path's batch and weight. Only conditional-on-tau, which reads
-    one time (x2 is x1), also holds X at a fixed n; else ``xn`` is None.
+    """Per-path tau (-1 if censored) and X at floor(u1 tau) and floor(u2 tau),
+    in ``batches`` equal batches of consecutive paths, with the paths'
+    weights. Only conditional-on-tau, which reads one time (x2 is x1), also
+    holds X at a fixed n; else ``xn`` is None.
 
     A Monte Carlo sample leaves ``weights`` unset, so every path weighs 1
     and means carry batch standard errors. An exact enumeration weighs
     each path by its probability and is one batch, so its means carry
-    none. Only ``mass`` and ``mean`` tell the two apart. A selection is an
-    ascending index array, ``values`` hold one value per selected path,
-    and averages run in selection order.
+    none. Only ``mass``, ``mean``, ``row_means`` and ``row_masses`` read
+    the weights. A selection is an ascending index array, ``values`` hold
+    one value per selected path, and averages run in selection order.
     """
 
     tau: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     xn: np.ndarray | None
-    batch: np.ndarray
+    batches: int
     weights: np.ndarray | None = None
 
     @classmethod
     def enumeration(cls, tau, x1, x2, weights) -> Ensemble:
         """Every path of an exact enumeration, weighted by its probability."""
-        tau = np.asarray(tau, dtype=np.int64)
-        return cls(tau, np.asarray(x1), np.asarray(x2), None,
-                   np.zeros(len(tau), dtype=np.int64), np.asarray(weights, dtype=float))
+        return cls(np.asarray(tau, dtype=np.int64), np.asarray(x1), np.asarray(x2), None, 1,
+                   np.asarray(weights, dtype=float))
 
     def mass(self, sel: np.ndarray) -> float:
         """Total weight of the selected paths: their count in a sample."""
@@ -392,15 +377,16 @@ class Ensemble:
 
     def mean_se(self, values: np.ndarray, sel: np.ndarray) -> tuple[float, float | None]:
         """``mean`` plus the spread of batch means over sqrt(batches), or
-        None when fewer than two batches hold a selected path."""
+        None when fewer than two batches hold a selected path. The selected
+        paths of a batch are one run of the ascending selection."""
         mean = self.mean(values, sel)
-        ids = self.batch[sel]
-        counts = np.bincount(ids)
+        size = len(self.tau) // self.batches
+        counts = np.diff(np.searchsorted(sel, np.arange(self.batches + 1) * size))
         ok = counts > 0
         if ok.sum() < 2:
             return mean, None
-        means = np.bincount(ids, weights=values)[ok] / counts[ok]
-        return mean, _batch_se(means)
+        sums = np.bincount(sel // size, weights=values, minlength=self.batches)
+        return mean, _batch_se(sums[ok] / counts[ok])
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +482,10 @@ def pathwise_check(K: int, dist: OffspringDistribution, paths: int, seed: int, *
     # float() because the levels name trajectory columns: 0 and 0.0 must print alike.
     levels = sorted(set(float(a) for a in levels))
     horizon = horizon or default_horizon(K, dist.mean, cap_multiplier)
-    layout = batch_layout(paths, batches)
-    fn = partial(_tau_hist_batch, layout=layout, seed=seed, dist=dist, K=K, horizon=horizon,
+    size = batch_size(paths, batches)
+    fn = partial(_tau_hist_batch, size=size, seed=seed, dist=dist, K=K, horizon=horizon,
                  levels=levels, dump=write_trajectories)
-    [parts] = _run_stacks([fn], layout, workers)
+    [parts] = _run_stacks([fn], batches, size, workers)
     hist = _hist_rows([h for p in parts for h in p[0]]).sum(axis=0)
     censored = sum(p[1] for p in parts)
     extinct = paths - censored
@@ -572,14 +558,14 @@ def extinction_scaling(
     m = dist.mean
     c = limit_constant(m)
     K_list = sorted(dict.fromkeys(int(K) for K in K_list))
-    layout = batch_layout(paths, batches)
+    size = batch_size(paths, batches)
     entries: list[StatEntry] = []
     devs: dict[str, list[float]] = {"median": [], "mean": [], "kEm": []}
 
-    fns = [partial(_tau_hist_batch, seed=seed, layout=layout, dist=dist, K=K, slot=slot,
+    fns = [partial(_tau_hist_batch, seed=seed, size=size, dist=dist, K=K, slot=slot,
                    horizon=default_horizon(K, m, multiplier=cap_multiplier))
            for slot, K in enumerate(K_list)]
-    for K, parts in zip(K_list, _run_stacks(fns, layout, workers)):
+    for K, parts in zip(K_list, _run_stacks(fns, batches, size, workers)):
         hists = _hist_rows([h for p in parts for h in p[0]])
         width = hists.shape[1]
         censored = sum(p[1] for p in parts)
@@ -732,19 +718,19 @@ def clt_covariance_check(
     indices = tuple(sorted(dict.fromkeys(int(j) for j in indices)))
     if not indices or indices[0] < 1:
         raise ValueError("indices must be positive generations")
+    size = batch_size(paths, batches)
     ad_critical = anderson_darling_critical(paths, ad_significance)
     # Built before simulating, so an index past ell(a) - 1 is refused at once.
     # Cell [p, q] of a mode's matrix is the target of theta[j] and theta[k].
     targets = {mode: covariance_matrix(ThetaCovariance(dist.mean, mode=mode, a=a), indices)
                for mode in MODES}
-    layout = batch_layout(paths, batches)
-    fn = partial(_sizes_batch, seed=seed, layout=layout, dist=dist, K=K, horizon=indices[-1],
+    fn = partial(_sizes_batch, seed=seed, size=size, dist=dist, K=K, horizon=indices[-1],
                  floor=floor_level(a, K), generations=indices)
-    [parts] = _run_stacks([fn], layout, workers)
+    [parts] = _run_stacks([fn], batches, size, workers)
     X = np.hstack([reads for _, reads in parts]).T
     centers = K * dist.mean ** np.array(indices, dtype=float)
     theta = (X - centers) / (dist.std * math.sqrt(K))
-    theta_batches = [theta[start:start + count] for start, count in layout]
+    theta_batches = theta.reshape(batches, size, -1)
 
     entries: list[StatEntry] = [entry_info("paths", paths)]
 

@@ -20,7 +20,7 @@ from test_estimators import _direct_direction, _enumeration_arrays
 
 from branchlab import harness, invariance_target, make_distribution
 from branchlab.estimators import (
-    batch_layout,
+    batch_size,
     clt_covariance_check,
     conditional_moment_check,
     conditional_moment_from_arrays,
@@ -84,7 +84,8 @@ def test_criterion_2_thinning_oracle(capsys):
     src = RandomnessSource(SEED)
     cap = default_horizon(K, dist.mean)
     x3_parts, tau_parts = [], []
-    for b, (_, count) in enumerate(batch_layout(paths, batches)):
+    count = batch_size(paths, batches)
+    for b in range(batches):
         gen = src.handle(b, 0)
         sizes = np.full(count, K, dtype=np.int64)
         taus = np.zeros(count, dtype=np.int64)

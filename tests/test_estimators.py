@@ -20,7 +20,7 @@ from branchlab.estimators import (
     InsufficientBinMass,
     anderson_darling_critical,
     anderson_darling_statistic,
-    batch_layout,
+    batch_size,
     bin_blocks,
     clt_covariance_check,
     conditional_moment_check,
@@ -35,6 +35,7 @@ from branchlab.estimators import (
     extinction_scaling,
     invariance_check,
     invariance_target,
+    pathwise_check,
     trend_entry,
 )
 from branchlab.estimators import (
@@ -63,32 +64,75 @@ POI = make_distribution({"kind": "poisson", "lambda": 0.7})
 # plumbing
 
 
-def test_batch_layout_blocks():
-    assert batch_layout(100, 4) == [(0, 25), (25, 25), (50, 25), (75, 25)]
-    assert batch_layout(10, 3) == [(0, 4), (4, 3), (7, 3)]
-    with pytest.raises(ValueError):
-        batch_layout(10, 20)
-    with pytest.raises(ValueError):
-        batch_layout(0, 1)
+def test_batch_size_refuses_uneven_batches():
+    assert batch_size(100, 4) == 25
+    assert batch_size(7, 7) == 1
+    for paths, batches in [(10, 3), (10, 20), (0, 1), (0, 4), (5, 0), (-4, 2), (4, -2)]:
+        with pytest.raises(ValueError, match="must be a positive multiple of batches"):
+            batch_size(paths, batches)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(total=hs.integers(1, 10_000), data=hs.data())
-def test_batch_layout_properties(total, data):
-    """Contiguous blocks covering 0..total whose counts differ by at most 1."""
-    batches = data.draw(hs.integers(1, min(total, 200)))
-    layout = batch_layout(total, batches)
-    starts = [s for s, _ in layout]
-    counts = [c for _, c in layout]
-    assert len(layout) == batches
-    assert starts == [0] + list(np.cumsum(counts)[:-1])
-    assert sum(counts) == total
-    assert max(counts) - min(counts) <= 1
+@given(size=hs.integers(1, 10_000), batches=hs.integers(1, 2**16), extra=hs.integers(1, 2**16))
+def test_batch_size_properties(size, batches, extra):
+    """``batches`` batches of ``size`` paths give back ``size``; ``extra``
+    paths more are refused unless they fill whole batches."""
+    assert batch_size(size * batches, batches) == size
+    if extra % batches:
+        with pytest.raises(ValueError):
+            batch_size(size * batches + extra, batches)
+    else:
+        assert batch_size(size * batches + extra, batches) == size + extra // batches
+
+
+@pytest.mark.parametrize("paths, batches", [(401, 4), (30, 40), (0, 4)])
+@pytest.mark.parametrize("kind", ["simulate", "extinction-scaling", "clt-check",
+                                  "conditional-moments", "conditional-on-tau", "invariance"])
+def test_every_simulating_kind_refuses_uneven_batches(kind, paths, batches):
+    """Each kind function refuses ``paths`` that is not a positive multiple
+    of ``batches`` before it simulates anything."""
+    run = {
+        "simulate": lambda: pathwise_check(40, POI, paths, 1, batches=batches),
+        "extinction-scaling": lambda: extinction_scaling([40], POI, paths, 1, batches=batches),
+        "clt-check": lambda: clt_covariance_check(40, POI, [1, 2], paths, 1, batches=batches),
+        "conditional-moments": lambda: conditional_moment_check(0.3, 0.6, 1, 40, POI, paths, 1,
+                                                                batches=batches),
+        "conditional-on-tau": lambda: conditional_on_tau_check(0.5, 1, 40, POI, paths, 1,
+                                                               batches=batches),
+        "invariance": lambda: invariance_check(0.3, 1, [0.0], 40, POI, paths, 1,
+                                               batches=batches),
+    }[kind]
+    with pytest.raises(ValueError, match="must be a positive multiple of batches"):
+        run()
+
+
+def _greedy_stacks(batches: int, size: int) -> list[range]:
+    """The stack rule of 0.9.0 and earlier, the reference ``_stacks`` must
+    equal: consecutive runs of batches whose paths add up to at most
+    ``_STACK_PATHS``, a larger batch alone."""
+    stacks, first, paths = [], 0, 0
+    for batch in range(batches):
+        if batch > first and paths + size > estimators._STACK_PATHS:
+            stacks.append(range(first, batch))
+            first, paths = batch, 0
+        paths += size
+    stacks.append(range(first, batches))
+    return stacks
+
+
+@pytest.mark.parametrize("batches", [1, 2, 3, 30, 40, 41, 1000, 2**16])
+def test_stacks_equal_the_greedy_rule(batches):
+    """Stacks of ``max(1, 4096 // size)`` batches are the greedy runs, for
+    sizes above the budget, sizes that divide it, and sizes that leave a
+    short last stack (300 paths in 40 batches: stacks of 13, 13, 13 and 1)."""
+    for size in (1, 3, 7, 300, 1024, 2048, 4095, 4096, 4097, 5000, 10**6):
+        assert estimators._stacks(batches, size) == _greedy_stacks(batches, size), size
+    if batches == 40:
+        assert [len(stack) for stack in estimators._stacks(40, 300)] == [13, 13, 13, 1]
 
 
 def _tau_hist_parts(K: int):
-    layout = batch_layout(600, 6)
-    return partial(_tau_hist_batch, seed=3, layout=layout, dist=POI, K=K, horizon=60)
+    return partial(_tau_hist_batch, seed=3, size=100, dist=POI, K=K, horizon=60)
 
 
 class _RecordingPool:
@@ -124,18 +168,17 @@ class _ReversedPool(_RecordingPool):
 def test_run_batches_parts_do_not_depend_on_workers_or_job_order(monkeypatch):
     """Two functions through one pool give each stack the part of that stack
     run alone, in stack order, at workers 1 and 2 and when the pool runs
-    the jobs in reverse order. The layout holds three stacks of two
-    batches."""
+    the jobs in reverse order. Six batches of 100 paths make three stacks
+    of two batches."""
     monkeypatch.setattr(estimators, "_STACK_PATHS", 250)
-    layout = batch_layout(600, 6)
-    stacks = estimators._stacks(layout)
+    stacks = estimators._stacks(6, 100)
     assert len(stacks) == 3
     fns = [_tau_hist_parts(10), _tau_hist_parts(500)]
     want = [[fn(stack) for stack in stacks] for fn in fns]
-    runs = [_run_stacks(fns, layout, workers) for workers in (1, 2)]
+    runs = [_run_stacks(fns, 6, 100, workers) for workers in (1, 2)]
     monkeypatch.setattr(estimators, "ProcessPoolExecutor", _ReversedPool)
     monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
-    runs.append(_run_stacks(fns, layout, 2))
+    runs.append(_run_stacks(fns, 6, 100, 2))
     for run in runs:
         assert len(run) == 2
         for parts, alone in zip(run, want):
@@ -167,8 +210,7 @@ def test_run_batches_forks_no_more_processes_than_can_work(monkeypatch, workers,
     monkeypatch.setattr(estimators.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     fns = [partial(_powers, i + 2) for i in range(functions)]
-    layout = batch_layout(batches * (estimators._STACK_PATHS + 1), batches)
-    runs = _run_stacks(fns, layout, workers)
+    runs = _run_stacks(fns, batches, estimators._STACK_PATHS + 1, workers)
     assert _RecordingPool.sizes == ([] if pool is None else [pool])
     assert runs == [[fn(range(b, b + 1)) for b in range(batches)] for fn in fns]
 
@@ -177,23 +219,22 @@ def test_run_batches_forks_no_more_processes_than_can_work(monkeypatch, workers,
 @pytest.mark.parametrize("counts", [
     [10] * 40,
     [250] * 40,
-    [4096, 1, 4095, 2, 5000, 3, 3, 4090],
+    [300] * 40,
     [5000] * 3,
     [1],
 ])
 def test_run_batches_stacks_within_the_path_budget(monkeypatch, counts, workers):
-    """Jobs are stacks of consecutive batches, the last function's first,
-    each within the path budget unless it is one larger batch; the parts
-    come back one per stack, in stack order, so their batches run in batch
-    order."""
+    """Jobs are stacks of consecutive batches of ``counts`` paths each, the
+    last function's first, each within the path budget unless it is one
+    larger batch; the parts come back one per stack, in stack order, so
+    their batches run in batch order."""
     monkeypatch.setattr(estimators, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_RecordingPool, "jobs", [])
-    layout = [(int(sum(counts[:b])), c) for b, c in enumerate(counts)]
     budget = estimators._STACK_PATHS
     fns = [partial(_powers, 2), partial(_powers, 3)]
-    runs = _run_stacks(fns, layout, workers)
-    stacks = estimators._stacks(layout)
+    runs = _run_stacks(fns, len(counts), counts[0], workers)
+    stacks = estimators._stacks(len(counts), counts[0])
     assert runs == [[_powers(base, stack) for stack in stacks] for base in (2, 3)]
     assert [[v for part in run for v in part] for run in runs] == [
         [base**b for b in range(len(counts))] for base in (2, 3)]
@@ -218,10 +259,10 @@ def test_sizes_batch_reads_the_stack_size_matrix(horizon, floor, censored):
     """The stack reader reads the size matrix of the same stack: each path
     at floor(u tau), a censored path at generation 0 (K), a generation past
     the matrix's last row at 0. A base truncated at a floor never dies out."""
-    K, seed, layout, stack = 40, 5, batch_layout(600, 3), range(3)
-    taus, sizes, _, _ = _step_stack(stack, seed, layout, K, POI, horizon, (floor,), rows=True)
+    K, seed, size, stack = 40, 5, 200, range(3)
+    taus, sizes, _, _ = _step_stack(stack, seed, size, K, POI, horizon, (floor,), rows=True)
     fractions, generations = (0.3, 0.6, 0.999), (1, 4, len(sizes), len(sizes) + 7)
-    got, reads = _sizes_batch(stack, seed=seed, layout=layout, dist=POI, K=K, horizon=horizon,
+    got, reads = _sizes_batch(stack, seed=seed, size=size, dist=POI, K=K, horizon=horizon,
                               floor=floor, fractions=fractions, generations=generations)
     np.testing.assert_array_equal(got, taus)
     assert reads.shape == (7, 600)
@@ -244,7 +285,7 @@ def test_collect_values_gathers_x_at_a_fixed_n_only_when_asked():
     np.testing.assert_array_equal(one.x1, two.x1)
     np.testing.assert_array_equal(one.x2, one.x1)
     np.testing.assert_array_equal(one.tau, two.tau)
-    _, sizes, _, _ = _step_stack(range(30), 1, batch_layout(300, 30), 40, POI,
+    _, sizes, _, _ = _step_stack(range(30), 1, 10, 40, POI,
                                  default_horizon(40, POI.mean, 10), rows=True)
     np.testing.assert_array_equal(one.xn, sizes[2, :, 0])
 
@@ -439,8 +480,8 @@ def test_conditional_core_equals_the_per_bin_reference(data, weighted, bin_mode,
     if weighted:
         ens = Ensemble.enumeration(tau, x1, x2, rng.random(n) + 0.01)
     else:
-        batches = data.draw(hs.integers(1, 8))
-        ens = Ensemble(tau, x1, x2, None, np.sort(rng.integers(0, batches, size=n)))
+        batches = data.draw(hs.sampled_from([b for b in range(1, 9) if n % b == 0]))
+        ens = Ensemble(tau, x1, x2, None, batches)
     kwargs = dict(u1=0.3, u2=0.6, power=power, m=0.7, min_bin_count=min_bin_count,
                   bin_mode=bin_mode, min_group_count=min_group_count, ratio_band=(0.85, 1.15),
                   max_bins_reported=12)
@@ -451,6 +492,34 @@ def test_conditional_core_equals_the_per_bin_reference(data, weighted, bin_mode,
             _conditional_moment_core(ens, **kwargs)
         return
     assert _conditional_moment_core(ens, **kwargs) == want
+
+
+def _bincount_mean_se(ens: Ensemble, values: np.ndarray, sel: np.ndarray):
+    """``Ensemble.mean_se`` of 0.9.0, from a per-path batch array."""
+    ids = (np.arange(len(ens.tau)) // (len(ens.tau) // ens.batches))[sel]
+    counts = np.bincount(ids)
+    ok = counts > 0
+    if ok.sum() < 2:
+        return ens.mean(values, sel), None
+    means = np.bincount(ids, weights=values)[ok] / counts[ok]
+    return ens.mean(values, sel), float(means.std(ddof=1) / math.sqrt(len(means)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(batches=hs.integers(1, 40), size=hs.integers(1, 30), share=hs.floats(0.0, 1.0),
+       seed=hs.integers(0, 2**32 - 1))
+def test_mean_se_counts_each_batch_from_its_edges(batches, size, share, seed):
+    """Batch counts read from the batch edges of the ascending selection
+    give every mean and standard error a per-path batch array gives, bit
+    for bit, also where a batch holds no selected path."""
+    rng = np.random.default_rng(seed)
+    n = batches * size
+    ens = Ensemble(np.zeros(n, np.int64), np.zeros(n), np.zeros(n), None, batches)
+    sel = np.flatnonzero(rng.random(n) < share)
+    if not len(sel):
+        return
+    values = rng.standard_normal(len(sel)) * 10.0 ** rng.integers(-3, 4, size=len(sel))
+    assert ens.mean_se(values, sel) == _bincount_mean_se(ens, values, sel)
 
 
 def test_invariance_target_algebra():
@@ -815,7 +884,7 @@ def test_on_tau_check_matches_from_arrays_and_direct_means(monkeypatch):
     K, u1, power, m = 40, 0.5, 2, POI.mean
     tau = np.array([4, 5, 4, -1, 6, 5, 4, 6, 5, -1, 4, 7, 6, 5])
     x1 = np.array([9, 7, 12, 0, 5, 8, 10, 6, 11, 0, 14, 3, 4, 6])
-    ens = Ensemble(tau, x1, x1, x1 + 1, np.repeat(np.arange(7), 2))
+    ens = Ensemble(tau, x1, x1, x1 + 1, 7)
     monkeypatch.setattr(estimators, "_collect_values", lambda *args: ens)
     check = conditional_on_tau_check(u1, power, K, POI, len(tau), 0, batches=7,
                                      min_group_count=3)
@@ -881,8 +950,7 @@ def test_invariance_empty_group_names_nearest(monkeypatch):
     but no path dies at t_eps = 17: the error names the nearest tau seen.
     The paths are fixed here, so the case does not hang on one seed's draws."""
     tau = np.array([12, 15, 20])
-    values = Ensemble(tau, np.ones(3, np.int64), np.full(3, 10), np.ones(3, np.int64),
-                      np.arange(3))
+    values = Ensemble(tau, np.ones(3, np.int64), np.full(3, 10), np.ones(3, np.int64), 3)
     monkeypatch.setattr(estimators, "_collect_values", lambda *args: values)
     with pytest.raises(EmptyConditioningSet, match="nearest populated group is tau = 15"):
         invariance_check(0.3, 1, [0.2], 200, POI, 3, 2, u2=0.6,

@@ -739,14 +739,14 @@ def test_config_defaults_are_the_kind_function_defaults(kind):
 
 def test_harness_leaves_the_batch_engine_to_estimators():
     """harness uses no private name of estimators, process or exact, by
-    import or by attribute, nor the engine's layout, horizon, header or
+    import or by attribute, nor the engine's batch size, horizon, header or
     covariance helpers."""
     tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
     used = {(node.module, alias.name) for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) for alias in node.names}
     used |= {(node.value.id, node.attr) for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
-    engine = {"batch_layout", "default_horizon", "trajectory_header", "covariance_matrix"}
+    engine = {"batch_size", "default_horizon", "trajectory_header", "covariance_matrix"}
     assert not [(module, name) for module, name in used
                 if module in ("estimators", "process", "exact") and name.startswith("_")
                 or name in engine]

@@ -15,7 +15,7 @@ from hypothesis import strategies as hs
 from test_offspring import SUBCRITICAL_SPECS, _chisquare_gof, _sum_law_pmf
 
 from branchlab import estimators, process
-from branchlab.estimators import _hist_rows, _tau_hist_batch, batch_layout
+from branchlab.estimators import _hist_rows, _tau_hist_batch, batch_size
 from branchlab.exact import extinction_cdf, tau_quantile
 from branchlab.offspring import OffspringDistribution, make_distribution
 from branchlab.process import (
@@ -224,7 +224,7 @@ def test_coupled_base_extinction_law(dist):
     K, paths = 12, 20_000
     horizon = default_horizon(K, dist.mean)
     [hist], censored, *_ = _tau_hist_batch(
-        range(1), layout=[(0, paths)], seed=31, dist=dist, K=K, levels=[0.25, 0.5],
+        range(1), size=paths, seed=31, dist=dist, K=K, levels=[0.25, 0.5],
         horizon=horizon, dump=False,
     )
     assert censored == 0
@@ -241,7 +241,7 @@ def test_plain_engine_extinction_law(dist, runner):
     K, paths = 12, 20_000
     horizon = default_horizon(K, dist.mean)
     dump = runner == "simulate"
-    [hist], censored, text = _tau_hist_batch(range(1), seed=32 + dump, layout=[(0, paths)],
+    [hist], censored, text = _tau_hist_batch(range(1), seed=32 + dump, size=paths,
                                              dist=dist, K=K, horizon=horizon, dump=dump)
     assert censored == 0
     _assert_extinction_cdf(hist, dist, K, paths)
@@ -388,7 +388,7 @@ def test_plain_engine_draws_only_for_live_paths(monkeypatch, dist, cap):
     cap = cap or default_horizon(40, dist.mean)
     for levels in ([], [0.0]):
         calls.clear()
-        [hist], censored, *bad, _ = _tau_hist_batch(range(1), seed=8, layout=[(0, 500)],
+        [hist], censored, *bad, _ = _tau_hist_batch(range(1), seed=8, size=500,
                                                     dist=dist, K=40, horizon=cap, levels=levels)
         assert bad == ([0, 0, 0, 0] if levels else [])
         rows = [gaps.reshape(len(gaps), -1) for gaps in calls]
@@ -545,10 +545,10 @@ def test_simulate_path_absorbs_and_ends_at_zero():
 def _batched_hist(dist, K, paths, seed, horizon=None, levels=()):
     """The extinction-time histogram and censored count of ``paths`` paths
     from K, run as 40 batches through the batch worker and its stacks."""
-    layout = batch_layout(paths, 40)
-    fn = partial(_tau_hist_batch, seed=seed, layout=layout, dist=dist, K=K,
+    size = batch_size(paths, 40)
+    fn = partial(_tau_hist_batch, seed=seed, size=size, dist=dist, K=K,
                  horizon=horizon or default_horizon(K, dist.mean), levels=levels)
-    [parts] = estimators._run_stacks([fn], layout, 1)
+    [parts] = estimators._run_stacks([fn], 40, size, 1)
     hists = [hist for part in parts for hist in part[0]]
     return _hist_rows(hists).sum(axis=0), sum(part[1] for part in parts)
 
@@ -706,7 +706,7 @@ def test_coupled_identities_hold_pathwise(family, K, levels, horizon, path):
 )
 def test_coupled_batch_counts_no_violations(family, K, levels, horizon, count):
     [hist], censored, *bad, text = _tau_hist_batch(
-        range(1), layout=[(0, count)], seed=3, dist=family, K=K, levels=levels,
+        range(1), size=count, seed=3, dist=family, K=K, levels=levels,
         horizon=horizon, dump=True,
     )
     sandwich, *others = bad
@@ -813,11 +813,6 @@ def test_plain_batch_adds_up_each_generations_violations(monkeypatch):
     assert (taus > 0).all() and bad == [int(taus.sum())] * 4
 
 
-def _layout(counts):
-    """The layout whose batches hold ``counts`` paths."""
-    return [(int(sum(counts[:b])), c) for b, c in enumerate(counts)]
-
-
 def _assert_parts_equal(part, want):
     assert len(part) == len(want)
     for got, expected in zip(part, want):
@@ -829,50 +824,50 @@ def _assert_parts_equal(part, want):
             assert got == expected
 
 
-#: A stack budget small enough for a short layout to hold several stacks.
+#: A stack budget small enough for a short run to hold several stacks.
 _BUDGET = 300
 
-#: Paths per batch: stacks whose sizes fall on both sides of the 256-draw
-#: table rule (coupled rows count every column as one size), and a batch
-#: over the budget, which runs alone.
-_COUNTS = hs.lists(hs.sampled_from([1, 7, 90, 256, 301]), min_size=1, max_size=8)
+#: Paths per batch, and two batch counts of up to three full stacks: stacks
+#: whose sizes fall on both sides of the 256-draw table rule (coupled rows
+#: count every column as one size), and a batch over the budget, which runs
+#: alone.
+_SHAPES = hs.sampled_from([1, 7, 90, 256, 301]).flatmap(lambda size: hs.tuples(
+    hs.just(size), hs.tuples(*[hs.integers(1, 3 * max(1, _BUDGET // size))] * 2)))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     family=hs.sampled_from(FAMILIES),
-    counts=_COUNTS,
-    tails=hs.tuples(_COUNTS, _COUNTS),
+    shape=_SHAPES,
     K=hs.sampled_from([2, 40, 300]),
     horizon=hs.integers(1, 25),
     dump=hs.booleans(),
     levels=hs.one_of(hs.just([]),
                      hs.lists(_LEVEL, min_size=1, max_size=3, unique=True).map(sorted)),
 )
-def test_a_stacks_parts_do_not_depend_on_the_other_stacks(family, counts, tails, K, horizon,
-                                                          dump, levels):
-    """Run through ``_run_stacks`` among every stack of its layout, a stack
+def test_a_stacks_parts_do_not_depend_on_the_other_stacks(family, shape, K, horizon, dump,
+                                                          levels):
+    """Run through ``_run_stacks`` among every stack of its run, a stack
     gives the part ``_tau_hist_batch`` gives on it alone, plain or coupled:
-    extinction times, violation counts and trajectory text. Two layouts that
-    share their first batches and then differ (a batch at the budget ends
-    the shared stacks in both) give the stacks of those shared batches the
-    same parts. Short horizons leave paths censored."""
+    extinction times, violation counts and trajectory text. Two runs of one
+    batch size and different batch counts give the whole stacks they share
+    the same parts. Short horizons leave paths censored."""
+    size, counts = shape
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_STACK_PATHS", _BUDGET)
         runs = []
-        for tail in tails:
-            layout = _layout(counts + [_BUDGET] + tail)
-            fn = partial(_tau_hist_batch, seed=22, layout=layout, dist=family, K=K,
+        for batches in counts:
+            fn = partial(_tau_hist_batch, seed=22, size=size, dist=family, K=K,
                          horizon=horizon, levels=levels, dump=dump)
-            [parts] = estimators._run_stacks([fn], layout, 1)
-            stacks = estimators._stacks(layout)
+            [parts] = estimators._run_stacks([fn], batches, size, 1)
+            stacks = estimators._stacks(batches, size)
             alone = [fn(stack) for stack in stacks]
             assert len(parts) == len(alone) == len(stacks)
             assert [len(part[0]) for part in parts] == [len(stack) for stack in stacks]
             for part, want in zip(parts, alone):
                 _assert_parts_equal(part, want)
             runs.append(parts)
-        shared = len(estimators._stacks(_layout(counts)))
+    shared = min(counts) // max(1, _BUDGET // size)
     for part, want in zip(*(parts[:shared] for parts in runs)):
         _assert_parts_equal(part, want)
 
@@ -882,10 +877,9 @@ def test_stacks_draw_from_distinct_streams(monkeypatch):
     rows: a stack draws from the handle stream of its first batch and its
     slot."""
     monkeypatch.setattr(estimators, "_STACK_PATHS", 40)
-    layout = batch_layout(160, 8)
-    stacks = estimators._stacks(layout)
+    stacks = estimators._stacks(8, 20)
     assert stacks == [range(b, b + 2) for b in range(0, 8, 2)]
-    kw = dict(seed=5, layout=layout, dist=POIS, K=40, horizon=30, dump=True)
+    kw = dict(seed=5, size=20, dist=POIS, K=40, horizon=30, dump=True)
 
     def rows(stack, slot):  # the trajectory rows without their path numbers
         text = _tau_hist_batch(stack, slot=slot, **kw)[-1]
@@ -899,16 +893,15 @@ def test_stacks_draw_from_distinct_streams(monkeypatch):
 def test_a_one_batch_stack_draws_on_its_batchs_handle(levels):
     """A stack of one batch gives the part of ``plain_batch`` on that batch
     alone, fed by the batch's own handle stream at the slot."""
-    layout, K, horizon, seed = batch_layout(90, 3), 40, 12, 6
+    size, K, horizon, seed = 30, 40, 12, 6
     dist, floors = FAMILIES[0], coupled_floors(levels, K)
     for b, slot in [(0, 0), (2, 0), (1, 3)]:
-        part = _tau_hist_batch(range(b, b + 1), seed=seed, layout=layout, dist=dist, K=K,
+        part = _tau_hist_batch(range(b, b + 1), seed=seed, size=size, dist=dist, K=K,
                                horizon=horizon, levels=levels, slot=slot, dump=True)
         gen = RandomnessSource(seed).handle(b, slot)
-        taus, sizes, flags, bad = plain_batch(K, layout[b][1], dist, gen, horizon, floors,
-                                              rows=True)
+        taus, sizes, flags, bad = plain_batch(K, size, dist, gen, horizon, floors, rows=True)
         want = ([np.bincount(taus[taus >= 0])], int(np.count_nonzero(taus < 0)), *bad,
-                trajectory_rows(sizes, layout[b][0], floors, flags))
+                trajectory_rows(sizes, b * size, floors, flags))
         _assert_parts_equal(part, want)
 
 
@@ -928,13 +921,13 @@ def test_a_stacks_rows_join_its_batches_trimmed_rows(dist, levels):
     for seed in range(4):
         taus, sizes, flags, _ = plain_batch(K, sum(counts), dist, RandomnessSource(seed).handle(),
                                             horizon, floors, rows=True)
-        pieces = []
-        for start, count in _layout(counts):
-            batch = slice(start, start + count)
+        pieces, start = [], 0
+        for count in counts:
+            batch, start = slice(start, start + count), start + count
             dies = (taus[batch] >= 0).all()
             last = int(taus[batch].max()) if dies and not levels else horizon
             trimmed |= dies and last < len(sizes) - 1
-            pieces.append(trajectory_rows(sizes[:last + 1, batch], start, floors,
+            pieces.append(trajectory_rows(sizes[:last + 1, batch], batch.start, floors,
                                           flags[:last, batch]))
         censored |= bool((taus < 0).any())
         assert trajectory_rows(sizes, 0, floors, flags) == "".join(pieces)
